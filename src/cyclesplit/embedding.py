@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graphs import CycleCover, Graph, Params, bits_of, edge_key
+from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 from .rewire import RewireError, RewireRequest, second_hamilton_cycle
 from .switching import HGraphView, count_h_edges
 
@@ -376,13 +376,6 @@ def _forms_c4(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return (g.has_edge(u, x) and g.has_edge(v, y)) or (
         g.has_edge(u, y) and g.has_edge(v, x)
     )
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # -- good-set ledger ---------------------------------------------------------

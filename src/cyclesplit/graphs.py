@@ -394,6 +394,8 @@ class Params:
     exhaustive_cutoff: int = 14
     enrich_rounds: int = 64
     switch_candidate_budget: int = 500_000
+    # implanted C4's read per split step; the scan stops there, so this
+    # bounds the step's work and memory, not only its candidate list
     enum_cap: int = 2_000_000
     seed: int = 0
 

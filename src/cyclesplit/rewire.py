@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import CycleCover, Graph, Params, bits_of, edge_key
+from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 
 
 class RewireError(ValueError):
@@ -296,7 +296,7 @@ def _exhaustive_second_cycle(
         if musts:
             candidates = [w for w in sorted(musts) if not (on_path >> w) & 1]
         else:
-            candidates = list(_bits_iter(allowed_bits[v] & ~on_path))
+            candidates = list(_iter_bits(allowed_bits[v] & ~on_path))
         for w in candidates:
             if not (allowed_bits[v] >> w) & 1:
                 continue
@@ -312,13 +312,6 @@ def _exhaustive_second_cycle(
         return None
 
     return dfs()
-
-
-def _bits_iter(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def second_hamilton_cycle(

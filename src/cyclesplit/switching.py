@@ -21,7 +21,15 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import CoverError, CycleCover, Graph, Params, edge_key
+from .graphs import (
+    CoverError,
+    CycleCover,
+    Graph,
+    Params,
+    _iter_bits,
+    edge_key,
+    validate_cover,
+)
 from .patterns import (
     find_decreasing_triple,
     find_increasing_triple,
@@ -113,12 +121,78 @@ def _cover_arrays(cover: CycleCover):
     return prev, nxt
 
 
-def _global_edges(cover: CycleCover):
-    out = []
-    for ci, cyc in enumerate(cover.cycles):
-        for pos in range(len(cyc)):
-            out.append((ci, pos))
-    return out
+# -- the implanted-C4 kernel ------------------------------------------------
+#
+# Take the cover edge u -> v (v = nxt[u]).  An implanted C4 through it has a
+# chord u-w, w an off-cover neighbour of u, and its partner edge y -> z is
+# (w, nxt[w]) with the chord v-z (aligned, {u y, v z}) or (prev[w], w) with
+# the chord v-prev[w] (anti-aligned, {u z, v y}).  So every implanted C4 is
+# found from the adjacency lists of its cover edges' endpoints, once from
+# each of its two cover edges.  A cover costs one pass over each adjacency
+# list (O(sum of degrees) bitset additions), not a scan over all pairs of
+# cover edges.
+
+
+def _kernel_rows(g: Graph, prev, nxt):
+    """Row builder of the implanted-C4 kernel.
+
+    ``rows(x)`` returns two vertex bitsets: ``a``, the neighbours of x other
+    than its two cover neighbours, and ``p``, the cover predecessors of those.
+    For the cover edge u -> v, the aligned partner edges start at the vertices
+    of ``a(u) & p(v)`` and the anti-aligned ones at those of ``p(u) & a(v)``.
+    Chords are off-cover by construction, and the four endpoints are distinct
+    because v is a cover neighbour of u.
+    """
+    pbit = [1 << p for p in prev]
+    neighbor_bits, adjacency = g.neighbor_bits, g.adjacency
+
+    def rows(x: int) -> tuple[int, int]:
+        p, q = prev[x], nxt[x]
+        a = neighbor_bits(x) & ~((1 << p) | (1 << q))
+        pred = sum(map(pbit.__getitem__, adjacency(x))) & ~(pbit[p] | pbit[q])
+        return a, pred
+
+    return rows
+
+
+def _walk_rows(cover: CycleCover, rows):
+    """``(u, rows(u), rows(v))`` for each cover edge u -> v in global order."""
+    for cyc in cover.cycles:
+        ru = first = rows(cyc[0])
+        for u, v in zip(cyc, cyc[1:]):
+            rv = rows(v)
+            yield u, ru, rv
+            ru = rv
+        yield cyc[-1], ru, first
+
+
+def _implanted_pairs(g: Graph, cover: CycleCover, cap: Optional[int] = None):
+    """``(edge_a, edge_b, aligned)`` of each implanted C4, lexicographically.
+
+    ``edge_a`` precedes ``edge_b`` in global (cycle, position) order, and an
+    aligned C4 precedes the anti-aligned one on the same pair.  Iteration
+    stops after ``cap`` items, so the cap bounds the work, not only the output.
+    """
+    validate_cover(g, cover)
+    prev, nxt = _cover_arrays(cover)
+    locator = cover.locator
+    later = (1 << cover.n) - 1  # start vertices of the edges not yet walked
+    found = 0
+    for u, (au, pu), (av, pv) in _walk_rows(cover, _kernel_rows(g, prev, nxt)):
+        later ^= 1 << u
+        aligned = au & pv & later
+        anti = pu & av & later
+        if not (aligned or anti):
+            continue
+        partners = [(locator[y], 0) for y in _iter_bits(aligned)]
+        partners += [(locator[y], 1) for y in _iter_bits(anti)]
+        partners.sort()
+        ea = locator[u]
+        for eb, side in partners:
+            yield ea, eb, not side
+            found += 1
+            if cap is not None and found >= cap:
+                return
 
 
 def enumerate_implanted(
@@ -128,71 +202,29 @@ def enumerate_implanted(
 
     Both chord orientations of a cover-edge pair are reported separately.
     """
-    validate_or_raise(g, cover)
-    prev, nxt = _cover_arrays(cover)
-    edges = _global_edges(cover)
-    out: list[ImplantedC4] = []
-    for ia, ea in enumerate(edges):
-        u, v = cover.cycle_edge(*ea)
-        for eb in edges[ia + 1 :]:
-            y, z = cover.cycle_edge(*eb)
-            if u == y or u == z or v == y or v == z:
-                continue
-            if _orientation_valid(g, prev, nxt, u, v, y, z):
-                out.append(_make_c4(cover, ea, eb, aligned=True))
-                if cap is not None and len(out) >= cap:
-                    return out
-            if _orientation_valid(g, prev, nxt, u, v, z, y):
-                out.append(_make_c4(cover, ea, eb, aligned=False))
-                if cap is not None and len(out) >= cap:
-                    return out
-    return out
+    return [
+        _make_c4(cover, ea, eb, aligned)
+        for ea, eb, aligned in _implanted_pairs(g, cover, cap)
+    ]
 
 
 def count_h_edges(g: Graph, cover: CycleCover) -> int:
     """Number of C4's implanted in the cover (one per chord orientation)."""
     prev, nxt = _cover_arrays(cover)
-    bits = [g.neighbor_bits(v) for v in range(g.n)]
-    heads = []
-    tails = []
-    for ci, cyc in enumerate(cover.cycles):
-        L = len(cyc)
-        for pos in range(L):
-            heads.append(cyc[pos])
-            tails.append(cyc[(pos + 1) % L])
-    total = 0
-    m = len(heads)
-    for i in range(m):
-        u = heads[i]
-        v = tails[i]
-        bu = bits[u]
-        bv = bits[v]
-        pu, nu = prev[u], nxt[u]
-        pv, nv = prev[v], nxt[v]
-        for j in range(i + 1, m):
-            y = heads[j]
-            z = tails[j]
-            if y == u or y == v or z == u or z == v:
-                continue
-            if (
-                (bu >> y) & 1
-                and (bv >> z) & 1
-                and y != pu
-                and y != nu
-                and z != pv
-                and z != nv
-            ):
-                total += 1
-            if (
-                (bu >> z) & 1
-                and (bv >> y) & 1
-                and z != pu
-                and z != nu
-                and y != pv
-                and y != nv
-            ):
-                total += 1
-    return total
+    rows = _kernel_rows(g, prev, nxt)
+    seen = 0
+    # _walk_rows' walk, inlined: solve calls this once even at n <= 12, where
+    # a generator's per-edge cost shows
+    for cyc in cover.cycles:
+        first = au, pu = rows(cyc[0])
+        for v in cyc[1:]:
+            av, pv = rows(v)
+            seen += (au & pv).bit_count() + (pu & av).bit_count()
+            au, pu = av, pv
+        av, pv = first
+        seen += (au & pv).bit_count() + (pu & av).bit_count()
+    # each implanted C4 is seen from both of its cover edges
+    return seen // 2
 
 
 class HGraphView:
@@ -207,6 +239,7 @@ class HGraphView:
         self.g = g
         self.cover = cover
         self._prev, self._next = _cover_arrays(cover)
+        self._rows = None
         self._deg: dict[tuple[int, int], int] = {}
         self._total: Optional[int] = None
 
@@ -239,7 +272,13 @@ class HGraphView:
         e = edge_key(*e)
         if e in self._deg:
             return self._deg[e]
-        d = sum(1 for f in self.cover.iter_edges() if f != e and self.adjacent(e, f))
+        u, v = self._orient(e)
+        if self._rows is None:
+            self._rows = _kernel_rows(self.g, self._prev, self._next)
+        au, pu = self._rows(u)
+        av, pv = self._rows(v)
+        # partner edges, by start vertex, over both chord orientations
+        d = ((au & pv) | (pu & av)).bit_count()
         self._deg[e] = d
         return d
 
@@ -257,14 +296,6 @@ class HGraphView:
         if self._total is None:
             self._total = count_h_edges(self.g, self.cover)
         return self._total
-
-
-def validate_or_raise(g: Graph, cover: CycleCover) -> None:
-    if cover.n != g.n:
-        raise CoverError(f"cover spans {cover.n} vertices, graph has {g.n}")
-    for u, v in cover.iter_edges():
-        if not g.has_edge(u, v):
-            raise CoverError(f"cover edge ({u}, {v}) absent from graph")
 
 
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:
@@ -334,21 +365,6 @@ def _find_parallel(g: Graph, cover: CycleCover) -> Optional[ImplantedC4]:
     return None
 
 
-def _bucket_c4s(c4s: Sequence[ImplantedC4]):
-    same_crossing: dict[int, list] = {}
-    cross_aligned: dict[tuple[int, int], list] = {}
-    cross_anti: dict[tuple[int, int], list] = {}
-    for c4 in c4s:
-        ci, a = c4.edge_a
-        cj, b = c4.edge_b
-        if c4.kind is SwitchKind.SAME_CYCLE_CROSSING:
-            same_crossing.setdefault(ci, []).append((a, b))
-        elif c4.kind is SwitchKind.CROSS_CYCLE:
-            bucket = cross_aligned if c4.aligned else cross_anti
-            bucket.setdefault((ci, cj), []).append((a, b))
-    return same_crossing, cross_aligned, cross_anti
-
-
 class _Budget:
     def __init__(self, limit: int):
         self.left = limit
@@ -368,7 +384,7 @@ def _try_plan(g, cover, switches, case):
     if sym != 4 * len(switches):
         return None
     try:
-        validate_or_raise(g, new)
+        validate_cover(g, new)
     except CoverError:
         return None
     plan = SwitchPlan(tuple(switches), 1, sym, case)
@@ -398,8 +414,15 @@ def increase_by_one_with_diag(
         if attempt is not None:
             return attempt, diag
 
-    c4s = enumerate_implanted(g, cover, cap=params.enum_cap)
-    same_crossing, cross_aligned, cross_anti = _bucket_c4s(c4s)
+    same_crossing: dict[int, list] = {}
+    cross_aligned: dict[tuple[int, int], list] = {}
+    cross_anti: dict[tuple[int, int], list] = {}
+    for (ci, a), (cj, b), aligned in _implanted_pairs(g, cover, params.enum_cap):
+        if ci != cj:
+            bucket = cross_aligned if aligned else cross_anti
+            bucket.setdefault((ci, cj), []).append((a, b))
+        elif aligned:
+            same_crossing.setdefault(ci, []).append((a, b))
 
     # case 2: two interleaved crossing switches on one cycle, 8 changed edges
     for ci in sorted(same_crossing, key=lambda c: (-len(same_crossing[c]), c)):
@@ -489,7 +512,7 @@ def split_to_k(
         raise ValueError(f"target k={k} below current {ell} cycles; merging is out of scope")
     if 3 * k > g.n:
         raise ValueError(f"k={k} infeasible: a 2-factor of {g.n} vertices has at most {g.n // 3} cycles")
-    validate_or_raise(g, cover)
+    validate_cover(g, cover)
     start_edges = cover.edge_set()
     plans = []
     current = cover

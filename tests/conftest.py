@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
@@ -38,14 +39,17 @@ def random_cycle_lengths(rng: random.Random, n: int) -> list[int]:
 
 
 def random_factor_instance(
-    rng: random.Random, n: int, p: float
+    rng: random.Random, n: int, p: float, lengths: Optional[list[int]] = None
 ) -> tuple[Graph, CycleCover]:
-    """Random graph containing a planted random 2-factor."""
+    """Random graph containing a planted 2-factor.
+
+    The cycle lengths (summing to n) are drawn unless ``lengths`` gives them.
+    """
     perm = list(range(n))
     rng.shuffle(perm)
     cycles = []
     at = 0
-    for length in random_cycle_lengths(rng, n):
+    for length in lengths or random_cycle_lengths(rng, n):
         cycles.append(perm[at : at + length])
         at += length
     cover = CycleCover(cycles, n)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, validate_cover
+from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import count_implanted_bruteforce, gen_planted
 from cyclesplit.switching import (
     HGraphView,
@@ -13,6 +15,83 @@ from cyclesplit.switching import (
 )
 
 from conftest import complete_graph, cycle_graph, ham_cover, random_factor_instance
+
+
+def _reference_implanted(g, cover):
+    """Implanted C4's by the O(n^2) scan over pairs of cover edges.
+
+    Returns ``(edge_a, edge_b, aligned)`` in lexicographic position order:
+    edges in global (cycle, position) order, aligned before anti-aligned.
+    """
+    edges = [(ci, pos) for ci, cyc in enumerate(cover.cycles) for pos in range(len(cyc))]
+
+    def valid(u, v, y, z):
+        # chords {u y, v z}: in the graph and not cover edges
+        return (
+            g.has_edge(u, y)
+            and g.has_edge(v, z)
+            and y not in cover.cycle_neighbors(u)
+            and z not in cover.cycle_neighbors(v)
+        )
+
+    out = []
+    for ia, ea in enumerate(edges):
+        u, v = cover.cycle_edge(*ea)
+        for eb in edges[ia + 1 :]:
+            y, z = cover.cycle_edge(*eb)
+            if len({u, v, y, z}) < 4:
+                continue
+            if valid(u, v, y, z):
+                out.append((ea, eb, True))
+            if valid(u, v, z, y):
+                out.append((ea, eb, False))
+    return out
+
+
+def _kernel_cases(seed=0x1C4):
+    """Seeded instances, n from 6 to 60, plus covers with 3- and 4-cycles."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        yield random_factor_instance(rng, rng.randint(6, 60), rng.uniform(0.05, 0.6))
+    # short cycles: on a 4-cycle u v w x, nxt[v] == prev[u]
+    for _ in range(60):
+        lengths = [rng.choice((3, 4)) for _ in range(rng.randint(2, 6))]
+        lengths += [rng.randint(3, 12) for _ in range(rng.randint(0, 2))]
+        yield random_factor_instance(rng, sum(lengths), rng.uniform(0.1, 0.9), lengths)
+    for n in (4, 5, 6, 7, 8):
+        yield complete_graph(n), ham_cover(n)
+
+
+class TestKernelMatchesReference:
+    def test_enumeration_count_and_cap(self):
+        for g, cover in _kernel_cases():
+            want = _reference_implanted(g, cover)
+            got = enumerate_implanted(g, cover)
+            assert [(c.edge_a, c.edge_b, c.aligned) for c in got] == want
+            assert count_h_edges(g, cover) == len(got) == len(want)
+            for cap in (1, 3, 50):
+                assert enumerate_implanted(g, cover, cap=cap) == got[:cap]
+
+    def test_degree_matches_pairwise_definition(self):
+        for g, cover in _kernel_cases(seed=0xDE6):
+            partners = {e: set() for e in cover.edge_set()}
+            for ea, eb, _ in _reference_implanted(g, cover):
+                e = edge_key(*cover.cycle_edge(*ea))
+                f = edge_key(*cover.cycle_edge(*eb))
+                partners[e].add(f)
+                partners[f].add(e)
+            view = HGraphView(g, cover)
+            for e, fs in partners.items():
+                assert view.degree(e) == len(fs)
+                assert view.degree(e[::-1]) == len(fs)
+
+    def test_small_n_matches_brute_force(self, rng):
+        for n in range(6, 13):
+            for _ in range(8):
+                g, cover = random_factor_instance(rng, n, rng.uniform(0.1, 0.9))
+                brute = count_implanted_bruteforce(g, cover)
+                assert count_h_edges(g, cover) == brute
+                assert len(enumerate_implanted(g, cover)) == brute
 
 
 class TestEnumerate:
