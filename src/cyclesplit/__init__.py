@@ -37,6 +37,7 @@ from .graphs import (
 from .instances import (
     InstanceSpec,
     count_implanted_bruteforce,
+    gen_cliques_hamilton,
     gen_cliques_matching,
     gen_planted,
     gen_triangles_biclique,
@@ -107,6 +108,7 @@ __all__ = [
     "find_decreasing_triple",
     "find_increasing_triple",
     "find_interleaved_pair",
+    "gen_cliques_hamilton",
     "gen_cliques_matching",
     "gen_planted",
     "gen_triangles_biclique",

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .graphs import (
     CoverError,
-    CycleCover,
     GraphFormatError,
     Params,
     dump_cover,
@@ -31,6 +30,7 @@ from .graphs import (
 from .instances import (
     InstanceSpec,
     ORACLE_CAP,
+    gen_cliques_hamilton,
     gen_cliques_matching,
     gen_planted,
     gen_triangles_biclique,
@@ -179,20 +179,7 @@ def _bench_instance(model: str, spec: dict, seed: int):
     if model == "triangles":
         return gen_triangles_biclique(spec["k"], spec["m"], seed)
     if model == "cliques_ham":
-        g = gen_cliques_matching(spec["q"], seed)
-        q = spec["q"]
-        a1, b1 = None, None
-        a2, b2 = None, None
-        for u in range(q):
-            for v in range(q, 2 * q):
-                if g.has_edge(u, v):
-                    if a1 is None:
-                        a1, b1 = u, v
-                    else:
-                        a2, b2 = u, v
-        left = [a1] + [u for u in range(q) if u not in (a1, a2)] + [a2]
-        right = [b2] + [v for v in range(q, 2 * q) if v not in (b1, b2)] + [b1]
-        return g, CycleCover([left + right], g.n)
+        return gen_cliques_hamilton(spec["q"], seed)
     raise ValueError(f"unknown bench model {model}")
 
 

@@ -11,7 +11,6 @@ accepted rewire, so the loop terminates.
 
 from __future__ import annotations
 
-import logging
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -20,9 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 from .rewire import RewireError, RewireRequest, second_hamilton_cycle
 from .switching import HGraphView, count_h_edges
-
-logger = logging.getLogger(__name__)
-
 
 class PartitionError(RuntimeError):
     """Partitioning could not satisfy the common-neighbourhood invariant."""
@@ -253,26 +249,16 @@ def partition_vertices(
 # -- helper graphs -----------------------------------------------------------
 
 
-@dataclass
-class HelperGraph:
-    """Edge set produced for rewiring, with achieved (not asserted) stats."""
-
-    edges: frozenset[tuple[int, int]]
-    report: dict
-
-
 def cover_graph(
     g: Graph,
     s_vertices: Iterable[int],
     t_vertices: Iterable[int],
     params: Optional[Params] = None,
-    mcache: Optional[MSetCache] = None,
-) -> HelperGraph:
+) -> frozenset[tuple[int, int]]:
     """Edges at S whose far endpoint sees much of T; C4-rich towards T.
 
-    For each v in S it keeps the neighbours u with |N(u) ∩ T| above the
-    derived floor.  Achieved S-min-degree and sampled |M(e) ∩ T| statistics
-    are reported rather than asserted against asymptotic bounds.
+    For each v in S it keeps the neighbours u with |N(u) ∩ T| at or above
+    the derived floor, and returns those edges.
     """
     params = params or Params()
     s_sorted = sorted(set(s_vertices))
@@ -284,28 +270,11 @@ def cover_graph(
     floor = params.cover_floor(len(t_sorted))
     tbits = bits_of(t_sorted)
     edges = set()
-    degree = {v: 0 for v in s_sorted}
     for v in s_sorted:
         for u in g.adjacency(v):
             if (g.neighbor_bits(u) & tbits).bit_count() >= floor:
                 edges.add(edge_key(u, v))
-    for u, v in edges:
-        if u in degree:
-            degree[u] += 1
-        if v in degree:
-            degree[v] += 1
-    mcache = mcache or MSetCache(g, params.m_set_threshold)
-    sample = sorted(edges)[:16]
-    m_hits = [
-        (mcache.member_bits(e) & tbits).bit_count() for e in sample
-    ]
-    report = {
-        "min_degree_over_s": min(degree.values()) if degree else 0,
-        "t_floor": floor,
-        "sampled_m_in_t_min": min(m_hits) if m_hits else 0,
-        "sampled_edges": len(sample),
-    }
-    return HelperGraph(frozenset(edges), report)
+    return frozenset(edges)
 
 
 def close_graph(
@@ -314,10 +283,10 @@ def close_graph(
     e_lists: Sequence[Iterable[tuple[int, int]]],
     params: Optional[Params] = None,
     mcache: Optional[MSetCache] = None,
-) -> tuple[HelperGraph, frozenset[int]]:
+) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
     """Edges forming C4's with many of the given disjoint edge sets.
 
-    Returns the helper graph and the bad set B of vertices landing outside
+    Returns the helper edges and the bad set B of vertices landing outside
     the M-set of at least half of the edge sets.  Every helper edge forms a
     C4 with at least the compatibility floor of distinct listed edges.
     """
@@ -354,28 +323,7 @@ def close_graph(
         for u, c in counts.items():
             if c >= floor:
                 edges.add(edge_key(v, u))
-    all_edges = frozenset().union(*sets) if sets else frozenset()
-    sample = sorted(edges)[:16]
-    partner_counts = [
-        sum(1 for f in all_edges if _forms_c4(g, e, f)) for e in sample
-    ]
-    report = {
-        "compat_floor": floor,
-        "bad_size": len(bad),
-        "sampled_partner_min": min(partner_counts) if partner_counts else 0,
-        "sampled_edges": len(sample),
-    }
-    return HelperGraph(frozenset(edges), report), bad
-
-
-def _forms_c4(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    u, v = e
-    x, y = f
-    if len({u, v, x, y}) != 4:
-        return False
-    return (g.has_edge(u, x) and g.has_edge(v, y)) or (
-        g.has_edge(u, y) and g.has_edge(v, x)
-    )
+    return frozenset(edges), bad
 
 
 # -- good-set ledger ---------------------------------------------------------
@@ -603,11 +551,9 @@ def enrich(
                     part.full_sets.append(part.overflow)
                     part.overflow = frozenset()
                     tbits = part.bits
-                helper = cover_graph(
-                    g, part.vertices, list(_iter_bits(tbits)), params, mcache
-                )
-            helper_edges.append(helper.edges)
-            all_edges |= helper.edges
+                helper = cover_graph(g, part.vertices, list(_iter_bits(tbits)), params)
+            helper_edges.append(helper)
+            all_edges |= helper
         prot = e0 | ledger.protected_edges()
         usable = all_edges - cycle.edge_set()
         if not usable:
@@ -626,12 +572,12 @@ def enrich(
         req = RewireRequest(
             g, cycle, frozenset(prot), frozenset(all_edges), frozenset(bad_union)
         )
-        calls += 1
         try:
             res = second_hamilton_cycle(req, rng, params)
         except RewireError as exc:
             diagnostics.append(f"rewire precondition failed: {exc}")
             break
+        calls += 1
         if res is None:
             diagnostics.append("rewire attempt exhausted its budget")
             continue
@@ -653,10 +599,9 @@ def enrich(
         if not e0 <= cycle.edge_set():
             raise AssertionError("protected edge lost during enrichment")
         ledger.verify(cycle, mcache)
-
-    reached = h >= target
-    if not reached:
-        diagnostics.append(f"budget exhausted at h={h} < target={target}")
+    else:
+        if h < target:
+            diagnostics.append(f"budget exhausted at h={h} < target={target}")
     return EnrichResult(
-        cycle, h, reached, iterations, calls, ledger.summary(), diagnostics
+        cycle, h, h >= target, iterations, calls, ledger.summary(), diagnostics
     )

@@ -87,6 +87,21 @@ def gen_cliques_matching(q: int, seed: int, allow_even: bool = False) -> Graph:
     return Graph(2 * q, edges)
 
 
+def gen_cliques_hamilton(q: int, seed: int) -> tuple[Graph, CycleCover]:
+    """``gen_cliques_matching(q, seed)`` with a Hamilton cycle as the cover.
+
+    The cycle runs through the first clique, crosses one matching edge,
+    runs through the second clique and returns over the other.
+    """
+    g = gen_cliques_matching(q, seed)
+    (a1, b1), (a2, b2) = [
+        (u, v) for u in range(q) for v in range(q, 2 * q) if g.has_edge(u, v)
+    ]
+    left = [a1] + [u for u in range(q) if u not in (a1, a2)] + [a2]
+    right = [b2] + [v for v in range(q, 2 * q) if v not in (b1, b2)] + [b1]
+    return g, CycleCover([left + right], g.n)
+
+
 def gen_triangles_biclique(k: int, m: int, seed: int) -> tuple[Graph, CycleCover]:
     """k-1 disjoint triangles, a K_{m,m}, and all triangle-to-A edges.
 

@@ -9,7 +9,6 @@ augmented graph and the bridges stay protected until they are removed again.
 from __future__ import annotations
 
 import json
-import logging
 import random
 import time
 from dataclasses import dataclass, field
@@ -19,9 +18,6 @@ from .embedding import PartitionError, enrich
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from .rewire import RewireError
 from .switching import count_h_edges, split_to_k
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class MergeRecord:

@@ -341,22 +341,21 @@ def second_hamilton_cycle(
     desirable = frozenset(
         edge_key(u, v) for u, v in req.desirable if g.has_edge(u, v)
     )
-    deg = [0] * n
-    for u, v in desirable:
-        deg[u] += 1
-        deg[v] += 1
-    floor = params.thomassen_degree_floor
-    if floor is None:
+    if params.thomassen_degree_floor is None:
         floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
+        deg = [0] * n
+        for u, v in desirable:
+            deg[u] += 1
+            deg[v] += 1
+        short = [v for v in range(n) if v not in blocked and deg[v] < floor]
+        if short:
+            raise RewireError(
+                f"vertex {short[0]} has desirable degree {deg[short[0]]} < {floor:.1f}"
+            )
     else:
         warnings.warn(
             "rewire degree precondition overridden at desk scale",
             stacklevel=2,
-        )
-    short = [v for v in range(n) if v not in blocked and deg[v] < floor]
-    if short and params.thomassen_degree_floor is None:
-        raise RewireError(
-            f"vertex {short[0]} has desirable degree {deg[short[0]]} < {floor:.1f}"
         )
 
     usable = desirable - cyc_edges

@@ -98,17 +98,6 @@ def _make_c4(cover: CycleCover, ea, eb, aligned: bool) -> ImplantedC4:
     return ImplantedC4(ea, eb, tuple(sorted(chords)), kind, aligned)
 
 
-def _orientation_valid(g: Graph, cover_prev, cover_next, u, v, y, z) -> bool:
-    # chords {u y, v z}: in the graph and not cover edges
-    if not ((g.neighbor_bits(u) >> y) & 1 and (g.neighbor_bits(v) >> z) & 1):
-        return False
-    if y == cover_prev[u] or y == cover_next[u]:
-        return False
-    if z == cover_prev[v] or z == cover_next[v]:
-        return False
-    return True
-
-
 def _cover_arrays(cover: CycleCover):
     """Per-vertex cyclic predecessor/successor arrays."""
     prev = [0] * cover.n
@@ -231,71 +220,53 @@ class HGraphView:
     """Lazy view of the auxiliary graph on cover edges.
 
     Cover edges are adjacent when some C4 of the host graph contains both and
-    no other cover edge.  Degrees and induced counts are computed on demand
-    and cached; the full adjacency is never materialized.
+    no other cover edge.  The cover edge u -> v is known by its start vertex
+    u, and its neighbours by the start vertices in ``(a(u) & p(v)) |
+    (p(u) & a(v))``, the implanted-C4 kernel's rows.  That partner bitset is
+    computed on demand and cached; the full adjacency is never materialized.
     """
 
     def __init__(self, g: Graph, cover: CycleCover):
         self.g = g
-        self.cover = cover
         self._prev, self._next = _cover_arrays(cover)
         self._rows = None
-        self._deg: dict[tuple[int, int], int] = {}
-        self._total: Optional[int] = None
+        self._partners: dict[int, int] = {}
 
-    def _orient(self, e: tuple[int, int]) -> tuple[int, int]:
+    def _start(self, e: tuple[int, int]) -> int:
+        """Start vertex of the cover edge ``e`` in either orientation."""
         u, v = e
         if self._next[u] == v:
-            return u, v
+            return u
         if self._next[v] == u:
-            return v, u
+            return v
         raise CoverError(f"edge {e} is not on the cover")
 
-    def c4_count(self, e: tuple[int, int], f: tuple[int, int]) -> int:
-        """Number of implanted C4's containing both cover edges (0, 1 or 2)."""
-        u, v = self._orient(e)
-        y, z = self._orient(f)
-        if u == y or u == z or v == y or v == z:
-            return 0
-        count = 0
-        if _orientation_valid(self.g, self._prev, self._next, u, v, y, z):
-            count += 1
-        if _orientation_valid(self.g, self._prev, self._next, u, v, z, y):
-            count += 1
-        return count
-
-    def adjacent(self, e, f) -> bool:
-        return self.c4_count(edge_key(*e), edge_key(*f)) > 0
+    def _partner_bits(self, u: int) -> int:
+        got = self._partners.get(u)
+        if got is None:
+            if self._rows is None:
+                self._rows = _kernel_rows(self.g, self._prev, self._next)
+            au, pu = self._rows(u)
+            av, pv = self._rows(self._next[u])
+            # partner edges, by start vertex, over both chord orientations
+            got = (au & pv) | (pu & av)
+            self._partners[u] = got
+        return got
 
     def degree(self, e: tuple[int, int]) -> int:
         """Number of cover edges adjacent to ``e`` in the auxiliary graph."""
-        e = edge_key(*e)
-        if e in self._deg:
-            return self._deg[e]
-        u, v = self._orient(e)
-        if self._rows is None:
-            self._rows = _kernel_rows(self.g, self._prev, self._next)
-        au, pu = self._rows(u)
-        av, pv = self._rows(v)
-        # partner edges, by start vertex, over both chord orientations
-        d = ((au & pv) | (pu & av)).bit_count()
-        self._deg[e] = d
-        return d
+        return self._partner_bits(self._start(e)).bit_count()
 
     def induced_edge_count(self, edges: Iterable[tuple[int, int]]) -> int:
         """Auxiliary-graph edges with both endpoints in the given cover edges."""
-        es = sorted(set(edge_key(*e) for e in edges))
-        total = 0
-        for i, e in enumerate(es):
-            for f in es[i + 1 :]:
-                if self.adjacent(e, f):
-                    total += 1
-        return total
-
-    def total_c4s(self) -> int:
-        if self._total is None:
-            self._total = count_h_edges(self.g, self.cover)
-        return self._total
+        mask = 0
+        for e in edges:
+            mask |= 1 << self._start(e)
+        seen = sum(
+            (self._partner_bits(u) & mask).bit_count() for u in _iter_bits(mask)
+        )
+        # each adjacent pair is seen from both of its cover edges
+        return seen // 2
 
 
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:

@@ -6,6 +6,7 @@ from cyclesplit.graphs import CycleCover, validate_cover
 from cyclesplit.instances import (
     InstanceSpec,
     count_implanted_bruteforce,
+    gen_cliques_hamilton,
     gen_cliques_matching,
     gen_planted,
     gen_triangles_biclique,
@@ -67,6 +68,13 @@ class TestGenCliquesMatching:
         left = [a1] + [u for u in range(q) if u not in (a1, a2)] + [a2]
         right = [b2] + [v for v in range(q, 2 * q) if v not in (b1, b2)] + [b1]
         assert validate_cover(g, CycleCover([left + right], g.n)) == 1
+
+    def test_hamilton_cover(self):
+        for q in (5, 7, 9):
+            for seed in range(6):
+                g, cover = gen_cliques_hamilton(q, seed)
+                assert g == gen_cliques_matching(q, seed)
+                assert validate_cover(g, cover) == 1
 
     def test_even_requires_flag(self):
         with pytest.raises(ValueError):

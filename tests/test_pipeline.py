@@ -178,6 +178,15 @@ class TestSolve:
         assert res.stats.h_edges_enriched >= h0 + 4
         assert res.stats.merge_bridges == 2
 
+    def test_rewire_precondition_failure(self):
+        # default Params: the rewire degree precondition raises on the first call
+        g, cover = gen_planted(30, 0.15, 1)
+        res = solve(g, cover, 3, Params(), strict=True)
+        assert res.stats.thomassen_calls == 0
+        (diag,) = [d["enrich"] for d in res.stats.diagnostics if "enrich" in d]
+        assert diag[0].startswith("rewire precondition failed")
+        assert not any("budget exhausted" in d for d in diag)
+
     def test_h_edge_drop_bound_after_unmerge(self, rng):
         """e(H) after unmerge stays within 2(l-1)n of the enriched count."""
         for seed in range(5):

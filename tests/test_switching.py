@@ -73,6 +73,7 @@ class TestKernelMatchesReference:
                 assert enumerate_implanted(g, cover, cap=cap) == got[:cap]
 
     def test_degree_matches_pairwise_definition(self):
+        rng = random.Random(0x1DC)
         for g, cover in _kernel_cases(seed=0xDE6):
             partners = {e: set() for e in cover.edge_set()}
             for ea, eb, _ in _reference_implanted(g, cover):
@@ -84,6 +85,12 @@ class TestKernelMatchesReference:
             for e, fs in partners.items():
                 assert view.degree(e) == len(fs)
                 assert view.degree(e[::-1]) == len(fs)
+            edges = sorted(partners)
+            for _ in range(4):
+                subset = rng.sample(edges, rng.randint(0, len(edges)))
+                pairs = {frozenset((e, f)) for e in subset for f in partners[e] if f in subset}
+                assert view.induced_edge_count(subset) == len(pairs)
+                assert view.induced_edge_count([e[::-1] for e in subset]) == len(pairs)
 
     def test_small_n_matches_brute_force(self, rng):
         for n in range(6, 13):
@@ -196,11 +203,6 @@ class TestApplySwitch:
 
 
 class TestHGraphView:
-    def test_total_matches_count(self, rng):
-        g, cover = random_factor_instance(rng, 14, 0.4)
-        view = HGraphView(g, cover)
-        assert view.total_c4s() == count_h_edges(g, cover)
-
     def test_degree_and_induced(self):
         g = complete_graph(5)
         cover = ham_cover(5)
@@ -212,7 +214,9 @@ class TestHGraphView:
     def test_off_cover_edge_rejected(self):
         view = HGraphView(complete_graph(5), ham_cover(5))
         with pytest.raises(CoverError):
-            view.c4_count((0, 2), (1, 3))
+            view.degree((0, 2))
+        with pytest.raises(CoverError):
+            view.induced_edge_count([(0, 1), (0, 2)])
 
 
 class TestIncreaseByOne:
