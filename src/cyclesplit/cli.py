@@ -184,6 +184,8 @@ def _bench_instance(model: str, spec: dict, seed: int):
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     rows = []
     for idx, (model, spec, k) in enumerate(_BENCH_CORPORA[args.corpus]):
         for s in range(args.seeds):

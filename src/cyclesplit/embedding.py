@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
@@ -97,59 +98,37 @@ class Partition:
         return len(self.parts)
 
 
-def _tuple_common_ok(g: Graph, vertices: Sequence[int], threshold: int, m: int) -> bool:
-    from itertools import combinations
-
-    if len(vertices) < m:
-        return True
-    for group in combinations(sorted(vertices), m):
-        acc = g.neighbor_bits(group[0])
-        for v in group[1:]:
-            acc &= g.neighbor_bits(v)
-        if acc.bit_count() < threshold:
-            return False
-    return True
+def _pair_ok(g: Graph, u: int, v: int, threshold: int) -> bool:
+    return (g.neighbor_bits(u) & g.neighbor_bits(v)).bit_count() >= threshold
 
 
-def verify_partition(
-    g: Graph, partition: Partition, threshold: int, m: int = 2
-) -> bool:
+def _pairs_ok(g: Graph, vertices: Iterable[int], threshold: int) -> bool:
+    pairs = combinations(sorted(vertices), 2)
+    return all(_pair_ok(g, u, v, threshold) for u, v in pairs)
+
+
+def verify_partition(g: Graph, partition: Partition, threshold: int) -> bool:
     """Exhaustively check the intra-part common-neighbourhood invariant."""
     covered = set()
     for part in partition.parts:
         if covered & part:
             return False
         covered |= part
-        if not _tuple_common_ok(g, list(part), threshold, m):
+        if not _pairs_ok(g, part, threshold):
             return False
     return covered == set(range(g.n))
 
 
-def _pair_ok(g: Graph, u: int, v: int, threshold: int) -> bool:
-    return (g.neighbor_bits(u) & g.neighbor_bits(v)).bit_count() >= threshold
-
-
-def _admissible(g: Graph, part: list[int], v: int, threshold: int, m: int) -> bool:
-    from itertools import combinations
-
-    if m == 2:
-        return all(_pair_ok(g, u, v, threshold) for u in part)
-    for group in combinations(part, m - 1):
-        acc = g.neighbor_bits(v)
-        for u in group:
-            acc &= g.neighbor_bits(u)
-        if acc.bit_count() < threshold:
-            return False
-    return True
+def _admissible(g: Graph, part: list[int], v: int, threshold: int) -> bool:
+    return all(_pair_ok(g, u, v, threshold) for u in part)
 
 
 def partition_vertices(
     g: Graph,
     params: Optional[Params] = None,
     rng: Optional[random.Random] = None,
-    m: int = 2,
 ) -> Partition:
-    """Partition V(G) so m-subsets of a part share many common neighbours.
+    """Partition V(G) so pairs in a part share many common neighbours.
 
     First pass mirrors the randomized recipe (random half split, random
     witness set M, colouring by M-neighbourhood prefixes); every candidate
@@ -197,7 +176,7 @@ def partition_vertices(
 
     parts: list[list[int]] = []
     for cand in candidates:
-        if _tuple_common_ok(g, cand, threshold, m):
+        if _pairs_ok(g, cand, threshold):
             parts.append(sorted(cand))
         else:
             pool.extend(cand)
@@ -206,7 +185,7 @@ def partition_vertices(
     # the invariant, else open a new one (singletons satisfy it vacuously)
     for v in sorted(pool):
         for part in parts:
-            if _admissible(g, part, v, threshold, m):
+            if _admissible(g, part, v, threshold):
                 part.append(v)
                 break
         else:
@@ -219,17 +198,10 @@ def partition_vertices(
         parts.sort(key=lambda p: (-len(p), p[0]))
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                union = parts[i] + parts[j]
-                if m == 2:
-                    ok = all(
-                        _pair_ok(g, u, v, threshold)
-                        for u in parts[i]
-                        for v in parts[j]
-                    )
-                else:
-                    ok = _tuple_common_ok(g, union, threshold, m)
-                if ok:
-                    parts[i] = sorted(union)
+                if all(
+                    _pair_ok(g, u, v, threshold) for u in parts[i] for v in parts[j]
+                ):
+                    parts[i] = sorted(parts[i] + parts[j])
                     del parts[j]
                     merged = True
                     break
@@ -241,7 +213,7 @@ def partition_vertices(
         tuple(frozenset(p) for p in parts),
         {v: i for i, p in enumerate(parts) for v in p},
     )
-    if not verify_partition(g, partition, threshold, m):
+    if not verify_partition(g, partition, threshold):
         raise PartitionError("partition invariant failed verification")
     return partition
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .embedding import PartitionError, enrich
@@ -164,26 +164,7 @@ class RunStats:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "min_degree": self.min_degree,
-            "ell_initial": self.ell_initial,
-            "ell_presplit": self.ell_presplit,
-            "k_target": self.k_target,
-            "success": self.success,
-            "strict": self.strict,
-            "used_enrichment": self.used_enrichment,
-            "switch_log": self.switch_log,
-            "h_edges_initial": self.h_edges_initial,
-            "h_edges_enriched": self.h_edges_enriched,
-            "thomassen_calls": self.thomassen_calls,
-            "merge_bridges": self.merge_bridges,
-            "ledger_summary": self.ledger_summary,
-            "diagnostics": self.diagnostics,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self, drop_timing: bool = False) -> str:
         d = self.to_dict()
@@ -211,6 +192,34 @@ def _log_plans(stats: RunStats, plans) -> None:
         )
 
 
+def _merge_enrich_unmerge(
+    g: Graph, cover: CycleCover, params: Params, rng: random.Random, stats: RunStats
+) -> CycleCover:
+    """The enriched cover to split next; the input cover if any stage fails."""
+    stats.used_enrichment = True
+    augmented, merged, rec = merge_cover(g, cover)
+    stats.merge_bridges = len(rec.e_plus)
+    protected = protected_for_merge(merged, rec)
+    try:
+        enriched = enrich(augmented, merged, protected, params, rng)
+        stats.h_edges_enriched = enriched.h_edges
+        stats.thomassen_calls = enriched.thomassen_calls
+        stats.ledger_summary = enriched.ledger_summary
+        if enriched.diagnostics:
+            stats.diagnostics.append({"enrich": enriched.diagnostics})
+        restored = unmerge(enriched.cycle, rec)
+        if rec.e_plus:
+            before = count_h_edges(augmented, enriched.cycle)
+            after = count_h_edges(g, restored)
+            if after < before - 2 * (rec.ell - 1) * g.n:
+                raise AssertionError("unmerge lost more H-edges than the merge bound")
+        validate_cover(g, restored)
+    except (RewireError, CoverError, PartitionError, ValueError) as exc:
+        stats.diagnostics.append({"pipeline": str(exc)})
+        return cover
+    return restored
+
+
 def solve(
     g: Graph,
     cover: CycleCover,
@@ -224,7 +233,9 @@ def solve(
     Strategy: try splitting directly; if that stalls, merge everything into
     one Hamilton cycle of the augmented graph, enrich it with implanted C4's
     while protecting the bridges, undo the merge, and split again.  The
-    strict flag skips the opportunistic first step.  Honest failure returns
+    strict flag skips the opportunistic first step.  ``split_to_k`` draws no
+    randomness, so when the restored cover equals the input the direct
+    split's outcome is reused, not recomputed.  Honest failure returns
     ``cover=None`` with diagnostics; the input is never modified.
     """
     params = params or Params()
@@ -249,47 +260,21 @@ def solve(
         raise ValueError(f"k={k} infeasible for n={g.n}: need k <= n/3")
     stats.h_edges_initial = count_h_edges(g, cover)
 
+    outcome = None
     if not strict:
         stats.ell_presplit = ell
         outcome = split_to_k(g, cover, k, params)
-        if outcome.cover is not None:
-            _log_plans(stats, outcome.plans)
-            stats.success = True
-            stats.wall_time = time.perf_counter() - t0
-            return SolveResult(outcome.cover, stats)
-        stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
-
-    # full pipeline: merge -> enrich -> unmerge -> split
-    stats.used_enrichment = True
-    augmented, merged, rec = merge_cover(g, cover)
-    stats.merge_bridges = len(rec.e_plus)
-    protected = protected_for_merge(merged, rec)
-    restored = cover
-    try:
-        enriched = enrich(augmented, merged, protected, params, rng)
-        stats.h_edges_enriched = enriched.h_edges
-        stats.thomassen_calls = enriched.thomassen_calls
-        stats.ledger_summary = enriched.ledger_summary
-        if enriched.diagnostics:
-            stats.diagnostics.append({"enrich": enriched.diagnostics})
-        restored = unmerge(enriched.cycle, rec)
-        if rec.e_plus:
-            before = count_h_edges(augmented, enriched.cycle)
-            after = count_h_edges(g, restored)
-            if after < before - 2 * (rec.ell - 1) * g.n:
-                raise AssertionError("unmerge lost more H-edges than the merge bound")
-        validate_cover(g, restored)
-    except (RewireError, CoverError, PartitionError, ValueError) as exc:
-        stats.diagnostics.append({"pipeline": str(exc)})
-        restored = cover
-
-    stats.ell_presplit = restored.num_components
-    outcome = split_to_k(g, restored, k, params)
+        if outcome.cover is None:
+            stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
+    if outcome is None or outcome.cover is None:
+        restored = _merge_enrich_unmerge(g, cover, params, rng, stats)
+        stats.ell_presplit = restored.num_components
+        if outcome is None or restored != cover:
+            outcome = split_to_k(g, restored, k, params)
+        if outcome.cover is None:
+            stats.diagnostics.append({"final_split": outcome.diagnostics})
     if outcome.cover is not None:
         _log_plans(stats, outcome.plans)
         stats.success = True
-        stats.wall_time = time.perf_counter() - t0
-        return SolveResult(outcome.cover, stats)
-    stats.diagnostics.append({"final_split": outcome.diagnostics})
     stats.wall_time = time.perf_counter() - t0
-    return SolveResult(None, stats)
+    return SolveResult(outcome.cover, stats)

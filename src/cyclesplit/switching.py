@@ -161,8 +161,8 @@ def _implanted_pairs(g: Graph, cover: CycleCover, cap: Optional[int] = None):
     ``edge_a`` precedes ``edge_b`` in global (cycle, position) order, and an
     aligned C4 precedes the anti-aligned one on the same pair.  Iteration
     stops after ``cap`` items, so the cap bounds the work, not only the output.
+    The cover must already be a 2-factor of ``g``; it is not re-checked here.
     """
-    validate_cover(g, cover)
     prev, nxt = _cover_arrays(cover)
     locator = cover.locator
     later = (1 << cover.n) - 1  # start vertices of the edges not yet walked
@@ -191,6 +191,7 @@ def enumerate_implanted(
 
     Both chord orientations of a cover-edge pair are reported separately.
     """
+    validate_cover(g, cover)
     return [
         _make_c4(cover, ea, eb, aligned)
         for ea, eb, aligned in _implanted_pairs(g, cover, cap)
@@ -336,36 +337,21 @@ def _find_parallel(g: Graph, cover: CycleCover) -> Optional[ImplantedC4]:
     return None
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-def _try_plan(g, cover, switches, case):
+def _try_plan(cover, switches, case):
+    # _toggle swaps 2s cover edges for 2s new chords, so 4s edges change, and
+    # every chord is an edge of g (a kernel row or _find_parallel's bit test):
+    # the result is a 2-factor of g; split_to_k validates the final cover
     new = _toggle(cover, switches)
-    if new is None:
+    if new is None or new.num_components != cover.num_components + 1:
         return None
-    if new.num_components != cover.num_components + 1:
-        return None
-    sym = len(new.edge_set() ^ cover.edge_set())
-    if sym != 4 * len(switches):
-        return None
-    try:
-        validate_cover(g, new)
-    except CoverError:
-        return None
-    plan = SwitchPlan(tuple(switches), 1, sym, case)
-    return new, plan
+    return new, SwitchPlan(tuple(switches), 1, 4 * len(switches), case)
 
 
 def increase_by_one(
     g: Graph, cover: CycleCover, params: Optional[Params] = None
 ) -> Optional[tuple[CycleCover, SwitchPlan]]:
     """One induction step: a cover with one more component, |delta| <= 12."""
+    validate_cover(g, cover)
     result, _ = increase_by_one_with_diag(g, cover, params)
     return result
 
@@ -373,15 +359,19 @@ def increase_by_one(
 def increase_by_one_with_diag(
     g: Graph, cover: CycleCover, params: Optional[Params] = None
 ):
+    """``increase_by_one`` plus the per-case counters of the search.
+
+    The cover must already be a 2-factor of ``g``; it is not re-checked here.
+    """
     params = params or Params()
     diag = {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "budget_exhausted": False}
-    budget = _Budget(params.switch_candidate_budget)
+    budget = params.switch_candidate_budget
 
     # case 1: single parallel switch, 4 changed edges
     c4 = _find_parallel(g, cover)
     if c4 is not None:
         diag["case1"] = 1
-        attempt = _try_plan(g, cover, [c4], case=1)
+        attempt = _try_plan(cover, [c4], case=1)
         if attempt is not None:
             return attempt, diag
 
@@ -400,7 +390,8 @@ def increase_by_one_with_diag(
         chords = same_crossing[ci]
         L = len(cover.cycles[ci])
         for ka, kb in iter_interleaved_pairs(chords):
-            if not budget.spend():
+            budget -= 1
+            if budget < 0:
                 diag["budget_exhausted"] = True
                 return None, diag
             h, j = chords[ka]
@@ -413,7 +404,7 @@ def increase_by_one_with_diag(
                 _make_c4(cover, (ci, h), (ci, j), aligned=True),
                 _make_c4(cover, (ci, i), (ci, m), aligned=True),
             ]
-            attempt = _try_plan(g, cover, switches, case=2)
+            attempt = _try_plan(cover, switches, case=2)
             if attempt is not None:
                 return attempt, diag
 
@@ -430,7 +421,8 @@ def increase_by_one_with_diag(
             lx = len(cover.cycles[ci])
             ly = len(cover.cycles[cj])
             for ta, tb, tc in itertriples(pairs):
-                if not budget.spend():
+                budget -= 1
+                if budget < 0:
                     diag["budget_exhausted"] = True
                     return None, diag
                 a1, b1 = pairs[ta]
@@ -454,7 +446,7 @@ def increase_by_one_with_diag(
                     _make_c4(cover, (ci, a2), (cj, b2), aligned=aligned),
                     _make_c4(cover, (ci, a3), (cj, b3), aligned=aligned),
                 ]
-                attempt = _try_plan(g, cover, switches, case=case)
+                attempt = _try_plan(cover, switches, case=case)
                 if attempt is not None:
                     return attempt, diag
 
@@ -475,7 +467,8 @@ def split_to_k(
     """Raise the component count to exactly k, <= 12 changed edges per step.
 
     Never merges: ``k`` below the current count is an error, as is
-    ``k > n/3`` (a 2-factor needs at least three vertices per cycle).
+    ``k > n/3`` (a 2-factor needs at least three vertices per cycle).  The
+    input cover is validated once, and so is the result when a step ran.
     """
     params = params or Params()
     ell = cover.num_components
@@ -498,6 +491,8 @@ def split_to_k(
             )
         current, plan = step
         plans.append(plan)
+    if plans:
+        validate_cover(g, current)
     sym = len(current.edge_set() ^ start_edges)
     if sym > 12 * (k - ell):
         raise AssertionError("edge budget 12(k - l) exceeded")

@@ -157,3 +157,10 @@ class TestBench:
         printed = capsys.readouterr().out
         ok = sum(int(line.split(",")[header.index("success")]) for line in lines[1:])
         assert f"{ok}/{len(lines) - 1} solved" in printed
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_input_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--corpus", "small", "--seeds", seeds, "--out", str(out)) == 1
+        assert "--seeds must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

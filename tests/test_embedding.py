@@ -105,12 +105,6 @@ class TestPartition:
             for v in part:
                 assert p.part_of[v] == i
 
-    def test_general_m(self, rng):
-        g = complete_graph(10)
-        p = partition_vertices(g, Params(common_nbr_threshold=4), rng, m=3)
-        assert p.s == 1
-        assert verify_partition(g, p, 4, m=3)
-
     def test_deterministic(self):
         g = gnp(random.Random(3), 40, 0.4)
         a = partition_vertices(g, Params(common_nbr_threshold=6), random.Random(9))

@@ -5,8 +5,9 @@ import pytest
 
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, validate_cover
 from cyclesplit.instances import gen_planted, gen_triangles_biclique
+from cyclesplit import pipeline
 from cyclesplit.pipeline import merge_cover, protected_for_merge, solve, unmerge
-from cyclesplit.switching import count_h_edges
+from cyclesplit.switching import count_h_edges, split_to_k
 
 from conftest import complete_graph, cycle_graph, ham_cover, random_factor_instance
 
@@ -118,6 +119,41 @@ class TestSolve:
         )
         assert res.cover is None and not res.stats.success
         assert res.stats.diagnostics
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        """The arguments of each ``split_to_k`` call that ``solve`` makes."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return split_to_k(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "split_to_k", counted)
+        return calls
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_split_runs_once_on_unchanged_cover(self, split_calls, strict):
+        res = solve(cycle_graph(9), ham_cover(9), 2, strict=strict)
+        assert res.cover is None and len(split_calls) == 1
+        diags = {key: value for d in res.stats.diagnostics for key, value in d.items()}
+        assert diags["final_split"]["stopped_at"] == 1
+        if strict:
+            assert "opportunistic_split" not in diags
+        else:
+            assert diags["opportunistic_split"] == diags["final_split"]
+
+    def test_split_reruns_on_enriched_cover(self, split_calls):
+        # the direct split stops short, enrichment changes the cover, and the
+        # split on the enriched cover reaches k
+        g, cover = gen_planted(10, 0.3, 33)
+        params = Params(seed=33, enrich_rounds=4, thomassen_degree_floor=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            res = solve(g, cover, 3, params, random.Random(33))
+        assert len(split_calls) == 2 and split_calls[1][1] != cover
+        assert validate_cover(g, res.cover) == 3
+        assert any("opportunistic_split" in d for d in res.stats.diagnostics)
 
     def test_input_not_corrupted(self):
         g = cycle_graph(9)

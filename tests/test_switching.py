@@ -7,6 +7,7 @@ from cyclesplit.instances import count_implanted_bruteforce, gen_planted
 from cyclesplit.switching import (
     HGraphView,
     SwitchKind,
+    _try_plan,
     apply_switch,
     count_h_edges,
     enumerate_implanted,
@@ -269,7 +270,23 @@ class TestIncreaseByOne:
             assert all(e in cover.edge_set() for e in cover.edge_set() - new.edge_set())
             added = new.edge_set() - cover.edge_set()
             assert all(g.has_edge(*e) and e not in cover.edge_set() for e in added)
+            assert plan.predicted_sym_diff == len(sym)
+            assert validate_cover(g, new) == new.num_components
             done += 1
+
+    def test_plan_that_keeps_the_count_rejected(self):
+        # a single crossing switch rewires one cycle: no plan, though it toggles
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
+        (c4,) = enumerate_implanted(g, ham_cover(6))
+        assert _try_plan(ham_cover(6), [c4], case=1) is None
+
+    def test_cover_edge_absent_from_graph_rejected(self):
+        # the Hamilton cover uses the edge 0-7, which the graph lacks
+        g = Graph(8, [e for e in complete_graph(8).edges() if e != (0, 7)])
+        with pytest.raises(CoverError, match="absent"):
+            increase_by_one(g, ham_cover(8))
+        with pytest.raises(CoverError, match="absent"):
+            enumerate_implanted(g, ham_cover(8))
 
 
 class TestSplitToK:
