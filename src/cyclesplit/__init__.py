@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     Params,
-    common_neighborhood,
     dump_cover,
     dump_graph,
     load_cover,
@@ -97,7 +96,6 @@ __all__ = [
     "apply_switch",
     "check_independent_dominating",
     "close_graph",
-    "common_neighborhood",
     "count_h_edges",
     "count_implanted_bruteforce",
     "cover_graph",

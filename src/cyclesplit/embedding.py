@@ -12,7 +12,6 @@ accepted rewire, so the loop terminates.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -91,7 +90,6 @@ class MSetCache:
 @dataclass(frozen=True)
 class Partition:
     parts: tuple[frozenset[int], ...]
-    part_of: dict
 
     @property
     def s(self) -> int:
@@ -142,12 +140,7 @@ def partition_vertices(
     n = g.n
     threshold = params.common_nbr_threshold
     if n == 0:
-        return Partition((), {})
-    if g.min_degree() < params.min_degree_floor:
-        warnings.warn(
-            f"min degree {g.min_degree()} below params floor {params.min_degree_floor}",
-            stacklevel=2,
-        )
+        return Partition(())
 
     candidates: list[list[int]] = []
     pool: list[int] = []
@@ -209,10 +202,7 @@ def partition_vertices(
                 break
 
     parts.sort(key=lambda p: p[0])
-    partition = Partition(
-        tuple(frozenset(p) for p in parts),
-        {v: i for i, p in enumerate(parts) for v in p},
-    )
+    partition = Partition(tuple(frozenset(p) for p in parts))
     if not verify_partition(g, partition, threshold):
         raise PartitionError("partition invariant failed verification")
     return partition
@@ -501,49 +491,54 @@ def enrich(
     iterations = 0
     calls = 0
 
+    # the helper graphs and the request change only with the ledger and the
+    # cycle, so they are rebuilt only after an accepted rewire
+    req = None
     for _ in range(params.enrich_rounds):
         if h >= target:
             break
-        helper_edges: list[frozenset] = []
-        bad_union: set[int] = set()
-        all_edges: set[tuple[int, int]] = set()
-        for part in ledger.parts:
-            if len(part.vertices) < 2:
-                helper_edges.append(frozenset())
-                continue
-            if ledger.saturated(part):
-                helper, bad = close_graph(
-                    g, part.vertices, part.full_sets, params, mcache
-                )
-                bad_union |= bad
-            else:
-                tbits = part.bits & ~mcache.union_bits(part.overflow)
-                if not tbits:
-                    # overflow already covers everything: promote and restart
-                    part.full_sets.append(part.overflow)
-                    part.overflow = frozenset()
-                    tbits = part.bits
-                helper = cover_graph(g, part.vertices, list(_iter_bits(tbits)), params)
-            helper_edges.append(helper)
-            all_edges |= helper
-        prot = e0 | ledger.protected_edges()
-        usable = all_edges - cycle.edge_set()
-        if not usable:
-            diagnostics.append("helper graph empty")
-            break
-        # vertices the helpers cannot serve play the role of bad vertices
-        usable_deg = [0] * g.n
-        for u, v in usable:
-            usable_deg[u] += 1
-            usable_deg[v] += 1
-        bad_union |= {v for v in range(g.n) if not usable_deg[v]}
-        prot_vertices = {v for e in prot for v in e}
-        if len(bad_union | prot_vertices) >= g.n:
-            diagnostics.append("every vertex is bad or protected")
-            break
-        req = RewireRequest(
-            g, cycle, frozenset(prot), frozenset(all_edges), frozenset(bad_union)
-        )
+        if req is None:
+            helper_edges: list[frozenset] = []
+            bad_union: set[int] = set()
+            all_edges: set[tuple[int, int]] = set()
+            for part in ledger.parts:
+                if len(part.vertices) < 2:
+                    helper_edges.append(frozenset())
+                    continue
+                if ledger.saturated(part):
+                    helper, bad = close_graph(
+                        g, part.vertices, part.full_sets, params, mcache
+                    )
+                    bad_union |= bad
+                else:
+                    tbits = part.bits & ~mcache.union_bits(part.overflow)
+                    if not tbits:
+                        # overflow already covers everything: promote and restart
+                        part.full_sets.append(part.overflow)
+                        part.overflow = frozenset()
+                        tbits = part.bits
+                    t_vertices = list(_iter_bits(tbits))
+                    helper = cover_graph(g, part.vertices, t_vertices, params)
+                helper_edges.append(helper)
+                all_edges |= helper
+            prot = e0 | ledger.protected_edges()
+            usable = all_edges - cycle.edge_set()
+            if not usable:
+                diagnostics.append("helper graph empty")
+                break
+            # vertices the helpers cannot serve play the role of bad vertices
+            usable_deg = [0] * g.n
+            for u, v in usable:
+                usable_deg[u] += 1
+                usable_deg[v] += 1
+            bad_union |= {v for v in range(g.n) if not usable_deg[v]}
+            prot_vertices = {v for e in prot for v in e}
+            if len(bad_union | prot_vertices) >= g.n:
+                diagnostics.append("every vertex is bad or protected")
+                break
+            req = RewireRequest(
+                g, cycle, frozenset(prot), frozenset(all_edges), frozenset(bad_union)
+            )
         try:
             res = second_hamilton_cycle(req, rng, params)
         except RewireError as exc:
@@ -567,6 +562,7 @@ def enrich(
         ledger = trial
         cycle = new_cycle
         h = new_h
+        req = None
         iterations += 1
         if not e0 <= cycle.edge_set():
             raise AssertionError("protected edge lost during enrichment")

@@ -8,8 +8,8 @@ integer bitsets (fast intersections / membership in the hot loops).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
 
 class GraphFormatError(ValueError):
@@ -322,17 +322,6 @@ def validate_cover(
     return cover.num_components
 
 
-def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """Intersection of the neighbourhoods of all given vertices."""
-    vs = list(vertices)
-    if not vs:
-        raise ValueError("common_neighborhood requires a non-empty vertex set")
-    acc = g.neighbor_bits(vs[0])
-    for v in vs[1:]:
-        acc &= g.neighbor_bits(v)
-    return frozenset(_iter_bits(acc))
-
-
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -353,7 +342,8 @@ class Params:
 
     The asymptotic hierarchy constants have no valid instantiation at sizes a
     machine can touch, so every threshold here is an absolute value; each
-    field documents the asymptotic quantity it stands in for.
+    field documents the asymptotic quantity it stands in for, in the
+    hierarchy zeta = eta'/6, eta = 10 eta'.
     """
 
     # partition: pairwise common-neighbourhood floor (stands for n^(1-zeta)+1)
@@ -375,15 +365,8 @@ class Params:
     h_yield: int = 1
     # enrichment goal (stands for n^(2-eta))
     h_edge_target: int = 50
-    # helper-graph |N(u) ∩ T| floor; None derives ceil(|T|^(1-2*zeta))
-    cover_common_floor: Optional[int] = None
-    # hierarchy zeta stand-in used only for derived floors; configuration,
-    # not ground truth
-    zeta: float = 0.25
     # protected-set ceiling for enrichment (stands for n^(1-eta))
     protected_cap: int = 200
-    # partition precondition delta(G) >= floor (warn-only at desk scale)
-    min_degree_floor: int = 0
     # switch-set sampling probability; None derives 1/sqrt(n ln n)
     sample_prob: Optional[float] = None
     # rewire degree precondition; None keeps sqrt(n) log^2 n + 3|B'| + 2
@@ -421,18 +404,15 @@ class Params:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"params.{name} must be positive")
-        if not (0.0 < self.zeta < 0.5):
-            raise ValueError("params.zeta must lie in (0, 0.5)")
         if self.sample_prob is not None and not (0.0 < self.sample_prob <= 1.0):
             raise ValueError("params.sample_prob must lie in (0, 1]")
 
     def cover_floor(self, t_size: int) -> int:
-        """Floor on |N(u) ∩ T| used when building the covering helper graph."""
-        if self.cover_common_floor is not None:
-            return self.cover_common_floor
-        if t_size <= 1:
-            return 1
-        return max(1, math.ceil(t_size ** (1.0 - 2.0 * self.zeta)))
+        """Floor on |N(u) ∩ T| used when building the covering helper graph.
+
+        Stands for |T|^(1-2*zeta), with zeta = 1/4 at desk scale.
+        """
+        return max(1, math.ceil(t_size ** 0.5))
 
     def sampling_probability(self, n: int) -> float:
         if self.sample_prob is not None:
@@ -441,36 +421,11 @@ class Params:
             return 1.0
         return min(1.0, 1.0 / math.sqrt(n * math.log(n)))
 
-    @classmethod
-    def from_exponents(cls, n: int, eta_prime: float = 0.1, zeta: float = None, **kw) -> "Params":
-        """Literal asymptotic instantiation (vacuous for small n; for study)."""
-        if zeta is None:
-            zeta = eta_prime / 6.0
-        eta = 10.0 * eta_prime
-        vals = dict(
-            common_nbr_threshold=max(1, round(n ** (1 - zeta)) + 1),
-            m_set_threshold=max(1, round(n ** (1 - zeta))),
-            coverage_slack=max(1, round(n ** (1 - eta_prime))),
-            ledger_t_cap=max(1, round(n ** (1 - 3 * eta_prime))),
-            ledger_set_cap=max(1, round(n ** (2 * eta_prime))),
-            overflow_cap=max(1, round(n ** (1 - 6 * eta_prime))),
-            partial_growth=max(1, round(n ** (1 - 2 * eta_prime))),
-            h_yield=max(1, round(n ** (1 - 4 * eta_prime))),
-            h_edge_target=max(1, round(n ** (2 - eta))),
-            protected_cap=max(1, round(n ** (1 - eta))),
-            zeta=zeta,
-        )
-        vals.update(kw)
-        return cls(**vals)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def with_updates(self, **kw) -> "Params":
         return replace(self, **kw)
 
 
-_PARAM_TYPES = {f.name: f.type for f in fields(Params)}
+_PARAM_TYPES = get_type_hints(Params)
 
 
 def parse_params(text: str, base: Optional[Params] = None) -> Params:
@@ -497,10 +452,13 @@ def parse_params(text: str, base: Optional[Params] = None) -> Params:
 
 
 def _parse_param_value(key: str, val: str, lineno: int):
+    kind = _PARAM_TYPES[key]
     if val.lower() in ("none", "null"):
+        if type(None) not in get_args(kind):
+            raise GraphFormatError(f"'{key}' cannot be {val}", lineno)
         return None
     try:
-        if key in ("zeta", "sample_prob"):
+        if kind == Optional[float]:
             return float(val)
         return int(val)
     except ValueError:

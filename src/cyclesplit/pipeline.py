@@ -23,25 +23,20 @@ from .switching import count_h_edges, split_to_k
 class MergeRecord:
     """Bookkeeping for undoing a merge.
 
-    ``added`` lists the bridge edges genuinely absent from the host graph;
-    bridges that happened to exist already are removed from the cycle on
-    unmerge but stay in the graph.
+    Unmerge removes every bridge in ``e_plus`` from the cycle; a bridge that
+    happened to exist in the host graph already stays in the graph.
     """
 
     e_minus: tuple[tuple[int, int], ...]
     e_plus: tuple[tuple[int, int], ...]
     touched: frozenset[int]
     ell: int
-    added: frozenset[tuple[int, int]]
 
 
 def _pick_merge_edge(
-    g: Graph, cycle: tuple[int, ...], exclude: Optional[tuple[int, int]], rng
+    g: Graph, cycle: tuple[int, ...], exclude: Optional[tuple[int, int]]
 ) -> tuple[int, int]:
-    """Edge of the cycle whose endpoints have maximum degree sum, lex first.
-
-    A seeded rng, when given, picks uniformly among the maximizers instead.
-    """
+    """Edge of the cycle whose endpoints have maximum degree sum, lex first."""
     scored = []
     L = len(cycle)
     for pos in range(L):
@@ -49,16 +44,10 @@ def _pick_merge_edge(
         e = edge_key(u, v)
         if e != exclude:
             scored.append((-(g.degree(u) + g.degree(v)), e))
-    scored.sort()
-    ties = [e for s, e in scored if s == scored[0][0]]
-    if rng is not None:
-        return ties[rng.randrange(len(ties))]
-    return ties[0]
+    return min(scored)[1]
 
 
-def merge_cover(
-    g: Graph, cover: CycleCover, rng: Optional[random.Random] = None
-) -> tuple[Graph, CycleCover, MergeRecord]:
+def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRecord]:
     """Chain all cycles into one Hamilton cycle of the bridge-augmented graph.
 
     For consecutive cycles the construction removes one edge from each and
@@ -68,7 +57,7 @@ def merge_cover(
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
-        rec = MergeRecord((), (), frozenset(), 1, frozenset())
+        rec = MergeRecord((), (), frozenset(), 1)
         return g, cover, rec
     e_minus = []
     e_plus = []
@@ -78,8 +67,8 @@ def merge_cover(
     incoming = [None] * ell
     outgoing = [None] * ell
     for i in range(ell - 1):
-        outgoing[i] = _pick_merge_edge(g, cover.cycles[i], incoming[i], rng)
-        incoming[i + 1] = _pick_merge_edge(g, cover.cycles[i + 1], None, rng)
+        outgoing[i] = _pick_merge_edge(g, cover.cycles[i], incoming[i])
+        incoming[i + 1] = _pick_merge_edge(g, cover.cycles[i + 1], None)
     edges = set(cover.edge_set())
     for i in range(ell - 1):
         zw = outgoing[i]
@@ -96,12 +85,11 @@ def merge_cover(
         edges.discard(edge_key(*xy))
         edges.add(bridge_a)
         edges.add(bridge_b)
-    added = frozenset(e for e in e_plus if not g.has_edge(*e))
     augmented = g.with_extra_edges(e_plus)
     merged = CycleCover.from_edge_set(g.n, edges)
     if merged.num_components != 1:
         raise AssertionError("merge did not produce a Hamilton cycle")
-    rec = MergeRecord(tuple(e_minus), tuple(e_plus), frozenset(touched), ell, added)
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus), frozenset(touched), ell)
     return augmented, merged, rec
 
 

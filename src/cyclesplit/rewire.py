@@ -43,16 +43,9 @@ class RewireRequest:
     desirable: frozenset[tuple[int, int]]
     bad: frozenset[int] = frozenset()
 
-    def protected_vertices(self) -> frozenset[int]:
-        out = set()
-        for u, v in self.protected:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
     def blocked(self) -> frozenset[int]:
         """B' = bad vertices plus endpoints of protected edges."""
-        return self.bad | self.protected_vertices()
+        return self.bad.union(*self.protected)
 
 
 @dataclass

@@ -113,6 +113,15 @@ class TestSolve:
                    "--cover", f"{planted_instance}.cover", "--k", "2",
                    "--params", str(pfile)) == 1
 
+    @pytest.mark.parametrize("key", ["h_edge_target", "seed"])
+    def test_none_for_required_params_key(self, planted_instance, tmp_path, capsys, key):
+        pfile = tmp_path / "params.txt"
+        pfile.write_text(f"enrich_rounds = 2\n{key} = none\n")
+        assert run("solve", "--graph", f"{planted_instance}.graph",
+                   "--cover", f"{planted_instance}.cover", "--k", "2",
+                   "--params", str(pfile)) == 1
+        assert f"line 2: '{key}' cannot be none" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_valid_two_components(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from cyclesplit import embedding
 from cyclesplit.embedding import (
     GoodSetLedger,
     MSetCache,
@@ -98,12 +99,6 @@ class TestPartition:
         params = Params(common_nbr_threshold=10)
         p = partition_vertices(g, params, rng)
         assert verify_partition(g, p, 10)
-
-    def test_part_of_index(self):
-        p = partition_vertices(complete_graph(9), Params(common_nbr_threshold=2))
-        for i, part in enumerate(p.parts):
-            for v in part:
-                assert p.part_of[v] == i
 
     def test_deterministic(self):
         g = gnp(random.Random(3), 40, 0.4)
@@ -204,6 +199,23 @@ class TestEnrich:
         res = enrich(g, cov, [], params, random.Random(5))
         assert not res.reached_target and res.thomassen_calls == 3
         assert res.diagnostics[-1] == f"budget exhausted at h={res.h_edges} < target={10**6}"
+
+    def test_helpers_rebuilt_only_after_accepted_rewire(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kw):
+                calls[0] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(embedding, "cover_graph", counted(embedding.cover_graph))
+        monkeypatch.setattr(embedding, "close_graph", counted(embedding.close_graph))
+        g, cov = gen_planted(40, 0.18, 3)
+        params = desk_params(h_edge_target=10**6, enrich_rounds=16)
+        res = enrich(g, cov, [], params, random.Random(5))
+        assert res.thomassen_calls == 16 and res.iterations < 15
+        assert 0 < calls[0] <= (res.iterations + 1) * res.ledger_summary["parts"]
 
     def test_protected_not_on_cycle_rejected(self):
         with pytest.raises(ValueError, match="protected"):

@@ -1,0 +1,112 @@
+"""Golden outputs: fixed-seed solves pinned by digest.
+
+Each solve's digest is the sha256 of its cover dump (``"None"`` on an honest
+failure) followed by its stats JSON without timing.  A change that keeps the
+outputs byte-identical keeps every digest.  A change that alters an output on
+purpose says why and rewrites ``golden_digests.json`` with
+``PYTHONPATH=src python tests/test_golden.py``.
+
+The corpus reaches split cases 1-4, honest failures, strict enrichment with
+rewire calls and the exhaustive rewire fallback; ``test_corpus_reaches_every_path``
+keeps it that way.
+"""
+
+import hashlib
+import json
+import random
+import warnings
+from pathlib import Path
+
+import pytest
+
+from cyclesplit import rewire
+from cyclesplit.graphs import CycleCover, Params, dump_cover
+from cyclesplit.instances import gen_planted
+from cyclesplit.pipeline import solve
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def _planted_cover(n, p, seed, ell):
+    """Planted graph whose Hamilton cycle is cut into ell closed arcs."""
+    g, ham = gen_planted(n, p, seed)
+    perm = ham.cycles[0]
+    cuts = [round(i * n / ell) for i in range(ell + 1)]
+    arcs = [perm[cuts[i] : cuts[i + 1]] for i in range(ell)]
+    g = g.with_extra_edges((arc[0], arc[-1]) for arc in arcs)
+    return g, CycleCover(arcs, n)
+
+
+def corpus():
+    """Yield ``(name, graph, cover, k, params, strict)`` for every pinned solve."""
+    # sparse planted: cases 1-3 everywhere, case 4 at seed 3, honest failures
+    for s in range(4):
+        g, cover = gen_planted(100, 0.2, s)
+        for k in (8, 20, 33):
+            yield f"planted-s{s}-k{k}", g, cover, k, Params(seed=s), False
+    # strict enrichment with the desk rewire floor: every round calls rewire
+    for s in range(2):
+        g, cover = _planted_cover(60, 0.15, s, ell=4)
+        params = Params(seed=s, thomassen_degree_floor=1, h_edge_target=2000)
+        yield f"enrich-strict-s{s}", g, cover, 6, params, True
+    # criterion-6 graphs: n <= 12 reaches the exhaustive rewire fallback
+    rng = random.Random(606)
+    for idx in range(20):
+        n = rng.randint(6, 12)
+        g, cover = gen_planted(n, rng.uniform(0.1, 0.8), rng.randrange(1 << 30))
+        params = Params(seed=idx, enrich_rounds=4, thomassen_degree_floor=1)
+        for k in range(1, n // 3 + 1):
+            yield f"small-{idx}-k{k}", g, cover, k, params, False
+
+
+def _digest(res) -> str:
+    text = "None" if res.cover is None else dump_cover(res.cover)
+    text += res.stats.to_json(drop_timing=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_corpus():
+    """Digests by solve name, the solve results, and every rewire's fallback flag."""
+    fallbacks = []
+    package = rewire._package
+
+    def recording_package(req, new_cycle, switch_set, used_fallback):
+        fallbacks.append(used_fallback)
+        return package(req, new_cycle, switch_set, used_fallback)
+
+    digests, results = {}, {}
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore", UserWarning)
+        mp.setattr(rewire, "_package", recording_package)
+        for name, g, cover, k, params, strict in corpus():
+            res = solve(g, cover, k, params, random.Random(params.seed), strict)
+            digests[name] = _digest(res)
+            results[name] = res
+    return digests, results, fallbacks
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    return run_corpus()
+
+
+def test_digests_match(golden_run):
+    digests, _, _ = golden_run
+    expected = json.loads(GOLDEN.read_text())
+    assert list(digests) == list(expected)
+    changed = [name for name in digests if digests[name] != expected[name]]
+    assert not changed, f"outputs changed for {changed}"
+
+
+def test_corpus_reaches_every_path(golden_run):
+    _, results, fallbacks = golden_run
+    cases = {e["case"] for r in results.values() for e in r.stats.switch_log}
+    assert cases == {1, 2, 3, 4}
+    assert any(r.cover is None for r in results.values())
+    strict = [r for name, r in results.items() if name.startswith("enrich-strict")]
+    assert all(r.stats.thomassen_calls > 0 for r in strict)
+    assert True in fallbacks and False in fallbacks
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(run_corpus()[0], indent=1) + "\n")

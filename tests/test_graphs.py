@@ -9,7 +9,6 @@ from cyclesplit.graphs import (
     CycleCover,
     GraphFormatError,
     Params,
-    common_neighborhood,
     dump_cover,
     dump_graph,
     load_cover,
@@ -125,33 +124,6 @@ def test_validate_matches_brute_force_two_regularity(n, rnd):
     assert comps == _brute_two_regular_components(g, cover.edge_set())
 
 
-class TestCommonNeighborhood:
-    def test_k5_pair(self):
-        assert common_neighborhood(complete_graph(5), {0, 1}) == {2, 3, 4}
-
-    def test_c6(self):
-        assert common_neighborhood(cycle_graph(6), {0, 2}) == {1}
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            common_neighborhood(complete_graph(4), [])
-
-    def test_matches_naive_intersection(self, rng):
-        g = gnp(rng, 10, 0.5)
-        for _ in range(25):
-            s = rng.sample(range(10), 2)
-            naive = set(g.adjacency(s[0])) & set(g.adjacency(s[1]))
-            assert common_neighborhood(g, s) == naive
-
-
-@settings(max_examples=50)
-@given(st.integers(3, 14), st.integers(0, 13), st.random_module())
-def test_singleton_common_neighborhood_is_adjacency(n, v, rnd):
-    g = gnp(random.Random(rnd.seed), n, 0.4)
-    v = v % n
-    assert common_neighborhood(g, [v]) == set(g.adjacency(v))
-
-
 class TestCycleCover:
     def test_canonical_form(self):
         a = CycleCover([[2, 0, 1], [5, 4, 3]])
@@ -199,9 +171,16 @@ class TestParams:
             parse_params("h_edge_targett = 7\n")
 
     def test_none_value(self):
-        p = parse_params("thomassen_degree_floor = none\n")
-        assert p.thomassen_degree_floor is None
+        p = parse_params("thomassen_degree_floor = none\nsample_prob = null\n")
+        assert p.thomassen_degree_floor is None and p.sample_prob is None
+        assert parse_params("sample_prob = 0.5\n").sample_prob == 0.5
 
-    def test_from_exponents_scaled(self):
-        p = Params.from_exponents(10**6, eta_prime=0.1)
-        assert p.h_edge_target == round((10**6) ** 1.0)
+    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "enum_cap"])
+    def test_none_rejected_for_required_key(self, key):
+        with pytest.raises(GraphFormatError, match=f"line 2: '{key}' cannot be none"):
+            parse_params(f"# header\n{key} = none\n")
+
+    @pytest.mark.parametrize("key", ["cover_common_floor", "zeta", "min_degree_floor"])
+    def test_removed_key_rejected(self, key):
+        with pytest.raises(GraphFormatError, match=f"unknown params key '{key}'"):
+            parse_params(f"{key} = 1\n")
