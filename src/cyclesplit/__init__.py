@@ -7,19 +7,7 @@ the merge, and splits again.  Generators, verifiers, and exhaustive small-n
 oracles round out the toolbox.
 """
 
-from .embedding import (
-    EnrichResult,
-    GoodSetLedger,
-    MSet,
-    Partition,
-    PartitionError,
-    close_graph,
-    cover_graph,
-    enrich,
-    m_set,
-    partition_vertices,
-    verify_partition,
-)
+from .embedding import enrich, partition_vertices, verify_partition
 from .graphs import (
     CoverError,
     CycleCover,
@@ -48,57 +36,29 @@ from .patterns import (
     find_increasing_triple,
     find_interleaved_pair,
 )
-from .pipeline import MergeRecord, RunStats, SolveResult, merge_cover, solve, unmerge
+from .pipeline import merge_cover, solve, unmerge
 from .rewire import (
-    RewireError,
     RewireRequest,
-    RewireResult,
     check_independent_dominating,
     sample_switch_set,
     second_hamilton_cycle,
 )
-from .switching import (
-    HGraphView,
-    ImplantedC4,
-    SwitchKind,
-    SwitchPlan,
-    apply_switch,
-    count_h_edges,
-    enumerate_implanted,
-    increase_by_one,
-    split_to_k,
-)
+from .switching import apply_switch, count_h_edges, enumerate_implanted, split_to_k
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoverError",
     "CycleCover",
-    "EnrichResult",
-    "GoodSetLedger",
     "Graph",
     "GraphFormatError",
-    "HGraphView",
-    "ImplantedC4",
     "InstanceSpec",
-    "MSet",
-    "MergeRecord",
     "Params",
-    "Partition",
-    "PartitionError",
-    "RewireError",
     "RewireRequest",
-    "RewireResult",
-    "RunStats",
-    "SolveResult",
-    "SwitchKind",
-    "SwitchPlan",
     "apply_switch",
     "check_independent_dominating",
-    "close_graph",
     "count_h_edges",
     "count_implanted_bruteforce",
-    "cover_graph",
     "dump_cover",
     "dump_graph",
     "enrich",
@@ -110,10 +70,8 @@ __all__ = [
     "gen_cliques_matching",
     "gen_planted",
     "gen_triangles_biclique",
-    "increase_by_one",
     "load_cover",
     "load_graph",
-    "m_set",
     "merge_cover",
     "oracle_component_counts",
     "oracle_exists_k_factor",

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 from .rewire import RewireError, RewireRequest, second_hamilton_cycle
-from .switching import HGraphView, count_h_edges
+from .switching import count_h_edges, induced_h_edges
 
 class PartitionError(RuntimeError):
     """Partitioning could not satisfy the common-neighbourhood invariant."""
@@ -293,16 +293,13 @@ def close_graph(
 
 @dataclass
 class PartLedger:
-    index: int
     vertices: frozenset[int]
     bits: int
     full_sets: list[frozenset[tuple[int, int]]] = field(default_factory=list)
     overflow: frozenset[tuple[int, int]] = frozenset()
 
     def copy(self) -> "PartLedger":
-        return PartLedger(
-            self.index, self.vertices, self.bits, list(self.full_sets), self.overflow
-        )
+        return PartLedger(self.vertices, self.bits, list(self.full_sets), self.overflow)
 
     def all_edges(self) -> set[tuple[int, int]]:
         out = set(self.overflow)
@@ -324,8 +321,8 @@ class GoodSetLedger:
         self.g = g
         self.params = params
         self.parts: list[PartLedger] = []
-        for i, vs in enumerate(partition.parts):
-            part = PartLedger(i, vs, bits_of(vs))
+        for vs in partition.parts:
+            part = PartLedger(vs, bits_of(vs))
             if len(vs) <= params.coverage_slack:
                 part.full_sets = [frozenset() for _ in range(params.ledger_t_cap)]
             self.parts.append(part)
@@ -363,10 +360,10 @@ class GoodSetLedger:
         part: PartLedger,
         edge: tuple[int, int],
         mcache: MSetCache,
-        hview: Optional[HGraphView],
+        cycle: CycleCover,
     ) -> bool:
-        """Grow the part's overflow with one absorbed edge if the ledger
-        growth condition holds; promote on full coverage."""
+        """Grow the part's overflow with one absorbed edge of ``cycle`` if
+        the ledger growth condition holds; promote on full coverage."""
         p = self.params
         edge = edge_key(*edge)
         if edge in part.overflow or any(edge in es for es in part.full_sets):
@@ -375,10 +372,8 @@ class GoodSetLedger:
         if self.saturated(part):
             if len(grown) > p.overflow_cap:
                 return False
-            if hview is None:
-                return False
             pool = part.all_edges() | {edge}
-            if hview.induced_edge_count(pool) < len(grown) * p.h_yield:
+            if induced_h_edges(self.g, cycle, pool) < len(grown) * p.h_yield:
                 return False
             part.overflow = grown
             return True
@@ -397,7 +392,6 @@ class GoodSetLedger:
         """Assert the ledger invariants against the current cycle."""
         p = self.params
         cyc_edges = cycle.edge_set()
-        hview: Optional[HGraphView] = None
         for part in self.parts:
             seen: set[tuple[int, int]] = set()
             for es in list(part.full_sets) + [part.overflow]:
@@ -417,10 +411,8 @@ class GoodSetLedger:
                 if len(part.overflow) > p.overflow_cap:
                     raise AssertionError("overflow over the saturated cap")
                 if part.overflow:
-                    if hview is None:
-                        hview = HGraphView(self.g, cycle)
                     need = len(part.overflow) * p.h_yield
-                    if hview.induced_edge_count(part.all_edges()) < need:
+                    if induced_h_edges(self.g, cycle, part.all_edges()) < need:
                         raise AssertionError("saturated overflow below H yield")
             else:
                 if len(part.overflow) > p.ledger_set_cap:
@@ -512,11 +504,6 @@ def enrich(
                     bad_union |= bad
                 else:
                     tbits = part.bits & ~mcache.union_bits(part.overflow)
-                    if not tbits:
-                        # overflow already covers everything: promote and restart
-                        part.full_sets.append(part.overflow)
-                        part.overflow = frozenset()
-                        tbits = part.bits
                     t_vertices = list(_iter_bits(tbits))
                     helper = cover_graph(g, part.vertices, t_vertices, params)
                 helper_edges.append(helper)
@@ -550,10 +537,9 @@ def enrich(
             continue
         new_cycle = res.cycle
         trial = ledger.copy()
-        hview = HGraphView(g, new_cycle)
         for e in sorted(res.absorbed):
             for part, edges in zip(trial.parts, helper_edges):
-                if e in edges and trial.try_absorb(part, e, mcache, hview):
+                if e in edges and trial.try_absorb(part, e, mcache, new_cycle):
                     break
         new_h = count_h_edges(g, new_cycle)
         if (trial.t_sum, trial.m_sum, new_h) <= (ledger.t_sum, ledger.m_sum, h):

@@ -132,40 +132,3 @@ def iter_interleaved_pairs(chords: Sequence[IndexPair]) -> Iterator[tuple[int, i
             yield (idx, k)
         insort(open_ends, (m, k))
 
-
-# -- brute-force oracles (used by the test-suite, quadratic/cubic scans) ---
-
-
-def brute_increasing_triple(pairs: Sequence[IndexPair]) -> Optional[Triple]:
-    from itertools import combinations
-
-    for combo in combinations(range(len(pairs)), 3):
-        trio = sorted(combo, key=lambda k: pairs[k])
-        (i1, j1), (i2, j2), (i3, j3) = (pairs[k] for k in trio)
-        if i1 < i2 < i3 and j1 < j2 < j3:
-            return tuple(trio)
-    return None
-
-
-def brute_decreasing_triple(pairs: Sequence[IndexPair]) -> Optional[Triple]:
-    from itertools import combinations
-
-    for combo in combinations(range(len(pairs)), 3):
-        trio = sorted(combo, key=lambda k: pairs[k])
-        (i1, j1), (i2, j2), (i3, j3) = (pairs[k] for k in trio)
-        if i1 < i2 < i3 and j1 > j2 > j3:
-            return tuple(trio)
-    return None
-
-
-def brute_interleaved_pair(chords: Sequence[IndexPair]) -> Optional[tuple[int, int]]:
-    n = len(chords)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            h, j = chords[a]
-            i, m = chords[b]
-            if h < i < j < m:
-                return tuple(sorted((a, b)))
-    return None

@@ -109,7 +109,6 @@ def sample_switch_set(
     if not candidates:
         return None
     targets = sorted(set(range(n)) - blocked)
-    cyc_edges = cycle.edge_set()
     # desirable adjacency with cycle edges stripped
     off_bits = []
     for v in range(n):
@@ -361,7 +360,7 @@ def second_hamilton_cycle(
         allowed_bits[v] |= 1 << u
 
     desirable_graph = Graph(n, desirable)
-    for _ in range(max(1, params.sample_retries)):
+    for _ in range(params.sample_retries):
         s = sample_switch_set(desirable_graph, cycle, blocked, rng, params)
         if s is None:
             break
@@ -376,7 +375,7 @@ def second_hamilton_cycle(
     clear = set(_clear_candidates(cycle, blocked))
     usable_sorted = sorted(usable)
     p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(clear))))
-    for r in range(max(1, params.sample_retries)):
+    for r in range(params.sample_retries):
         e = usable_sorted[r % len(usable_sorted)]
         s = _seeded_switch_set(cycle, e, clear, p_relax, rng)
         if s is None:

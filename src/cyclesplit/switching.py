@@ -217,57 +217,34 @@ def count_h_edges(g: Graph, cover: CycleCover) -> int:
     return seen // 2
 
 
-class HGraphView:
-    """Lazy view of the auxiliary graph on cover edges.
+def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]]) -> int:
+    """Edges of the auxiliary graph H with both endpoints among ``edges``.
 
-    Cover edges are adjacent when some C4 of the host graph contains both and
-    no other cover edge.  The cover edge u -> v is known by its start vertex
-    u, and its neighbours by the start vertices in ``(a(u) & p(v)) |
-    (p(u) & a(v))``, the implanted-C4 kernel's rows.  That partner bitset is
-    computed on demand and cached; the full adjacency is never materialized.
+    H's vertices are the cover edges; two are adjacent when they bound a
+    common implanted C4.  The cover edge u -> v is known by its start vertex
+    u, and its H-neighbours by the start vertices in ``(a(u) & p(v)) |
+    (p(u) & a(v))``, the kernel's rows.  That is a union over the two chord
+    orientations: a pair implanted both ways is one H-edge here, where
+    ``count_h_edges`` counts it twice.  Each edge may be given in either
+    orientation; an edge off the cover raises ``CoverError``.
     """
-
-    def __init__(self, g: Graph, cover: CycleCover):
-        self.g = g
-        self._prev, self._next = _cover_arrays(cover)
-        self._rows = None
-        self._partners: dict[int, int] = {}
-
-    def _start(self, e: tuple[int, int]) -> int:
-        """Start vertex of the cover edge ``e`` in either orientation."""
-        u, v = e
-        if self._next[u] == v:
-            return u
-        if self._next[v] == u:
-            return v
-        raise CoverError(f"edge {e} is not on the cover")
-
-    def _partner_bits(self, u: int) -> int:
-        got = self._partners.get(u)
-        if got is None:
-            if self._rows is None:
-                self._rows = _kernel_rows(self.g, self._prev, self._next)
-            au, pu = self._rows(u)
-            av, pv = self._rows(self._next[u])
-            # partner edges, by start vertex, over both chord orientations
-            got = (au & pv) | (pu & av)
-            self._partners[u] = got
-        return got
-
-    def degree(self, e: tuple[int, int]) -> int:
-        """Number of cover edges adjacent to ``e`` in the auxiliary graph."""
-        return self._partner_bits(self._start(e)).bit_count()
-
-    def induced_edge_count(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Auxiliary-graph edges with both endpoints in the given cover edges."""
-        mask = 0
-        for e in edges:
-            mask |= 1 << self._start(e)
-        seen = sum(
-            (self._partner_bits(u) & mask).bit_count() for u in _iter_bits(mask)
-        )
-        # each adjacent pair is seen from both of its cover edges
-        return seen // 2
+    prev, nxt = _cover_arrays(cover)
+    mask = 0
+    for u, v in edges:
+        if nxt[u] == v:
+            mask |= 1 << u
+        elif nxt[v] == u:
+            mask |= 1 << v
+        else:
+            raise CoverError(f"edge {(u, v)} is not on the cover")
+    rows = _kernel_rows(g, prev, nxt)
+    seen = 0
+    for u in _iter_bits(mask):
+        au, pu = rows(u)
+        av, pv = rows(nxt[u])
+        seen += (((au & pv) | (pu & av)) & mask).bit_count()
+    # each adjacent pair is seen from both of its cover edges
+    return seen // 2
 
 
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:

@@ -5,6 +5,7 @@ from typing import Optional
 import pytest
 
 from cyclesplit.graphs import CycleCover, Graph
+from cyclesplit.instances import gen_planted
 
 
 def complete_graph(n: int) -> Graph:
@@ -60,6 +61,19 @@ def random_factor_instance(
     return Graph(n, edges), cover
 
 
+def planted_cover(n: int, p: float, seed: int, ell: int) -> tuple[Graph, CycleCover]:
+    """Planted graph whose Hamilton cycle is cut into ell closed arcs.
+
+    The enrich-strict benchmark workload draws its instances this way.
+    """
+    g, ham = gen_planted(n, p, seed)
+    perm = ham.cycles[0]
+    cuts = [round(i * n / ell) for i in range(ell + 1)]
+    arcs = [perm[cuts[i] : cuts[i + 1]] for i in range(ell)]
+    g = g.with_extra_edges((arc[0], arc[-1]) for arc in arcs)
+    return g, CycleCover(arcs, n)
+
+
 def two_cycle_instance(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
     """Two planted cycles of length n/2 plus iid extra edges."""
     rng = random.Random(seed)
@@ -72,6 +86,40 @@ def two_cycle_instance(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
         if (u, v) not in edges and rng.random() < p:
             edges.add((u, v))
     return Graph(n, edges), cover
+
+
+# -- brute-force pattern oracles (quadratic/cubic scans) ---------------------
+
+
+def brute_increasing_triple(pairs):
+    for combo in combinations(range(len(pairs)), 3):
+        trio = sorted(combo, key=lambda k: pairs[k])
+        (i1, j1), (i2, j2), (i3, j3) = (pairs[k] for k in trio)
+        if i1 < i2 < i3 and j1 < j2 < j3:
+            return tuple(trio)
+    return None
+
+
+def brute_decreasing_triple(pairs):
+    for combo in combinations(range(len(pairs)), 3):
+        trio = sorted(combo, key=lambda k: pairs[k])
+        (i1, j1), (i2, j2), (i3, j3) = (pairs[k] for k in trio)
+        if i1 < i2 < i3 and j1 > j2 > j3:
+            return tuple(trio)
+    return None
+
+
+def brute_interleaved_pair(chords):
+    n = len(chords)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            h, j = chords[a]
+            i, m = chords[b]
+            if h < i < j < m:
+                return tuple(sorted((a, b)))
+    return None
 
 
 @pytest.fixture

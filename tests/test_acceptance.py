@@ -19,9 +19,6 @@ from cyclesplit.instances import (
     oracle_component_counts,
 )
 from cyclesplit.patterns import (
-    brute_decreasing_triple,
-    brute_increasing_triple,
-    brute_interleaved_pair,
     find_decreasing_triple,
     find_increasing_triple,
     find_interleaved_pair,
@@ -35,7 +32,14 @@ from cyclesplit.rewire import (
 )
 from cyclesplit.switching import apply_switch, count_h_edges, enumerate_implanted
 
-from conftest import complete_graph, ham_cover, random_factor_instance
+from conftest import (
+    brute_decreasing_triple,
+    brute_increasing_triple,
+    brute_interleaved_pair,
+    complete_graph,
+    ham_cover,
+    random_factor_instance,
+)
 
 warnings.filterwarnings("ignore", category=UserWarning)
 

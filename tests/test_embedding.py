@@ -17,9 +17,10 @@ from cyclesplit.embedding import (
 )
 from cyclesplit.graphs import Graph, Params
 from cyclesplit.instances import gen_planted
-from cyclesplit.switching import count_h_edges
+from cyclesplit.pipeline import solve
+from cyclesplit.switching import count_h_edges, induced_h_edges
 
-from conftest import complete_graph, cycle_graph, gnp, ham_cover
+from conftest import complete_graph, cycle_graph, gnp, ham_cover, planted_cover
 
 
 @pytest.fixture(autouse=True)
@@ -281,6 +282,36 @@ class TestLedger:
         part = ledger.parts[0]
         assert not ledger.saturated(part)
         # any K10 edge covers everything: absorb promotes immediately
-        assert ledger.try_absorb(part, (0, 1), cache, None)
+        assert ledger.try_absorb(part, (0, 1), cache, ham_cover(10))
         assert len(part.full_sets) == 1 and part.overflow == frozenset()
         assert ledger.t_sum == 1
+
+    def test_saturated_parts_absorb_in_strict_solves(self, monkeypatch):
+        # The enrich-strict benchmark recipe with one full set per part: a
+        # part saturates at its first promotion, and its later absorbs pass
+        # only while the protected edges induce enough H-edges.
+        induced = []
+        absorbed = []
+
+        def counted(*args):
+            induced.append(args)
+            return induced_h_edges(*args)
+
+        real_absorb = GoodSetLedger.try_absorb
+
+        def absorb(self, part, edge, mcache, cycle):
+            saturated = self.saturated(part)
+            got = real_absorb(self, part, edge, mcache, cycle)
+            absorbed.append((saturated, got))
+            return got
+
+        monkeypatch.setattr(embedding, "induced_h_edges", counted)
+        monkeypatch.setattr(GoodSetLedger, "try_absorb", absorb)
+        for seed in range(30):
+            g, cover = planted_cover(60, 0.15, seed, ell=4)
+            params = Params(
+                seed=seed, thomassen_degree_floor=1, h_edge_target=2000, ledger_t_cap=1
+            )
+            solve(g, cover, 6, params, strict=True)
+        assert absorbed.count((True, True)) == 5
+        assert len(induced) == 12

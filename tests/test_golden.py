@@ -20,21 +20,13 @@ from pathlib import Path
 import pytest
 
 from cyclesplit import rewire
-from cyclesplit.graphs import CycleCover, Params, dump_cover
+from cyclesplit.graphs import Params, dump_cover
 from cyclesplit.instances import gen_planted
 from cyclesplit.pipeline import solve
 
+from conftest import planted_cover
+
 GOLDEN = Path(__file__).with_name("golden_digests.json")
-
-
-def _planted_cover(n, p, seed, ell):
-    """Planted graph whose Hamilton cycle is cut into ell closed arcs."""
-    g, ham = gen_planted(n, p, seed)
-    perm = ham.cycles[0]
-    cuts = [round(i * n / ell) for i in range(ell + 1)]
-    arcs = [perm[cuts[i] : cuts[i + 1]] for i in range(ell)]
-    g = g.with_extra_edges((arc[0], arc[-1]) for arc in arcs)
-    return g, CycleCover(arcs, n)
 
 
 def corpus():
@@ -46,7 +38,7 @@ def corpus():
             yield f"planted-s{s}-k{k}", g, cover, k, Params(seed=s), False
     # strict enrichment with the desk rewire floor: every round calls rewire
     for s in range(2):
-        g, cover = _planted_cover(60, 0.15, s, ell=4)
+        g, cover = planted_cover(60, 0.15, s, ell=4)
         params = Params(seed=s, thomassen_degree_floor=1, h_edge_target=2000)
         yield f"enrich-strict-s{s}", g, cover, 6, params, True
     # criterion-6 graphs: n <= 12 reaches the exhaustive rewire fallback

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclesplit.patterns import (
-    brute_decreasing_triple,
-    brute_increasing_triple,
-    brute_interleaved_pair,
     find_decreasing_triple,
     find_increasing_triple,
     find_interleaved_pair,
     iter_interleaved_pairs,
+)
+
+from conftest import (
+    brute_decreasing_triple,
+    brute_increasing_triple,
+    brute_interleaved_pair,
 )
 
 

@@ -156,6 +156,17 @@ class TestSolve:
         assert validate_cover(g, res.cover) == 3
         assert any("opportunistic_split" in d for d in res.stats.diagnostics)
 
+    def test_enrich_error_leaves_input_cover(self, split_calls):
+        # merging two cycles protects more than one edge, so enrich raises
+        # and the split runs on the input cover
+        g = complete_graph(12)
+        cover = CycleCover([list(range(6)), list(range(6, 12))])
+        res = solve(g, cover, 3, Params(protected_cap=1), strict=True)
+        assert res.stats.diagnostics == [{"pipeline": "protected set exceeds cap 1"}]
+        assert len(split_calls) == 1 and split_calls[0][1] is cover
+        assert res.stats.ell_presplit == 2
+        assert validate_cover(g, res.cover) == 3
+
     def test_input_not_corrupted(self):
         g = cycle_graph(9)
         cover = ham_cover(9)

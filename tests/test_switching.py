@@ -2,16 +2,18 @@ import random
 
 import pytest
 
+from cyclesplit import switching
+
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import count_implanted_bruteforce, gen_planted
 from cyclesplit.switching import (
-    HGraphView,
     SwitchKind,
     _try_plan,
     apply_switch,
     count_h_edges,
     enumerate_implanted,
     increase_by_one,
+    induced_h_edges,
     split_to_k,
 )
 
@@ -73,25 +75,23 @@ class TestKernelMatchesReference:
             for cap in (1, 3, 50):
                 assert enumerate_implanted(g, cover, cap=cap) == got[:cap]
 
-    def test_degree_matches_pairwise_definition(self):
+    def test_induced_h_edges_matches_pair_sets(self):
         rng = random.Random(0x1DC)
         for g, cover in _kernel_cases(seed=0xDE6):
-            partners = {e: set() for e in cover.edge_set()}
+            # H-edges: cover-edge pairs implanted in at least one orientation
+            pairs = set()
             for ea, eb, _ in _reference_implanted(g, cover):
                 e = edge_key(*cover.cycle_edge(*ea))
                 f = edge_key(*cover.cycle_edge(*eb))
-                partners[e].add(f)
-                partners[f].add(e)
-            view = HGraphView(g, cover)
-            for e, fs in partners.items():
-                assert view.degree(e) == len(fs)
-                assert view.degree(e[::-1]) == len(fs)
-            edges = sorted(partners)
-            for _ in range(4):
-                subset = rng.sample(edges, rng.randint(0, len(edges)))
-                pairs = {frozenset((e, f)) for e in subset for f in partners[e] if f in subset}
-                assert view.induced_edge_count(subset) == len(pairs)
-                assert view.induced_edge_count([e[::-1] for e in subset]) == len(pairs)
+                pairs.add(frozenset((e, f)))
+            edges = sorted(cover.edge_set())
+            subsets = [edges] + [
+                rng.sample(edges, rng.randint(0, len(edges))) for _ in range(4)
+            ]
+            for subset in subsets:
+                want = sum(1 for pair in pairs if pair <= set(subset))
+                assert induced_h_edges(g, cover, subset) == want
+                assert induced_h_edges(g, cover, [e[::-1] for e in subset]) == want
 
     def test_small_n_matches_brute_force(self, rng):
         for n in range(6, 13):
@@ -203,21 +203,21 @@ class TestApplySwitch:
                 checked += 1
 
 
-class TestHGraphView:
-    def test_degree_and_induced(self):
-        g = complete_graph(5)
-        cover = ham_cover(5)
-        view = HGraphView(g, cover)
+class TestInducedHEdges:
+    def test_complete_graph_counts(self):
+        g, cover = complete_graph(5), ham_cover(5)
         # every cover edge pairs with both its non-incident cover edges
-        assert view.degree((0, 1)) == 2
-        assert view.induced_edge_count(cover.edge_set()) == 5
+        assert induced_h_edges(g, cover, cover.edge_set()) == 5
+        assert induced_h_edges(g, cover, [(0, 1), (1, 2)]) == 0
+        # on K6, 0-1 and 3-4 bound a C4 in both chord orientations: one H-edge
+        g, cover = complete_graph(6), ham_cover(6)
+        assert induced_h_edges(g, cover, [(0, 1), (4, 3)]) == 1
+        assert count_h_edges(g, cover) > induced_h_edges(g, cover, cover.edge_set())
 
     def test_off_cover_edge_rejected(self):
-        view = HGraphView(complete_graph(5), ham_cover(5))
-        with pytest.raises(CoverError):
-            view.degree((0, 2))
-        with pytest.raises(CoverError):
-            view.induced_edge_count([(0, 1), (0, 2)])
+        for edges in ([(0, 2)], [(0, 1), (0, 2)]):
+            with pytest.raises(CoverError):
+                induced_h_edges(complete_graph(5), ham_cover(5), edges)
 
 
 class TestIncreaseByOne:
@@ -322,3 +322,42 @@ class TestSplitToK:
             if out.cover is not None:
                 assert validate_cover(g, out.cover) == k
                 assert out.sym_diff <= 12 * (k - 1)
+
+
+class TestCandidateBudget:
+    """Both budget exits of a split step: the case-2 loop and the case-3/4 loop.
+
+    On these instances the split reaches k=20 under the default budget; the
+    small budget runs out at the first step that case 1 cannot serve.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, budget, loop",
+        [
+            (2, 1, "iter_interleaved_pairs"),
+            (3, 3, "iter_increasing_triples"),
+            (3, 12, "iter_decreasing_triples"),
+        ],
+    )
+    def test_budget_exhausted(self, monkeypatch, seed, budget, loop):
+        last = []  # the candidate iterator that yielded last
+        loops = (
+            "iter_interleaved_pairs",
+            "iter_increasing_triples",
+            "iter_decreasing_triples",
+        )
+        for name in loops:
+
+            def tracked(pairs, inner=getattr(switching, name), name=name):
+                for item in inner(pairs):
+                    last[:] = [name]
+                    yield item
+
+            monkeypatch.setattr(switching, name, tracked)
+        g, cover = gen_planted(100, 0.2, seed)
+        assert split_to_k(g, cover, 20).cover is not None
+        out = split_to_k(g, cover, 20, Params(switch_candidate_budget=budget))
+        assert out.cover is None
+        assert out.diagnostics["budget_exhausted"] is True
+        assert out.diagnostics["stopped_at"] < 20
+        assert last == [loop]
