@@ -369,7 +369,8 @@ class Params:
     protected_cap: int = 200
     # switch-set sampling probability; None derives 1/sqrt(n ln n)
     sample_prob: Optional[float] = None
-    # rewire degree precondition; None keeps sqrt(n) log^2 n + 3|B'| + 2
+    # None keeps the rewire degree check (sqrt(n) log^2 n + 3|B'| + 2); any
+    # integer, whatever its value, turns it off and warns (desk scale)
     thomassen_degree_floor: Optional[int] = None
     # budgets
     sample_retries: int = 32

@@ -197,9 +197,8 @@ def _merge_enrich_unmerge(
             stats.diagnostics.append({"enrich": enriched.diagnostics})
         restored = unmerge(enriched.cycle, rec)
         if rec.e_plus:
-            before = count_h_edges(augmented, enriched.cycle)
             after = count_h_edges(g, restored)
-            if after < before - 2 * (rec.ell - 1) * g.n:
+            if after < enriched.h_edges - 2 * (rec.ell - 1) * g.n:
                 raise AssertionError("unmerge lost more H-edges than the merge bound")
         validate_cover(g, restored)
     except (RewireError, CoverError, PartitionError, ValueError) as exc:

@@ -18,6 +18,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
@@ -46,6 +47,35 @@ class RewireRequest:
     def blocked(self) -> frozenset[int]:
         """B' = bad vertices plus endpoints of protected edges."""
         return self.bad.union(*self.protected)
+
+    # derived on first use; ``enrich`` reuses a request until a rewire lands
+    @cached_property
+    def desirable_edges(self) -> frozenset[tuple[int, int]]:
+        """The desirable pairs that are edges of ``graph``, as edge keys."""
+        has_edge = self.graph.has_edge
+        return frozenset(edge_key(u, v) for u, v in self.desirable if has_edge(u, v))
+
+    @cached_property
+    def allowed_bits(self) -> list[int]:
+        """Neighbour bitsets of the desirable edges plus the cycle."""
+        bits = [0] * self.graph.n
+        for u, v in self.desirable_edges | self.cycle.edge_set():
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        return bits
+
+    @cached_property
+    def off_cycle_bits(self) -> list[int]:
+        """Desirable neighbours of each vertex, its two cycle neighbours removed."""
+        nbrs = self.cycle.cycle_neighbors
+        return [b & ~bits_of(nbrs(v)) for v, b in enumerate(self.allowed_bits)]
+
+    @cached_property
+    def clear(self) -> tuple[int, ...]:
+        """Vertices outside the blocked set and its cycle neighbourhood, sorted."""
+        blocked = self.blocked()
+        near = blocked.union(*map(self.cycle.cycle_neighbors, blocked))
+        return tuple(v for v in range(self.cycle.n) if v not in near)
 
 
 @dataclass
@@ -86,36 +116,28 @@ def check_independent_dominating(g: Graph, cycle: CycleCover, s: Iterable[int]) 
 
 
 def sample_switch_set(
-    desirable_graph: Graph,
-    cycle: CycleCover,
-    blocked: Iterable[int],
+    req: RewireRequest,
     rng: random.Random,
     params: Optional[Params] = None,
 ) -> Optional[frozenset[int]]:
     """Draw a switch set from the vertices clear of the blocked region.
 
-    Candidates A are the vertices outside blocked and its cycle
-    neighbourhood; each lands in S independently with the sampling
+    Candidates A are the vertices outside B' = ``req.blocked()`` and its
+    cycle neighbourhood; each lands in S independently with the sampling
     probability.  A draw is returned only if it is cycle-independent and
-    dominates everything outside blocked in the desirable graph minus the
-    cycle.  None after the retry budget.
+    dominates everything outside B' in the desirable graph minus the cycle.
+    None after the retry budget.
     """
     params = params or Params()
-    n = desirable_graph.n
-    blocked = set(blocked)
+    n = req.graph.n
+    blocked = req.blocked()
     if len(blocked) >= n:
         raise RewireError("blocked set covers every vertex")
-    candidates = _clear_candidates(cycle, blocked)
+    candidates = req.clear
     if not candidates:
         return None
     targets = sorted(set(range(n)) - blocked)
-    # desirable adjacency with cycle edges stripped
-    off_bits = []
-    for v in range(n):
-        b = desirable_graph.neighbor_bits(v)
-        for u in cycle.cycle_neighbors(v):
-            b &= ~(1 << u)
-        off_bits.append(b)
+    off_bits = req.off_cycle_bits
     # a target with no candidate neighbour can never be dominated
     cand_bits = bits_of(candidates)
     if any(not (off_bits[t] & cand_bits) for t in targets):
@@ -128,7 +150,7 @@ def sample_switch_set(
         s_bits = bits_of(s)
         independent = True
         for v in s:
-            a, b = cycle.cycle_neighbors(v)
+            a, b = req.cycle.cycle_neighbors(v)
             if (s_bits >> a) & 1 or (s_bits >> b) & 1:
                 independent = False
                 break
@@ -137,16 +159,6 @@ def sample_switch_set(
         if all(off_bits[t] & s_bits for t in targets):
             return frozenset(s)
     return None
-
-
-def _clear_candidates(cycle: CycleCover, blocked: set[int]) -> list[int]:
-    """Vertices outside the blocked set and its cycle neighbourhood."""
-    near = set(blocked)
-    for v in blocked:
-        a, b = cycle.cycle_neighbors(v)
-        near.add(a)
-        near.add(b)
-    return sorted(set(range(cycle.n)) - near)
 
 
 def _segments(cycle: CycleCover, s: set[int]) -> list[list[int]]:
@@ -318,9 +330,8 @@ def second_hamilton_cycle(
     sampled switch set fails and the instance is above the exhaustive cutoff.
     """
     params = params or Params()
-    g = req.graph
     cycle = req.cycle
-    n = g.n
+    n = req.graph.n
     if cycle.num_components != 1 or cycle.n != n:
         raise RewireError("rewiring requires a Hamilton cycle of the host graph")
     cyc_edges = cycle.edge_set()
@@ -330,13 +341,10 @@ def second_hamilton_cycle(
     if len(blocked) >= n:
         raise RewireError("blocked set covers every vertex")
     # degree precondition on the desirable graph
-    desirable = frozenset(
-        edge_key(u, v) for u, v in req.desirable if g.has_edge(u, v)
-    )
     if params.thomassen_degree_floor is None:
         floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
         deg = [0] * n
-        for u, v in desirable:
+        for u, v in req.desirable_edges:
             deg[u] += 1
             deg[v] += 1
         short = [v for v in range(n) if v not in blocked and deg[v] < floor]
@@ -350,21 +358,15 @@ def second_hamilton_cycle(
             stacklevel=2,
         )
 
-    usable = desirable - cyc_edges
+    usable = sorted(req.desirable_edges - cyc_edges)
     if not usable:
         return None
 
-    allowed_bits = [0] * n
-    for u, v in desirable | cyc_edges:
-        allowed_bits[u] |= 1 << v
-        allowed_bits[v] |= 1 << u
-
-    desirable_graph = Graph(n, desirable)
     for _ in range(params.sample_retries):
-        s = sample_switch_set(desirable_graph, cycle, blocked, rng, params)
+        s = sample_switch_set(req, rng, params)
         if s is None:
             break
-        found = _relink(cycle, set(s), allowed_bits, params.rewire_node_budget)
+        found = _relink(cycle, set(s), req.allowed_bits, params.rewire_node_budget)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
 
@@ -372,21 +374,19 @@ def second_hamilton_cycle(
     # sqrt(n) log^2 n to succeed, so at reachable sizes we instead seed one
     # usable edge into the switch set and pad with random extras.  The relink
     # search and the post-hoc checks carry correctness either way.
-    clear = set(_clear_candidates(cycle, blocked))
-    usable_sorted = sorted(usable)
-    p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(clear))))
+    p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
     for r in range(params.sample_retries):
-        e = usable_sorted[r % len(usable_sorted)]
-        s = _seeded_switch_set(cycle, e, clear, p_relax, rng)
+        e = usable[r % len(usable)]
+        s = _seeded_switch_set(cycle, e, req.clear, p_relax, rng)
         if s is None:
             continue
-        found = _relink(cycle, s, allowed_bits, params.rewire_node_budget)
+        found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
 
     if n <= params.exhaustive_cutoff:
         found = _exhaustive_second_cycle(
-            n, allowed_bits, req.protected, cyc_edges, params.rewire_node_budget
+            n, req.allowed_bits, req.protected, cyc_edges, params.rewire_node_budget
         )
         if found is not None:
             changed = found.edge_set() ^ cyc_edges
@@ -398,7 +398,7 @@ def second_hamilton_cycle(
 def _seeded_switch_set(
     cycle: CycleCover,
     target_edge: tuple[int, int],
-    clear: set[int],
+    clear: tuple[int, ...],
     p_extra: float,
     rng: random.Random,
 ) -> Optional[set[int]]:
@@ -411,10 +411,10 @@ def _seeded_switch_set(
         for x in cycle.cycle_neighbors(b):
             if x in clear and x != a and x not in a_nbrs:
                 s = {a, x}
-                for v in sorted(clear - s):
-                    if rng.random() < p_extra:
+                for v in clear:
+                    if v not in s and rng.random() < p_extra:
                         na, nb = cycle.cycle_neighbors(v)
-                        if v not in s and na not in s and nb not in s:
+                        if na not in s and nb not in s:
                             s.add(v)
                 return s
     return None

@@ -230,11 +230,11 @@ def test_criterion_07_thomassen_contract():
         blocked = {v for e in protected for v in e}
         if len(blocked) >= n:
             continue
-        s = sample_switch_set(g, cover, blocked, rng, DESK)
+        req = RewireRequest(g, cover, protected, frozenset(g.edge_set()))
+        s = sample_switch_set(req, rng, DESK)
         if s is None:
             continue
         assert check_independent_dominating(g, cover, s)
-        req = RewireRequest(g, cover, protected, frozenset(g.edge_set()))
         res = second_hamilton_cycle(req, random.Random(verified), DESK)
         assert res is not None, "guaranteed second cycle not found"
         out = res.cycle

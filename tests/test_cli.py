@@ -173,3 +173,45 @@ class TestBench:
         assert run("bench", "--corpus", "small", "--seeds", seeds, "--out", str(out)) == 1
         assert "--seeds must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+K6 = "6 15\n" + "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+READER_FILES = {"graph": K6, "cover": "0 1 2 3 4 5\n", "params": "enrich_rounds = 2\n"}
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"graph": b""}, 1),
+            ({"graph": b"six 15\n"}, 1),
+            ({"graph": b"-6 0\n"}, 1),
+            ({"graph": b"6 1\n0 1 2\n"}, 1),
+            ({"graph": b"6 1\n0 x\n"}, 1),
+            ({"graph": b"6 1\n0 " + b"9" * 5000 + b"\n"}, 1),
+            ({"graph": b"6 1\n0 \xff\xfe\n"}, 1),
+            ({"cover": b"0 1 2 x 4 5\n"}, 1),
+            ({"cover": b"0 1 2 3 4 -5\n"}, 1),
+            ({"params": b"enrich_rounds\n"}, 1),
+            ({"params": b"sample_prob = 2\n"}, 1),
+            ({name: text.replace("\n", "\r\n").encode() for name, text in READER_FILES.items()}, 0),
+            ({"params": b"enrich_rounds 2\n"}, 0),
+        ],
+        ids=[
+            "empty-graph", "non-integer-header", "negative-n", "three-token-edge",
+            "non-integer-endpoint", "5000-digit-integer", "non-utf8", "non-integer-cover",
+            "negative-cover-vertex", "params-without-value", "sample-prob-2", "crlf",
+            "params-key-space-value",
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, overrides, code):
+        paths = {}
+        for name, text in READER_FILES.items():
+            paths[name] = tmp_path / f"in.{name}"
+            paths[name].write_bytes(overrides.get(name, text.encode()))
+        assert run("solve", "--graph", str(paths["graph"]), "--cover", str(paths["cover"]),
+                   "--k", "2", "--params", str(paths["params"])) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ")

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from cyclesplit.graphs import Params, edge_key, validate_cover
+from cyclesplit.graphs import CycleCover, Params, edge_key, validate_cover
 from cyclesplit.instances import gen_planted
 from cyclesplit.rewire import (
     RewireError,
@@ -69,22 +69,28 @@ class TestCheckIndependentDominating:
             assert check_independent_dominating(g, cover, s) == (indep and dominated)
 
 
+def sample(g, cover, blocked, rng, params):
+    """The sampler on a request with desirable graph ``g`` and bad set ``blocked``."""
+    req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), frozenset(blocked))
+    return sample_switch_set(req, rng, params)
+
+
 class TestSampleSwitchSet:
     def test_everything_blocked(self):
         g = complete_graph(6)
         with pytest.raises(RewireError):
-            sample_switch_set(g, ham_cover(6), set(range(6)), random.Random(0), DESK)
+            sample(g, ham_cover(6), set(range(6)), random.Random(0), DESK)
 
     def test_no_clear_candidates(self):
         g = complete_graph(6)
         # blocking alternate vertices leaves no vertex clear of the blocked
         # set's cycle neighbourhood
-        assert sample_switch_set(g, ham_cover(6), {0, 2, 4}, random.Random(0), DESK) is None
+        assert sample(g, ham_cover(6), {0, 2, 4}, random.Random(0), DESK) is None
 
     def test_deterministic(self):
         g = complete_graph(20)
-        a = sample_switch_set(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
-        b = sample_switch_set(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
+        a = sample(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
+        b = sample(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
         assert a == b and a is not None
 
     def test_dense_instance_with_probability_override(self):
@@ -93,7 +99,7 @@ class TestSampleSwitchSet:
         g, cover = gen_planted(200, 0.3, 42)
         params = Params(sample_prob=0.09)
         for seed in range(4):
-            s = sample_switch_set(g, cover, {0, 1}, random.Random(seed), params)
+            s = sample(g, cover, {0, 1}, random.Random(seed), params)
             assert s is not None
             assert check_independent_dominating(g, cover, s)
 
@@ -101,7 +107,7 @@ class TestSampleSwitchSet:
         hits = 0
         for seed in range(40):
             g, cover = gen_planted(16, 0.6, seed)
-            s = sample_switch_set(g, cover, {0}, random.Random(seed), DESK)
+            s = sample(g, cover, {0}, random.Random(seed), DESK)
             if s is None:
                 continue
             hits += 1
@@ -134,6 +140,39 @@ class TestSecondHamiltonCycle:
         )
         with pytest.raises(RewireError):
             second_hamilton_cycle(req, random.Random(1), DESK)
+
+    @pytest.mark.parametrize(
+        "cover, protected, message",
+        [
+            (CycleCover([[0, 1, 2], [3, 4, 5]]), frozenset(), "Hamilton cycle"),
+            (ham_cover(5), frozenset(), "Hamilton cycle"),
+            (ham_cover(6), frozenset({(0, 2)}), "protected edges must lie on the cycle"),
+        ],
+        ids=["two-cycles", "wrong-order", "protected-chord"],
+    )
+    def test_malformed_request_rejected(self, cover, protected, message):
+        req = RewireRequest(complete_graph(6), cover, protected, all_chords(6))
+        with pytest.raises(RewireError, match=message):
+            second_hamilton_cycle(req, random.Random(1), DESK)
+
+    def test_desirable_non_edges_never_absorbed(self):
+        found = 0
+        for seed in range(12):
+            g, cover = gen_planted(12, 0.5, seed)
+            # every pair, reversed, so the filter has to normalise and drop
+            everything = frozenset((v, u) for u, v in combinations(range(12), 2))
+            non_edges = frozenset(edge_key(*e) for e in everything) - g.edge_set()
+            assert non_edges
+            only_non_edges = RewireRequest(g, cover, frozenset(), non_edges)
+            assert second_hamilton_cycle(only_non_edges, random.Random(seed), DESK) is None
+            req = RewireRequest(g, cover, frozenset(), everything)
+            res = second_hamilton_cycle(req, random.Random(seed), DESK)
+            if res is None:
+                continue
+            found += 1
+            assert not res.absorbed & non_edges
+            assert validate_cover(g, res.cycle) == 1
+        assert found >= 10
 
     def test_degree_precondition_without_override(self):
         req = RewireRequest(

@@ -188,6 +188,27 @@ class TestApplySwitch:
         with pytest.raises(CoverError):
             apply_switch(other, c4)
 
+    @pytest.mark.parametrize(
+        "edge_a, edge_b, chords, kind, message",
+        [
+            ((0, 9), (0, 4), ((0, 5), (1, 4)), SwitchKind.SAME_CYCLE_PARALLEL,
+             "position that does not exist"),
+            ((0, 0), (0, 4), ((0, 6), (1, 4)), SwitchKind.SAME_CYCLE_PARALLEL,
+             "chords do not match"),
+            # chord (1, 2) is itself a cover edge
+            ((0, 0), (0, 2), ((0, 3), (1, 2)), SwitchKind.SAME_CYCLE_CROSSING,
+             "inconsistent with the cover"),
+            # parallel chords split the cycle, so the crossing label is wrong
+            ((0, 0), (0, 4), ((0, 5), (1, 4)), SwitchKind.SAME_CYCLE_CROSSING,
+             "same-cycle-crossing produced component delta 1"),
+        ],
+        ids=["position", "chord-endpoints", "chord-on-cover", "wrong-kind"],
+    )
+    def test_malformed_switch_rejected(self, edge_a, edge_b, chords, kind, message):
+        c4 = switching.ImplantedC4(edge_a, edge_b, chords, kind, aligned=False)
+        with pytest.raises(CoverError, match=message):
+            apply_switch(ham_cover(8), c4)
+
     def test_delta_table_random(self, rng):
         """Component delta is +1 / 0 / -1 by kind, covers stay valid."""
         checked = 0
