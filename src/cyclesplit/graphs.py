@@ -176,15 +176,28 @@ def dump_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _canonical_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
+    """``cyc`` rotated to start at its smallest vertex and oriented toward the
+    smaller of that vertex's two cycle neighbours (a list or a tuple)."""
+    i = cyc.index(min(cyc))
+    rot = cyc[i:] + cyc[:i]
+    if rot[-1] < rot[1]:
+        rot = rot[:1] + rot[:0:-1]
+    return tuple(rot)
+
+
 class CycleCover:
     """A 2-factor stored as canonically ordered vertex cycles.
 
     Canonical form: each cycle is rotated to start at its smallest vertex and
     oriented toward the smaller of that vertex's two cycle neighbours; cycles
     are sorted by their starting vertex.  A Hamilton cycle is the 1-cycle case.
+    ``locator`` maps each vertex to its (cycle index, position).  The public
+    constructor builds it while it checks the partition; a cover made by
+    ``_from_canonical`` builds it on first use.
     """
 
-    __slots__ = ("cycles", "locator", "n", "_edge_set")
+    __slots__ = ("cycles", "n", "_locator", "_edge_set")
 
     def __init__(self, cycles: Sequence[Sequence[int]], n: Optional[int] = None):
         canon = []
@@ -194,11 +207,7 @@ class CycleCover:
                 raise CoverError(f"cycle {cyc} shorter than 3")
             if len(set(cyc)) != len(cyc):
                 raise CoverError(f"repeated vertex within cycle {cyc}")
-            i = cyc.index(min(cyc))
-            rot = cyc[i:] + cyc[:i]
-            if rot[-1] < rot[1]:
-                rot = [rot[0]] + rot[:0:-1]
-            canon.append(tuple(rot))
+            canon.append(_canonical_cycle(cyc))
         canon.sort(key=lambda c: c[0])
         locator = {}
         for ci, cyc in enumerate(canon):
@@ -216,9 +225,22 @@ class CycleCover:
             bad = missing[0] if missing else max(locator)
             raise CoverError(f"cover does not partition [0, {n}): vertex {bad}")
         self.cycles = tuple(canon)
-        self.locator = locator
+        self._locator = locator
         self.n = n
         self._edge_set = None
+
+    @classmethod
+    def _from_canonical(cls, cycles: tuple[tuple[int, ...], ...], n: int) -> "CycleCover":
+        """A cover of cycles already canonical and sorted; nothing is checked.
+
+        The caller guarantees that the cycles partition ``[0, n)``.
+        """
+        self = cls.__new__(cls)
+        self.cycles = cycles
+        self.n = n
+        self._locator = None
+        self._edge_set = None
+        return self
 
     @classmethod
     def from_edge_set(cls, n: int, edges: Iterable[tuple[int, int]]) -> "CycleCover":
@@ -247,6 +269,17 @@ class CycleCover:
         return cls(cycles, n)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def locator(self) -> dict[int, tuple[int, int]]:
+        """Vertex -> (cycle index, position), built on first use."""
+        if self._locator is None:
+            self._locator = {
+                v: (ci, pos)
+                for ci, cyc in enumerate(self.cycles)
+                for pos, v in enumerate(cyc)
+            }
+        return self._locator
 
     @property
     def num_components(self) -> int:

@@ -77,6 +77,27 @@ class RewireRequest:
         near = blocked.union(*map(self.cycle.cycle_neighbors, blocked))
         return tuple(v for v in range(self.cycle.n) if v not in near)
 
+    @cached_property
+    def usable_seeds(self) -> tuple[Optional[tuple[int, int]], ...]:
+        """Per usable edge (desirable, off the cycle; sorted), its seed pair.
+
+        The seed pair (a, x) of the edge (u, w) is u itself and a cycle
+        neighbour of w, both clear, distinct and not cycle neighbours of each
+        other, so the relink can route the edge; None when no such pair exists.
+        """
+        clear = set(self.clear)
+        nbrs = self.cycle.cycle_neighbors
+
+        def seed(edge):
+            for a, b in (edge, edge[::-1]):
+                if a in clear:
+                    for x in nbrs(b):
+                        if x in clear and x != a and x not in nbrs(a):
+                            return a, x
+            return None
+
+        return tuple(map(seed, sorted(self.desirable_edges - self.cycle.edge_set())))
+
 
 @dataclass
 class RewireResult:
@@ -358,8 +379,8 @@ def second_hamilton_cycle(
             stacklevel=2,
         )
 
-    usable = sorted(req.desirable_edges - cyc_edges)
-    if not usable:
+    seeds = req.usable_seeds
+    if not seeds:
         return None
 
     for _ in range(params.sample_retries):
@@ -376,10 +397,10 @@ def second_hamilton_cycle(
     # search and the post-hoc checks carry correctness either way.
     p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
     for r in range(params.sample_retries):
-        e = usable[r % len(usable)]
-        s = _seeded_switch_set(cycle, e, req.clear, p_relax, rng)
-        if s is None:
+        seed = seeds[r % len(seeds)]
+        if seed is None:
             continue
+        s = _seeded_switch_set(cycle, seed, req.clear, p_relax, rng)
         found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
@@ -397,27 +418,20 @@ def second_hamilton_cycle(
 
 def _seeded_switch_set(
     cycle: CycleCover,
-    target_edge: tuple[int, int],
+    seed: tuple[int, int],
     clear: tuple[int, ...],
     p_extra: float,
     rng: random.Random,
-) -> Optional[set[int]]:
-    """Switch set built around one usable edge (u, w): u itself plus a cycle
-    neighbour of w, so the relink can route the edge; random extras pad it."""
-    for a, b in (target_edge, target_edge[::-1]):
-        if a not in clear:
-            continue
-        a_nbrs = set(cycle.cycle_neighbors(a))
-        for x in cycle.cycle_neighbors(b):
-            if x in clear and x != a and x not in a_nbrs:
-                s = {a, x}
-                for v in clear:
-                    if v not in s and rng.random() < p_extra:
-                        na, nb = cycle.cycle_neighbors(v)
-                        if na not in s and nb not in s:
-                            s.add(v)
-                return s
-    return None
+) -> set[int]:
+    """Switch set built around a usable edge's seed pair (see
+    ``RewireRequest.usable_seeds``), padded with random clear extras."""
+    s = set(seed)
+    for v in clear:
+        if v not in s and rng.random() < p_extra:
+            na, nb = cycle.cycle_neighbors(v)
+            if na not in s and nb not in s:
+                s.add(v)
+    return s
 
 
 def _package(req, new_cycle, switch_set, used_fallback):

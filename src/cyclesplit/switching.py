@@ -26,6 +26,7 @@ from .graphs import (
     CycleCover,
     Graph,
     Params,
+    _canonical_cycle,
     _iter_bits,
     edge_key,
     validate_cover,
@@ -248,23 +249,88 @@ def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]
 
 
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:
-    """Apply a batch of switches by edge symmetric difference; None if degenerate."""
+    """Apply a batch of switches by splicing the cycles they touch; None if degenerate.
+
+    Each touched cycle is cut at its removed edges into arcs, and the arcs are
+    joined through the chords.  Only the new cycles are canonicalised: the
+    untouched ones keep their tuples.  The batch is degenerate when a cover
+    edge or chord repeats, a chord is a cover edge, a vertex gains a number of
+    chords other than the number of cover edges it loses, or a cycle shorter
+    than 3 results.  Each check is local, so the cover is never rebuilt.
+    """
+    cycles = cover.cycles
     removed = set()
-    added = set()
+    cuts: dict[int, list[int]] = {}  # touched cycle -> removed positions
+    where = {}  # endpoint of a removed edge -> (cycle, position)
+    balance = {}  # per vertex: cover edges removed minus chords added
     for c4 in switches:
-        ea, eb = c4.cover_edges(cover)
-        removed.add(ea)
-        removed.add(eb)
-        added.update(c4.chords)
-    if len(removed) != 2 * len(switches) or len(added) != 2 * len(switches):
+        for ci, pos in (c4.edge_a, c4.edge_b):
+            cyc = cycles[ci]
+            nxt = (pos + 1) % len(cyc)
+            u, v = cyc[pos], cyc[nxt]
+            removed.add(edge_key(u, v))
+            cuts.setdefault(ci, []).append(pos)
+            where[u] = (ci, pos)
+            where[v] = (ci, nxt)
+            balance[u] = balance.get(u, 0) + 1
+            balance[v] = balance.get(v, 0) + 1
+    chords = {chord for c4 in switches for chord in c4.chords}
+    if len(removed) != 2 * len(switches) or len(chords) != 2 * len(switches):
         return None
-    edge_set = cover.edge_set()
-    if not removed <= edge_set or added & edge_set:
+    link: dict[int, list[int]] = {}  # chord partners of each vertex
+    for x, y in chords:
+        balance[x] = balance.get(x, 0) - 1
+        balance[y] = balance.get(y, 0) - 1
+        link.setdefault(x, []).append(y)
+        link.setdefault(y, []).append(x)
+    if any(balance.values()):
         return None
-    try:
-        return CycleCover.from_edge_set(cover.n, (edge_set - removed) | added)
-    except CoverError:
-        return None
+    for x, y in chords:
+        (cx, px), (cy, py) = where[x], where[y]
+        if cx == cy and (px - py) % len(cycles[cx]) in (1, len(cycles[cx]) - 1):
+            return None
+
+    arcs = []
+    arc_at = {}  # both ends of each arc -> its index
+    for ci, cut in cuts.items():
+        cyc = cycles[ci]
+        cut.sort()
+        prev = cut[-1] - len(cyc)  # the first arc wraps past the cycle's end
+        for p in cut:
+            arc = cyc[prev + 1 : p + 1] if prev >= -1 else cyc[prev + 1 :] + cyc[: p + 1]
+            arc_at[arc[0]] = arc_at[arc[-1]] = len(arcs)
+            arcs.append(arc)
+            prev = p
+    new = []
+    done = [False] * len(arcs)
+    for i, arc in enumerate(arcs):
+        if done[i]:
+            continue
+        seq = []
+        start = x = arc[0]
+        came_from = None
+        while True:
+            j = arc_at[x]
+            done[j] = True
+            arc = arcs[j]
+            if arc[0] == x:
+                seq += arc
+                z = arc[-1]
+            else:
+                seq += arc[::-1]
+                z = arc[0]
+            # a one-vertex arc has two chords: leave by the one not arrived on
+            partners = link[z]
+            came_from, x = z, (
+                partners[1] if x == z and partners[0] == came_from else partners[0]
+            )
+            if x == start:
+                break
+        if len(seq) < 3:
+            return None
+        new.append(_canonical_cycle(seq))
+    kept = [cyc for ci, cyc in enumerate(cycles) if ci not in cuts]
+    return CycleCover._from_canonical(tuple(sorted(kept + new)), cover.n)
 
 
 def apply_switch(cover: CycleCover, c4: ImplantedC4) -> CycleCover:
@@ -296,20 +362,19 @@ def apply_switch(cover: CycleCover, c4: ImplantedC4) -> CycleCover:
 
 def _find_parallel(g: Graph, cover: CycleCover) -> Optional[ImplantedC4]:
     """Lexicographically first same-cycle parallel implanted C4, lazily."""
-    bits = [g.neighbor_bits(v) for v in range(g.n)]
+    neighbor_bits = g.neighbor_bits
     for ci, cyc in enumerate(cover.cycles):
         L = len(cyc)
         if L < 6:
             continue
+        ba1 = neighbor_bits(cyc[0])
         for a in range(L - 3):
-            xa = cyc[a]
-            xa1 = cyc[a + 1]
-            ba = bits[xa]
+            ba, ba1 = ba1, neighbor_bits(cyc[a + 1])
             # spans outside [3, L-3] would turn a chord into a cover edge
             for b in range(a + 3, min(a + L - 2, L)):
                 xb = cyc[b]
                 xb1 = cyc[(b + 1) % L]
-                if (ba >> xb1) & 1 and (bits[xa1] >> xb) & 1:
+                if (ba >> xb1) & 1 and (ba1 >> xb) & 1:
                     return _make_c4(cover, (ci, a), (ci, b), aligned=False)
     return None
 

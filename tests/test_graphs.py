@@ -136,6 +136,22 @@ class TestCycleCover:
         for v in range(7):
             ci, pos = cov.locator[v]
             assert cov.cycles[ci][pos] == v
+        # a cover made from canonical cycles builds it on first use, alike
+        assert CycleCover._from_canonical(cov.cycles, cov.n).locator == cov.locator
+
+    @pytest.mark.parametrize(
+        "cycles, n, message",
+        [
+            ([[-1, 0, 1]], None, "negative vertex -1"),
+            ([[0, 1, 2], [2, 3, 4]], None, "repeated vertex 2 across cycles"),
+            ([[0, 1, 2]], 4, r"does not partition \[0, 4\): vertex 3"),
+            ([[0, 1, 2, 3]], 3, r"does not partition \[0, 3\): vertex 3"),
+        ],
+        ids=["negative", "repeated-across", "missing", "n-below-max"],
+    )
+    def test_constructor_errors(self, cycles, n, message):
+        with pytest.raises(CoverError, match=message):
+            CycleCover(cycles, n)
 
     def test_from_edge_set_round_trip(self, rng):
         from conftest import random_factor_instance

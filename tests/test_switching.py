@@ -7,7 +7,11 @@ from cyclesplit import switching
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import count_implanted_bruteforce, gen_planted
 from cyclesplit.switching import (
+    ImplantedC4,
     SwitchKind,
+    _implanted_pairs,
+    _make_c4,
+    _toggle,
     _try_plan,
     apply_switch,
     count_h_edges,
@@ -222,6 +226,103 @@ class TestApplySwitch:
                 assert delta == c4.kind.component_delta
                 assert len(out.edge_set() ^ cover.edge_set()) == 4
                 checked += 1
+
+
+def _reference_toggle(cover, switches):
+    """A batch of switches applied by edge symmetric difference; None if degenerate.
+
+    Rebuilds the whole cover from its edge set, where ``_toggle`` splices
+    only the cycles the batch touches.
+    """
+    removed = set()
+    added = set()
+    for c4 in switches:
+        ea, eb = c4.cover_edges(cover)
+        removed.add(ea)
+        removed.add(eb)
+        added.update(c4.chords)
+    if len(removed) != 2 * len(switches) or len(added) != 2 * len(switches):
+        return None
+    edge_set = cover.edge_set()
+    if not removed <= edge_set or added & edge_set:
+        return None
+    try:
+        return CycleCover.from_edge_set(cover.n, (edge_set - removed) | added)
+    except CoverError:
+        return None
+
+
+def _toggle_batches(rng, g, cover):
+    """Switch batches on one cover: the split plans' shapes and malformed ones."""
+    pairs = list(_implanted_pairs(g, cover))
+    c4s = [_make_c4(cover, ea, eb, aligned) for ea, eb, aligned in pairs]
+    same = [c for c in c4s if c.edge_a[0] == c.edge_b[0]]
+    yield [c for c in same if not c.aligned][:1]  # parallel
+    crossing = [c for c in same if c.aligned]
+    for _ in range(3):
+        if len(crossing) >= 2:
+            yield rng.sample(crossing, 2)
+    by_pair = {}
+    for c in c4s:
+        if c.edge_a[0] != c.edge_b[0]:
+            by_pair.setdefault((c.edge_a[0], c.edge_b[0], c.aligned), []).append(c)
+    for group in by_pair.values():
+        if len(group) >= 3:
+            yield rng.sample(group, 3)
+    for _ in range(6):
+        if c4s:
+            yield rng.sample(c4s, min(len(c4s), rng.randint(1, 3)))
+    # malformed: arbitrary cover-edge pairs, adjacent ones (one-vertex arcs)
+    # among them; chords that are cover edges or loops follow from those
+    edges = [(ci, pos) for ci, cyc in enumerate(cover.cycles) for pos in range(len(cyc))]
+    for _ in range(6):
+        batch = []
+        for _ in range(rng.randint(1, 3)):
+            ci, pos = rng.choice(edges)
+            step = rng.choice((1, 2, rng.randrange(len(cover.cycles[ci]))))
+            other = (ci, (pos + step) % len(cover.cycles[ci]))
+            if rng.random() < 0.5:
+                other = rng.choice(edges)
+            batch.append(_make_c4(cover, (ci, pos), other, rng.random() < 0.5))
+        yield batch
+    if c4s:
+        c4 = rng.choice(c4s)
+        yield [c4, c4]  # repeated cover edges and chords
+        # a chord endpoint off the removed edges
+        (x, y), second = c4.chords
+        w = rng.randrange(cover.n)
+        yield [ImplantedC4(c4.edge_a, c4.edge_b, ((x, w), second), c4.kind, c4.aligned)]
+        other = rng.choice(c4s)
+        # a cover edge shared by two switches, chords distinct
+        yield [c4, ImplantedC4(c4.edge_a, other.edge_b, other.chords, other.kind, other.aligned)]
+
+
+class TestToggleSplice:
+    def test_matches_edge_set_reference(self):
+        rng = random.Random(0x5A1)
+        outcomes = {"none": 0, "cover": 0}
+        for g, cover in _kernel_cases(seed=0x70C):
+            for batch in _toggle_batches(rng, g, cover):
+                if not batch:
+                    continue
+                got = _toggle(cover, batch)
+                want = _reference_toggle(cover, batch)
+                assert got == want
+                if got is None:
+                    outcomes["none"] += 1
+                    continue
+                outcomes["cover"] += 1
+                assert got.n == cover.n
+                assert got.locator == CycleCover(got.cycles, cover.n).locator
+        assert min(outcomes.values()) > 500, outcomes
+
+    def test_untouched_cycles_keep_their_tuples(self):
+        cover = CycleCover([[0, 1, 2], list(range(3, 11)), [11, 12, 13]])
+        c4 = _make_c4(cover, (1, 0), (1, 4), aligned=False)
+        out = _toggle(cover, [c4])
+        assert out.cycles == ((0, 1, 2), (3, 8, 9, 10), (4, 5, 6, 7), (11, 12, 13))
+        assert out.cycles[0] is cover.cycles[0]
+        assert out.cycles[3] is cover.cycles[2]
 
 
 class TestInducedHEdges:
