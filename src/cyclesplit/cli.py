@@ -118,9 +118,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _load_instance(args):
+    """The graph and cover files, the cover first: a graph header n above the
+    cover's vertex count is refused before the graph allocates anything, and
+    a smaller n fails ``validate_cover``."""
+    cover = load_cover(Path(args.cover).read_text())
+    return load_graph(Path(args.graph).read_text(), max_n=cover.n), cover
+
+
 def cmd_solve(args) -> int:
-    g = load_graph(Path(args.graph).read_text())
-    cover = load_cover(Path(args.cover).read_text(), g.n)
+    g, cover = _load_instance(args)
     params = Params(seed=args.seed)
     if args.params:
         params = parse_params(Path(args.params).read_text(), params)
@@ -143,15 +150,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = load_graph(Path(args.graph).read_text())
-    cover = load_cover(Path(args.cover).read_text(), g.n)
+    g, cover = _load_instance(args)
     comps = validate_cover(g, cover)
     print(f"valid, {comps} components")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    g = load_graph(Path(args.graph).read_text())
+    g = load_graph(Path(args.graph).read_text(), max_n=ORACLE_CAP)
     answer = oracle_exists_k_factor(g, args.k)
     print("yes" if answer else "no")
     return EXIT_OK

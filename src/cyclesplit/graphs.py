@@ -124,8 +124,11 @@ class Graph:
 # Cover file: one cycle per line, vertices space-separated in cyclic order.
 
 
-def load_graph(text: str) -> Graph:
-    """Parse the edge-list format, reporting errors with line numbers."""
+def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
+    """Parse the edge-list format, reporting errors with line numbers.
+
+    A header n above ``max_n`` is refused before anything is allocated.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise GraphFormatError("missing header 'n m'", 1)
@@ -138,6 +141,8 @@ def load_graph(text: str) -> Graph:
         raise GraphFormatError("header must contain two integers", 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative", 1)
+    if max_n is not None and n > max_n:
+        raise GraphFormatError(f"n = {n} exceeds the {max_n} vertices allowed here", 1)
     edges = []
     seen = set()
     lineno = 1
@@ -220,7 +225,9 @@ class CycleCover:
         count = len(locator)
         if n is None:
             n = (max(locator) + 1) if locator else 0
-        missing = [v for v in range(n) if v not in locator]
+        # [0, count] cannot all be present, so the smallest missing vertex
+        # lies below count + 1: the scan stays O(count) for a huge vertex
+        missing = [v for v in range(min(n, count + 1)) if v not in locator]
         if missing or count != n:
             bad = missing[0] if missing else max(locator)
             raise CoverError(f"cover does not partition [0, {n}): vertex {bad}")
@@ -349,9 +356,12 @@ def validate_cover(
         cover = CycleCover(cover, g.n)
     if cover.n != g.n:
         raise CoverError(f"cover spans {cover.n} vertices, graph has {g.n}")
-    for u, v in cover.iter_edges():
-        if not g.has_edge(u, v):
-            raise CoverError(f"cover edge ({u}, {v}) absent from graph")
+    bits = g._bits
+    # the edges in ``iter_edges`` order, so the first missing one is reported
+    for cyc in cover.cycles:
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            if not (bits[u] >> v) & 1:
+                raise CoverError(f"cover edge {edge_key(u, v)} absent from graph")
     return cover.num_components
 
 

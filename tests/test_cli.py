@@ -192,6 +192,8 @@ class TestReaders:
             ({"graph": b"6 1\n0 \xff\xfe\n"}, 1),
             ({"cover": b"0 1 2 x 4 5\n"}, 1),
             ({"cover": b"0 1 2 3 4 -5\n"}, 1),
+            ({"graph": b"100000000000 0\n"}, 1),
+            ({"cover": b"0 1 2 3 4 100000000000\n"}, 1),
             ({"params": b"enrich_rounds\n"}, 1),
             ({"params": b"sample_prob = 2\n"}, 1),
             ({name: text.replace("\n", "\r\n").encode() for name, text in READER_FILES.items()}, 0),
@@ -200,8 +202,8 @@ class TestReaders:
         ids=[
             "empty-graph", "non-integer-header", "negative-n", "three-token-edge",
             "non-integer-endpoint", "5000-digit-integer", "non-utf8", "non-integer-cover",
-            "negative-cover-vertex", "params-without-value", "sample-prob-2", "crlf",
-            "params-key-space-value",
+            "negative-cover-vertex", "huge-graph-n", "huge-cover-vertex", "params-without-value",
+            "sample-prob-2", "crlf", "params-key-space-value",
         ],
     )
     def test_exit_code(self, tmp_path, capsys, overrides, code):

@@ -53,6 +53,11 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="line 1"):
             load_graph("3\n")
 
+    def test_max_n(self):
+        assert load_graph("3 1\n0 1\n", max_n=3).n == 3
+        with pytest.raises(GraphFormatError, match="line 1: n = 100000000000 exceeds the 3"):
+            load_graph("100000000000 0\n", max_n=3)
+
 
 def test_round_trip_bit_exact():
     text = "5 4\n0 1\n0 4\n1 2\n2 3\n"
@@ -89,6 +94,22 @@ class TestValidateCover:
     def test_missing_vertex(self):
         with pytest.raises(CoverError):
             validate_cover(complete_graph(6), [[0, 1, 2]])
+
+    def test_reports_first_missing_edge(self, rng):
+        # the first cover edge absent from the graph, in iter_edges order
+        for _ in range(40):
+            n = rng.randint(6, 30)
+            g = gnp(rng, n, rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cover = CycleCover([perm[: n // 2], perm[n // 2 :]], n)
+            absent = [e for e in cover.iter_edges() if not g.has_edge(*e)]
+            if not absent:
+                assert validate_cover(g, cover) == 2
+                continue
+            with pytest.raises(CoverError) as info:
+                validate_cover(g, cover)
+            assert str(info.value) == f"cover edge {absent[0]} absent from graph"
 
 
 def _brute_two_regular_components(g, edges):
@@ -146,8 +167,10 @@ class TestCycleCover:
             ([[0, 1, 2], [2, 3, 4]], None, "repeated vertex 2 across cycles"),
             ([[0, 1, 2]], 4, r"does not partition \[0, 4\): vertex 3"),
             ([[0, 1, 2, 3]], 3, r"does not partition \[0, 3\): vertex 3"),
+            ([[0, 1, 2, 3, 4, 10**11]], None, r"\[0, 100000000001\): vertex 5"),
+            ([[0, 1, 2]], 10**11, r"\[0, 100000000000\): vertex 3"),
         ],
-        ids=["negative", "repeated-across", "missing", "n-below-max"],
+        ids=["negative", "repeated-across", "missing", "n-below-max", "huge-vertex", "huge-n"],
     )
     def test_constructor_errors(self, cycles, n, message):
         with pytest.raises(CoverError, match=message):

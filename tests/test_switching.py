@@ -106,6 +106,75 @@ class TestKernelMatchesReference:
                 assert len(enumerate_implanted(g, cover)) == brute
 
 
+def _covers_with_cycle_counts(rng, sizes):
+    """Seeded covers: for each n, 1 to n/3 cycles and a density in [0, 1]."""
+    for n in sizes:
+        count = rng.randint(1, n // 3)
+        lengths = [3] * count
+        for _ in range(n - 3 * count):
+            lengths[rng.randrange(count)] += 1
+        yield random_factor_instance(rng, n, rng.choice((0.0, 1.0, rng.random())), lengths)
+
+
+def _builder(monkeypatch, transpose):
+    monkeypatch.setattr(switching, "_transpose_wins", lambda n, m, reads: transpose)
+
+
+class TestRowBuilders:
+    """The transpose and the per-vertex sums build the same predecessor rows."""
+
+    def test_transpose_matches_definition(self):
+        rng = random.Random(0x7A5)
+        for n in list(range(0, 41)) + [63, 64, 65, 127, 129]:
+            cols = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+            want = [sum(((cols[y] >> x) & 1) << y for y in range(n)) for x in range(n)]
+            assert switching._transpose(cols) == want
+
+    def test_rows_agree_on_seeded_covers(self):
+        rng = random.Random(0x5A1)
+        sizes = [3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 31, 33, 64, 100, 129, 255, 300]
+        sizes += [rng.randint(3, 300) for _ in range(30)]
+        for g, cover in _covers_with_cycle_counts(rng, sizes):
+            prev, nxt = switching._cover_arrays(cover)
+            sums = switching._pred_rows_sums(g, prev)
+            transpose = switching._pred_rows_transpose(g, nxt)
+            assert [transpose(x) for x in range(g.n)] == [sums(x) for x in range(g.n)]
+
+    def test_rows_agree_at_n_1000(self):
+        g, cover = gen_planted(1000, 0.02, 0x3E8)
+        prev, nxt = switching._cover_arrays(cover)
+        sums = switching._pred_rows_sums(g, prev)
+        transpose = switching._pred_rows_transpose(g, nxt)
+        assert [transpose(x) for x in range(g.n)] == [sums(x) for x in range(g.n)]
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["sums", "transpose"])
+    def test_count_matches_brute_force(self, monkeypatch, transpose):
+        _builder(monkeypatch, transpose)
+        rng = random.Random(0xB7)
+        sizes = [n for n in range(3, 13) for _ in range(6)]
+        for g, cover in _covers_with_cycle_counts(rng, sizes):
+            assert count_h_edges(g, cover) == count_implanted_bruteforce(g, cover)
+
+    def test_implanted_pairs_identical(self, monkeypatch):
+        rng = random.Random(0x1D)
+        sizes = [rng.randint(6, 120) for _ in range(25)]
+        for g, cover in _covers_with_cycle_counts(rng, sizes):
+            got = {}
+            for transpose in (False, True):
+                _builder(monkeypatch, transpose)
+                got[transpose] = list(_implanted_pairs(g, cover))
+            assert got[True] == got[False]
+
+    def test_rule(self):
+        # oracle-sized and sparse graphs stay on the sums, dense ones transpose
+        assert not switching._transpose_wins(12, 66, 12)
+        assert not switching._transpose_wins(4000, 44_000, 4000)
+        assert switching._transpose_wins(100, 1000, 100)
+        assert switching._transpose_wins(500, 19_000, 500)
+        # a few rows of a dense graph are cheaper summed
+        assert not switching._transpose_wins(500, 19_000, 8)
+
+
 class TestEnumerate:
     def test_chordless_cycle(self):
         assert enumerate_implanted(cycle_graph(6), ham_cover(6)) == []
