@@ -17,7 +17,7 @@ from typing import Optional
 from .embedding import PartitionError, enrich
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from .rewire import RewireError
-from .switching import count_h_edges, split_to_k
+from .switching import _split_validated, count_h_edges
 
 @dataclass(frozen=True)
 class MergeRecord:
@@ -222,8 +222,11 @@ def solve(
     while protecting the bridges, undo the merge, and split again.  The
     strict flag skips the opportunistic first step.  ``split_to_k`` draws no
     randomness, so when the restored cover equals the input the direct
-    split's outcome is reused, not recomputed.  Honest failure returns
-    ``cover=None`` with diagnostics; the input is never modified.
+    split's outcome is reused, not recomputed.  Every cover the split gets
+    was validated just before (the input here, the restored cover in
+    ``_merge_enrich_unmerge``), so the split does not check it again.
+    Honest failure returns ``cover=None`` with diagnostics; the input is
+    never modified.
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
@@ -250,14 +253,14 @@ def solve(
     outcome = None
     if not strict:
         stats.ell_presplit = ell
-        outcome = split_to_k(g, cover, k, params)
+        outcome = _split_validated(g, cover, k, params)
         if outcome.cover is None:
             stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
     if outcome is None or outcome.cover is None:
         restored = _merge_enrich_unmerge(g, cover, params, rng, stats)
         stats.ell_presplit = restored.num_components
         if outcome is None or restored != cover:
-            outcome = split_to_k(g, restored, k, params)
+            outcome = _split_validated(g, restored, k, params)
         if outcome.cover is None:
             stats.diagnostics.append({"final_split": outcome.diagnostics})
     if outcome.cover is not None:

@@ -240,9 +240,9 @@ def _kernel_rows(g: Graph, prev, nxt, reads: Optional[int] = None):
     return rows
 
 
-def _walk_rows(cover: CycleCover, rows):
-    """``(u, rows(u), rows(v))`` for each cover edge u -> v in global order."""
-    for cyc in cover.cycles:
+def _walk_rows(cycles: Iterable[Sequence[int]], rows):
+    """``(u, rows(u), rows(v))`` for each edge u -> v of ``cycles``, in order."""
+    for cyc in cycles:
         ru = first = rows(cyc[0])
         for u, v in zip(cyc, cyc[1:]):
             rv = rows(v)
@@ -263,7 +263,7 @@ def _implanted_pairs(g: Graph, cover: CycleCover, cap: Optional[int] = None):
     locator = cover.locator
     later = (1 << cover.n) - 1  # start vertices of the edges not yet walked
     found = 0
-    for u, (au, pu), (av, pv) in _walk_rows(cover, _kernel_rows(g, prev, nxt)):
+    for u, (au, pu), (av, pv) in _walk_rows(cover.cycles, _kernel_rows(g, prev, nxt)):
         later ^= 1 << u
         aligned = au & pv & later
         anti = pu & av & later
@@ -455,23 +455,169 @@ def apply_switch(cover: CycleCover, c4: ImplantedC4) -> CycleCover:
 # -- raising the component count by one ------------------------------------
 
 
-def _find_parallel(g: Graph, cover: CycleCover) -> Optional[ImplantedC4]:
-    """Lexicographically first same-cycle parallel implanted C4, lazily."""
+def _parallel_in(g: Graph, cyc: Sequence[int]) -> Optional[tuple[int, int]]:
+    """Positions (a, b) of the first parallel implanted C4 of one cycle, lazily."""
     neighbor_bits = g.neighbor_bits
-    for ci, cyc in enumerate(cover.cycles):
-        L = len(cyc)
-        if L < 6:
-            continue
-        ba1 = neighbor_bits(cyc[0])
-        for a in range(L - 3):
-            ba, ba1 = ba1, neighbor_bits(cyc[a + 1])
-            # spans outside [3, L-3] would turn a chord into a cover edge
-            for b in range(a + 3, min(a + L - 2, L)):
-                xb = cyc[b]
-                xb1 = cyc[(b + 1) % L]
-                if (ba >> xb1) & 1 and (ba1 >> xb) & 1:
-                    return _make_c4(cover, (ci, a), (ci, b), aligned=False)
+    L = len(cyc)
+    ba1 = neighbor_bits(cyc[0])
+    for a in range(L - 3):
+        ba, ba1 = ba1, neighbor_bits(cyc[a + 1])
+        # spans outside [3, L-3] would turn a chord into a cover edge
+        for b in range(a + 3, min(a + L - 2, L)):
+            xb = cyc[b]
+            xb1 = cyc[(b + 1) % L]
+            if (ba >> xb1) & 1 and (ba1 >> xb) & 1:
+                return a, b
     return None
+
+
+def _find_parallel(
+    g: Graph, cover: CycleCover, parallel_free: set
+) -> Optional[ImplantedC4]:
+    """Lexicographically first same-cycle parallel implanted C4.
+
+    Cycles in ``parallel_free`` are skipped, and each cycle scanned to the end
+    without a hit is added to it.
+    """
+    for ci, cyc in enumerate(cover.cycles):
+        if len(cyc) < 6 or cyc in parallel_free:
+            continue
+        hit = _parallel_in(g, cyc)
+        if hit is not None:
+            return _make_c4(cover, (ci, hit[0]), (ci, hit[1]), aligned=False)
+        parallel_free.add(cyc)
+    return None
+
+
+def _file(pairs):
+    """The case-2/3/4 buckets of ``(edge_a, edge_b, aligned)`` items, in their order.
+
+    Returns the crossing pairs (a, b) per cycle, and the aligned and the
+    anti-aligned pairs per cycle pair (ci, cj), ci < cj.
+    """
+    same_crossing: dict[int, list] = {}
+    cross_aligned: dict[tuple[int, int], list] = {}
+    cross_anti: dict[tuple[int, int], list] = {}
+    for (ci, a), (cj, b), aligned in pairs:
+        if ci != cj:
+            bucket = cross_aligned if aligned else cross_anti
+            bucket.setdefault((ci, cj), []).append((a, b))
+        elif aligned:
+            same_crossing.setdefault(ci, []).append((a, b))
+    return same_crossing, cross_aligned, cross_anti
+
+
+class _SplitMemo:
+    """What one split run has learned about its cycles, keyed by their tuples.
+
+    ``parallel_free`` holds the cycles scanned without a parallel C4.
+    ``same`` maps a cycle to its crossing pairs (a, b) in order and its number
+    of parallel C4's.  ``cross`` maps a cycle to ``{higher cycle: (aligned
+    pairs, anti-aligned pairs)}``, each pair (a, b) in order and holding the
+    position on the lower cycle first.
+
+    Invariant: an entry holds for every cover that contains its cycles,
+    whatever the other cycles are.  The chords of a C4 implanted in one or
+    two cycles join vertices of those cycles, and such a chord is a cover
+    edge only if it is an edge of one of them; the positions come from the
+    tuples.  So untouched tuples keep their positions, their
+    parallel-freeness and their pairs, and a step reads only the cycles its
+    cover gained.
+    """
+
+    __slots__ = ("parallel_free", "same", "cross")
+
+    def __init__(self):
+        self.parallel_free: set[tuple[int, ...]] = set()
+        self.same: dict[tuple[int, ...], tuple[list, int]] = {}
+        self.cross: dict[tuple[int, ...], dict[tuple[int, ...], tuple[list, list]]] = {}
+
+    def buckets(self, g: Graph, cover: CycleCover, cap: int):
+        """``_file(_implanted_pairs(g, cover, cap))``, from the memo where it can.
+
+        Drops the cycles the cover lost and files the pairs of the cycles it
+        gained, from kernel rows of their vertices only: partners on the
+        other cycles in full, partners on gained cycles only later in global
+        order.  When the cover holds more than ``cap`` implanted C4's, the
+        buckets come from the truncated enumeration and nothing is filed.
+        """
+        cycles = cover.cycles
+        same, cross = self.same, self.cross
+        index = {cyc: ci for ci, cyc in enumerate(cycles)}
+        gone = [cyc for cyc in same if cyc not in index]
+        for cyc in gone:
+            del same[cyc], cross[cyc]
+        for partners in cross.values():
+            for cyc in gone:
+                partners.pop(cyc, None)
+
+        new = [cyc for cyc in cycles if cyc not in same]
+        prev, nxt = _cover_arrays(cover)
+        rows = _kernel_rows(g, prev, nxt, reads=sum(map(len, new)))
+        later = (1 << cover.n) - 1  # all but the start vertices walked so far
+        found = []
+        fresh = 0
+        for u, (au, pu), (av, pv) in _walk_rows(new, rows):
+            later ^= 1 << u
+            aligned = au & pv & later
+            anti = pu & av & later
+            if aligned or anti:
+                fresh += aligned.bit_count() + anti.bit_count()
+                found.append((u, aligned, anti))
+        held = sum(len(crossing) + parallel for crossing, parallel in same.values())
+        held += sum(
+            len(al) + len(an) for partners in cross.values() for al, an in partners.values()
+        )
+        if held + fresh > cap:
+            return _file(_implanted_pairs(g, cover, cap))
+
+        # the buckets of pairs of kept cycles come from the memo
+        same_crossing: dict[int, list] = {}
+        cross_aligned: dict[tuple[int, int], list] = {}
+        cross_anti: dict[tuple[int, int], list] = {}
+        for cyc, (crossing, _) in same.items():
+            ci = index[cyc]
+            if crossing:
+                same_crossing[ci] = crossing
+            for other, (al, an) in cross[cyc].items():
+                key = (ci, index[other])
+                if al:
+                    cross_aligned[key] = al
+                if an:
+                    cross_anti[key] = an
+
+        # every other bucket holds a new cycle: file it, then keep it
+        locator = cover.locator
+        filed: dict[tuple[int, int], tuple[list, list]] = {}  # by (lower, higher) index
+        for u, aligned, anti in found:
+            ci, a = locator[u]
+            for side, mask in ((0, aligned), (1, anti)):
+                for y in _iter_bits(mask):
+                    cj, b = locator[y]
+                    key, pair = ((ci, cj), (a, b)) if ci <= cj else ((cj, ci), (b, a))
+                    lists = filed.get(key)
+                    if lists is None:
+                        lists = filed[key] = ([], [])
+                    lists[side].append(pair)
+        for cyc in new:
+            same[cyc] = ([], 0)
+            cross[cyc] = {}
+        for key, (al, an) in filed.items():
+            al.sort()
+            an.sort()
+            ci, cj = key
+            if ci == cj:
+                # the anti-aligned pairs of one cycle are its parallel C4's
+                same[cycles[ci]] = (al, len(an))
+                if al:
+                    same_crossing[ci] = al
+                continue
+            cross[cycles[ci]][cycles[cj]] = al, an
+            if al:
+                cross_aligned[key] = al
+            if an:
+                cross_anti[key] = an
+        return same_crossing, cross_aligned, cross_anti
 
 
 def _try_plan(cover, switches, case):
@@ -494,33 +640,34 @@ def increase_by_one(
 
 
 def increase_by_one_with_diag(
-    g: Graph, cover: CycleCover, params: Optional[Params] = None
+    g: Graph,
+    cover: CycleCover,
+    params: Optional[Params] = None,
+    memo: Optional[_SplitMemo] = None,
 ):
     """``increase_by_one`` plus the per-case counters of the search.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
+    ``memo`` is the split run's ``_SplitMemo``: the step skips the cycles it
+    knows to be parallel-free, re-reads only the cycles it has not seen and
+    adds what it learns.  Untouched tuples keep their positions,
+    parallel-freeness and pairs, so the search, and its result, are those of
+    a step without a memo, which starts from an empty one.
     """
     params = params or Params()
+    memo = _SplitMemo() if memo is None else memo
     diag = {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "budget_exhausted": False}
     budget = params.switch_candidate_budget
 
     # case 1: single parallel switch, 4 changed edges
-    c4 = _find_parallel(g, cover)
+    c4 = _find_parallel(g, cover, memo.parallel_free)
     if c4 is not None:
         diag["case1"] = 1
         attempt = _try_plan(cover, [c4], case=1)
         if attempt is not None:
             return attempt, diag
 
-    same_crossing: dict[int, list] = {}
-    cross_aligned: dict[tuple[int, int], list] = {}
-    cross_anti: dict[tuple[int, int], list] = {}
-    for (ci, a), (cj, b), aligned in _implanted_pairs(g, cover, params.enum_cap):
-        if ci != cj:
-            bucket = cross_aligned if aligned else cross_anti
-            bucket.setdefault((ci, cj), []).append((a, b))
-        elif aligned:
-            same_crossing.setdefault(ci, []).append((a, b))
+    same_crossing, cross_aligned, cross_anti = memo.buckets(g, cover, params.enum_cap)
 
     # case 2: two interleaved crossing switches on one cycle, 8 changed edges
     for ci in sorted(same_crossing, key=lambda c: (-len(same_crossing[c]), c)):
@@ -606,19 +753,34 @@ def split_to_k(
     Never merges: ``k`` below the current count is an error, as is
     ``k > n/3`` (a 2-factor needs at least three vertices per cycle).  The
     input cover is validated once, and so is the result when a step ran.
+
+    The steps share one ``_SplitMemo``, which lives only for this call:
+    untouched tuples keep their positions, parallel-freeness and pairs, so
+    case 1 skips the cycles an earlier step scanned without a hit, and cases
+    2-4 read the kernel rows only of the cycles created since the last
+    enumeration.  The plans are those of steps that start from nothing.
     """
-    params = params or Params()
     ell = cover.num_components
     if k < ell:
         raise ValueError(f"target k={k} below current {ell} cycles; merging is out of scope")
     if 3 * k > g.n:
         raise ValueError(f"k={k} infeasible: a 2-factor of {g.n} vertices has at most {g.n // 3} cycles")
     validate_cover(g, cover)
+    return _split_validated(g, cover, k, params)
+
+
+def _split_validated(
+    g: Graph, cover: CycleCover, k: int, params: Optional[Params] = None
+) -> SplitOutcome:
+    """``split_to_k`` for a cover the caller has just validated, ell <= k <= n/3."""
+    params = params or Params()
+    memo = _SplitMemo()
+    ell = cover.num_components
     start_edges = cover.edge_set()
     plans = []
     current = cover
     while current.num_components < k:
-        step, diag = increase_by_one_with_diag(g, current, params)
+        step, diag = increase_by_one_with_diag(g, current, params, memo)
         if step is None:
             return SplitOutcome(
                 None,

@@ -5,9 +5,9 @@ import pytest
 
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, validate_cover
 from cyclesplit.instances import gen_planted, gen_triangles_biclique
-from cyclesplit import pipeline
+from cyclesplit import pipeline, switching
 from cyclesplit.pipeline import merge_cover, protected_for_merge, solve, unmerge
-from cyclesplit.switching import count_h_edges, split_to_k
+from cyclesplit.switching import count_h_edges
 
 from conftest import complete_graph, cycle_graph, ham_cover, random_factor_instance
 
@@ -123,14 +123,14 @@ class TestSolve:
 
     @pytest.fixture
     def split_calls(self, monkeypatch):
-        """The arguments of each ``split_to_k`` call that ``solve`` makes."""
+        """The arguments of each split that ``solve`` runs."""
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args, split=pipeline._split_validated, **kwargs):
             calls.append(args)
-            return split_to_k(*args, **kwargs)
+            return split(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "split_to_k", counted)
+        monkeypatch.setattr(pipeline, "_split_validated", counted)
         return calls
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -166,6 +166,20 @@ class TestSolve:
         assert len(split_calls) == 1 and split_calls[0][1] is cover
         assert res.stats.ell_presplit == 2
         assert validate_cover(g, res.cover) == 3
+
+    def test_each_cover_validated_once(self, monkeypatch):
+        # the input on entry and the split's result: the split trusts the
+        # check solve has just made
+        checked = []
+
+        def counted(g, cover, validate=validate_cover):
+            checked.append(cover)
+            return validate(g, cover)
+
+        for module in (pipeline, switching):
+            monkeypatch.setattr(module, "validate_cover", counted)
+        res = solve(complete_graph(12), ham_cover(12), 4)
+        assert checked == [ham_cover(12), res.cover]
 
     def test_input_not_corrupted(self):
         g = cycle_graph(9)

@@ -1,10 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 
 from cyclesplit import switching
 
-from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
+from cyclesplit.graphs import (
+    CoverError,
+    CycleCover,
+    Graph,
+    Params,
+    _canonical_cycle,
+    edge_key,
+    validate_cover,
+)
 from cyclesplit.instances import count_implanted_bruteforce, gen_planted
 from cyclesplit.switching import (
     ImplantedC4,
@@ -496,6 +505,12 @@ class TestSplitToK:
         assert out.cover is None
         assert out.diagnostics["stopped_at"] == 1
 
+    def test_input_cover_checked(self):
+        # the Hamilton cover uses the edge 0-7, which the graph lacks
+        g = Graph(8, [e for e in complete_graph(8).edges() if e != (0, 7)])
+        with pytest.raises(CoverError, match="absent"):
+            split_to_k(g, ham_cover(8), 2)
+
     def test_never_merges(self):
         with pytest.raises(ValueError, match="merging"):
             split_to_k(complete_graph(9), CycleCover([[0, 1, 2], [3, 4, 5], [6, 7, 8]]), 2)
@@ -552,3 +567,139 @@ class TestCandidateBudget:
         assert out.diagnostics["budget_exhausted"] is True
         assert out.diagnostics["stopped_at"] < 20
         assert last == [loop]
+
+
+def _fresh_buckets(g, cover, cap=Params().enum_cap):
+    """A step's case-2/3/4 buckets filed from a full enumeration."""
+    return switching._file(_implanted_pairs(g, cover, cap))
+
+
+# (n, average degree, seed): planted graphs split up to k = n/3, past the
+# stall; together their steps reach cases 2, 3 and 4
+_MEMO_RUNS = [(30, 20, 0), (60, 20, 0), (100, 10, 2), (300, 20, 2)]
+
+
+def _planted(n, degree, seed):
+    return gen_planted(n, degree / n, seed)
+
+
+class TestSplitMemo:
+    """A split run's memo changes what a step reads, never what it finds."""
+
+    def test_steps_match_fresh_steps(self, monkeypatch):
+        checked = {"buckets": 0, "parallel": 0}
+        buckets, find_parallel = switching._SplitMemo.buckets, switching._find_parallel
+
+        def checked_buckets(memo, g, cover, cap):
+            got = buckets(memo, g, cover, cap)
+            assert got == _fresh_buckets(g, cover, cap)
+            checked["buckets"] += 1
+            return got
+
+        def checked_parallel(g, cover, parallel_free):
+            got = find_parallel(g, cover, parallel_free)
+            assert got == find_parallel(g, cover, set())
+            checked["parallel"] += 1
+            return got
+
+        monkeypatch.setattr(switching._SplitMemo, "buckets", checked_buckets)
+        monkeypatch.setattr(switching, "_find_parallel", checked_parallel)
+        cases = set()
+        failures = 0
+        for n, degree, seed in _MEMO_RUNS:
+            g, cover = _planted(n, degree, seed)
+            out = split_to_k(g, cover, n // 3)
+            failures += out.cover is None
+            cases.update(plan.case for plan in out.plans)
+            # the same steps, each starting from nothing
+            fresh, current = [], cover
+            while True:
+                step, _ = switching.increase_by_one_with_diag(g, current)
+                if step is None:
+                    break
+                current, plan = step
+                fresh.append(plan)
+            assert tuple(fresh) == out.plans
+            assert out.diagnostics["stopped_at"] == current.num_components
+        assert cases == {1, 2, 3, 4}
+        assert failures == len(_MEMO_RUNS)
+        assert checked["buckets"] > 2 * len(_MEMO_RUNS) and checked["parallel"] > 100
+
+    def test_success_matches_fresh_steps(self):
+        g, cover = _planted(100, 20, 0)
+        out = split_to_k(g, cover, 20)
+        assert out.cover is not None and {2, 3, 4} & {p.case for p in out.plans}
+        current = cover
+        for plan in out.plans:
+            (current, fresh), _ = switching.increase_by_one_with_diag(g, current)
+            assert fresh == plan
+        assert current == out.cover
+
+    @staticmethod
+    def _warm_memo(g, cover, steps):
+        """A memo that earlier steps filled, and the cover they reached."""
+        memo = switching._SplitMemo()
+        for _ in range(steps):
+            memo.buckets(g, cover, Params().enum_cap)
+            (cover, _), _ = switching.increase_by_one_with_diag(g, cover, None, memo)
+        return memo, cover
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cap", [5, 50, 500])
+    def test_enum_cap_bounds_the_step(self, seed, cap):
+        g, cover = _planted(100, 20, seed)
+        memo, cover = self._warm_memo(g, cover, 12)
+        kept = {cyc: (list(c), p) for cyc, (c, p) in memo.same.items()}
+        total = count_h_edges(g, cover)
+        assert memo.buckets(g, cover, cap) == _fresh_buckets(g, cover, cap)
+        if total > cap:
+            # truncated: nothing is filed, and only lost cycles are dropped
+            assert memo.same == {c: e for c, e in kept.items() if c in cover.cycles}
+        else:
+            assert set(memo.same) == set(cover.cycles)
+
+    def test_enum_cap_at_the_total(self):
+        g, cover = _planted(100, 20, 0)
+        memo, cover = self._warm_memo(g, cover, 12)
+        total = count_h_edges(g, cover)
+        assert _fresh_buckets(g, cover, total - 1) != _fresh_buckets(g, cover, total)
+        for cap in (total - 1, total):
+            assert memo.buckets(g, cover, cap) == _fresh_buckets(g, cover, cap)
+            # the step files its new cycles only when the cover fits the cap
+            assert (set(memo.same) == set(cover.cycles)) == (cap == total)
+
+    def test_each_cycle_read_once(self, monkeypatch):
+        """Case 1 scans a tuple to the end at most once, and the kernel builds a
+        vertex's rows at most once per tuple it belongs to."""
+        scans = Counter()
+        row_builds = Counter()
+        parallel_in, kernel_rows = switching._parallel_in, switching._kernel_rows
+
+        def counted_scan(g, cyc):
+            hit = parallel_in(g, cyc)
+            if hit is None:
+                scans[cyc] += 1
+            return hit
+
+        def counted_rows(g, prev, nxt, reads=None):
+            rows = kernel_rows(g, prev, nxt, reads)
+
+            def built(x):
+                cyc, y = [x], nxt[x]
+                while y != x:
+                    cyc.append(y)
+                    y = nxt[y]
+                row_builds[x, _canonical_cycle(cyc)] += 1
+                return rows(x)
+
+            return built
+
+        monkeypatch.setattr(switching, "_parallel_in", counted_scan)
+        monkeypatch.setattr(switching, "_kernel_rows", counted_rows)
+        g, cover = _planted(300, 20, 2)
+        out = split_to_k(g, cover, 100)
+        assert out.diagnostics["stopped_at"] == 35
+        steps = [plan.case for plan in out.plans]
+        assert steps.count(1) < len(steps)  # some steps enumerate
+        assert len(row_builds) > 300 and max(row_builds.values()) == 1
+        assert len(scans) > 20 and max(scans.values()) == 1
