@@ -142,6 +142,9 @@ class RunStats:
     strict: bool = False
     used_enrichment: bool = False
     switch_log: list = field(default_factory=list)
+    # implanted C4's of the input cover, counted only when the merge ->
+    # enrich -> unmerge fallback runs (used_enrichment); None after a direct
+    # split succeeds, since nothing on that path reads it
     h_edges_initial: Optional[int] = None
     h_edges_enriched: Optional[int] = None
     thomassen_calls: int = 0
@@ -248,7 +251,6 @@ def solve(
         )
     if 3 * k > g.n:
         raise ValueError(f"k={k} infeasible for n={g.n}: need k <= n/3")
-    stats.h_edges_initial = count_h_edges(g, cover)
 
     outcome = None
     if not strict:
@@ -257,6 +259,7 @@ def solve(
         if outcome.cover is None:
             stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
     if outcome is None or outcome.cover is None:
+        stats.h_edges_initial = count_h_edges(g, cover)
         restored = _merge_enrich_unmerge(g, cover, params, rng, stats)
         stats.ell_presplit = restored.num_components
         if outcome is None or restored != cover:

@@ -772,11 +772,17 @@ def split_to_k(
 def _split_validated(
     g: Graph, cover: CycleCover, k: int, params: Optional[Params] = None
 ) -> SplitOutcome:
-    """``split_to_k`` for a cover the caller has just validated, ell <= k <= n/3."""
+    """``split_to_k`` for a cover the caller has just validated, ell <= k <= n/3.
+
+    Each step removes cover edges and adds chords that are off the cover
+    (``_toggle`` rejects a chord that is a cover edge), so it changes exactly
+    those edges, and the final cover differs from the input by the xor of the
+    steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.
+    """
     params = params or Params()
     memo = _SplitMemo()
     ell = cover.num_components
-    start_edges = cover.edge_set()
+    changed = set()
     plans = []
     current = cover
     while current.num_components < k:
@@ -785,14 +791,17 @@ def _split_validated(
             return SplitOutcome(
                 None,
                 tuple(plans),
-                len(current.edge_set() ^ start_edges),
+                len(changed),
                 {"stopped_at": current.num_components, **diag},
             )
-        current, plan = step
+        new, plan = step
+        for c4 in plan.switches:
+            changed.symmetric_difference_update((*c4.cover_edges(current), *c4.chords))
+        current = new
         plans.append(plan)
     if plans:
         validate_cover(g, current)
-    sym = len(current.edge_set() ^ start_edges)
+    sym = len(changed)
     if sym > 12 * (k - ell):
         raise AssertionError("edge budget 12(k - l) exceeded")
     return SplitOutcome(current, tuple(plans), sym, {"stopped_at": k})

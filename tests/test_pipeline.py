@@ -204,10 +204,35 @@ class TestSolve:
         st = res.stats
         assert st.n == 9 and st.m == 36 and st.min_degree == 8
         assert st.ell_initial == 1 and st.k_target == 2
-        assert st.h_edges_initial == count_h_edges(complete_graph(9), ham_cover(9))
+        # a direct success never counts H-edges
+        assert not st.used_enrichment and st.h_edges_initial is None
         assert st.seed == 4
         payload = st.to_json(drop_timing=True)
         assert "wall_time" not in payload and '"success": true' in payload
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_h_edges_initial_counted_when_fallback_runs(self, strict):
+        # the direct split stalls on this cover, so both modes enrich
+        g, cover = gen_planted(10, 0.3, 33)
+        params = Params(seed=33, enrich_rounds=4, thomassen_degree_floor=1)
+        res = solve(g, cover, 3, params, random.Random(33), strict=strict)
+        assert res.stats.used_enrichment
+        assert res.stats.h_edges_initial == count_h_edges(g, cover) > 0
+
+    def test_direct_success_skips_count_h_edges(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, count=pipeline.count_h_edges):
+            calls[0] += 1
+            return count(*args)
+
+        monkeypatch.setattr(pipeline, "count_h_edges", counted)
+        g, cover = gen_planted(60, 0.3, 2)
+        assert solve(g, cover, 5).cover is not None
+        assert calls[0] == 0
+        params = Params(seed=5, thomassen_degree_floor=1, h_edge_target=20)
+        res = solve(g, cover, 5, params, random.Random(5), strict=True)
+        assert res.stats.used_enrichment and calls[0] >= 1
 
     def test_strict_mode_runs_pipeline(self):
         g, cover = gen_planted(24, 0.5, 5)

@@ -529,6 +529,25 @@ class TestSplitToK:
                 assert validate_cover(g, out.cover) == k
                 assert out.sym_diff <= 12 * (k - 1)
 
+    def test_sym_diff_matches_replayed_plans(self):
+        # sym_diff is accumulated from the steps' changed edges; replaying the
+        # plans and diffing whole edge sets must give the same count, on
+        # successes and on stalls alike
+        seen = Counter()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(12, 60)
+            g, cover = gen_planted(n, rng.uniform(0.1, 0.5), seed)
+            out = split_to_k(g, cover, rng.randint(2, n // 3))
+            replayed = cover
+            for plan in out.plans:
+                replayed = _toggle(replayed, plan.switches)
+            assert out.sym_diff == len(replayed.edge_set() ^ cover.edge_set())
+            if out.cover is not None:
+                assert replayed == out.cover
+            seen[out.cover is not None] += 1
+        assert seen[True] and seen[False]
+
 
 class TestCandidateBudget:
     """Both budget exits of a split step: the case-2 loop and the case-3/4 loop.
