@@ -34,7 +34,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "_edges", "_adj", "_bits", "_m")
+    __slots__ = ("n", "_edges", "_adj", "_bits", "_m", "_min_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -54,6 +54,7 @@ class Graph:
         self.n = n
         self._m = m
         self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._min_degree = min(map(len, adj), default=0)
         bits = []
         for s in adj:
             b = 0
@@ -79,9 +80,7 @@ class Graph:
         return len(self._adj[v])
 
     def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(len(a) for a in self._adj)
+        return self._min_degree
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self._bits[u] >> v) & 1 == 1

@@ -200,7 +200,10 @@ def _merge_enrich_unmerge(
             stats.diagnostics.append({"enrich": enriched.diagnostics})
         restored = unmerge(enriched.cycle, rec)
         if rec.e_plus:
-            after = count_h_edges(g, restored)
+            # an unchanged cover keeps the count solve has just taken
+            after = (
+                stats.h_edges_initial if restored == cover else count_h_edges(g, restored)
+            )
             if after < enriched.h_edges - 2 * (rec.ell - 1) * g.n:
                 raise AssertionError("unmerge lost more H-edges than the merge bound")
         validate_cover(g, restored)

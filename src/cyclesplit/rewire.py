@@ -10,6 +10,17 @@ protected region in G' minus the cycle.  Re-linking the fixed path system
 through S is a complete constrained backtracking search; below a size cutoff
 an exhaustive Hamilton search (protected edges forced, the old cycle
 excluded) stands in when sampling fails.
+
+A failed call is retried with the same request, so only the random draws and
+what depends on them are redone per call.  The request derives, once, every
+fact that neither the random stream nor ``Params`` can change: the blocked
+set, the desirable edges of the graph, the allowed and off-cycle neighbour
+bitsets, the clear candidates, the sampler's targets and its verdict that
+some target can never be dominated, and the sorted usable edges; the
+desk-scale seed pairs depend on ``Params`` only through ``sample_retries``,
+which keys their cache.  The relink search carries its end vertex and the
+pieces placed so far, and builds a cycle only when it closes one that
+differs from the original.
 """
 
 from __future__ import annotations
@@ -36,6 +47,15 @@ class RewireRequest:
     same vertices) whose edges we want to pull into the new cycle;
     ``protected`` lists cycle edges that must survive; ``bad`` holds vertices
     exempt from the degree requirement.
+
+    ``enrich`` passes one request to every call until a rewire lands, so the
+    request derives these facts once, on first use: the blocked set B'
+    (``blocked()``), ``desirable_edges``, ``allowed_bits``,
+    ``off_cycle_bits``, the clear candidates (``clear``), the sampler's
+    ``targets`` and its ``undominable`` verdict, the sorted ``usable_edges``
+    and the desk-scale phase's seed pairs (``seed_rotation``).  None of them
+    reads the random stream, and none depends on ``Params`` except the seed
+    pairs, which are cached per ``sample_retries``.
     """
 
     graph: Graph
@@ -46,9 +66,12 @@ class RewireRequest:
 
     def blocked(self) -> frozenset[int]:
         """B' = bad vertices plus endpoints of protected edges."""
+        return self._blocked
+
+    @cached_property
+    def _blocked(self) -> frozenset[int]:
         return self.bad.union(*self.protected)
 
-    # derived on first use; ``enrich`` reuses a request until a rewire lands
     @cached_property
     def desirable_edges(self) -> frozenset[tuple[int, int]]:
         """The desirable pairs that are edges of ``graph``, as edge keys."""
@@ -78,25 +101,61 @@ class RewireRequest:
         return tuple(v for v in range(self.cycle.n) if v not in near)
 
     @cached_property
-    def usable_seeds(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """Per usable edge (desirable, off the cycle; sorted), its seed pair.
+    def targets(self) -> tuple[int, ...]:
+        """The vertices a sampled switch set must dominate: all but B', sorted."""
+        blocked = self.blocked()
+        return tuple(v for v in range(self.graph.n) if v not in blocked)
 
-        The seed pair (a, x) of the edge (u, w) is u itself and a cycle
-        neighbour of w, both clear, distinct and not cycle neighbours of each
-        other, so the relink can route the edge; None when no such pair exists.
+    @cached_property
+    def undominable(self) -> bool:
+        """True iff some target has no clear candidate among its off-cycle
+        desirable neighbours, so that no draw can dominate it."""
+        off_bits = self.off_cycle_bits
+        cand_bits = bits_of(self.clear)
+        return any(not (off_bits[t] & cand_bits) for t in self.targets)
+
+    @cached_property
+    def usable_edges(self) -> tuple[tuple[int, int], ...]:
+        """The desirable edges off the cycle, sorted."""
+        return tuple(sorted(self.desirable_edges - self.cycle.edge_set()))
+
+    @cached_property
+    def _seed_rotations(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def seed_rotation(self, retries: int) -> tuple[tuple[int, int], ...]:
+        """The seed pairs of desk-scale rounds 0 .. retries - 1, in order.
+
+        Round r tries usable edge r mod len(usable_edges).  The seed pair
+        (a, x) of the edge (u, w) is u itself and a cycle neighbour of w,
+        both clear, distinct and not cycle neighbours of each other, so the
+        relink can route the edge; a round whose edge has no seed pair draws
+        nothing and is left out.  Only the first min(len(usable_edges),
+        retries) edges are read, so only their pairs are computed, once per
+        retry count.
         """
-        clear = set(self.clear)
-        nbrs = self.cycle.cycle_neighbors
+        rotation = self._seed_rotations.get(retries)
+        if rotation is None:
+            usable = self.usable_edges
+            clear = set(self.clear)
+            nbrs = self.cycle.cycle_neighbors
 
-        def seed(edge):
-            for a, b in (edge, edge[::-1]):
-                if a in clear:
-                    for x in nbrs(b):
-                        if x in clear and x != a and x not in nbrs(a):
-                            return a, x
-            return None
+            def seed(edge):
+                for a, b in (edge, edge[::-1]):
+                    if a in clear:
+                        for x in nbrs(b):
+                            if x in clear and x != a and x not in nbrs(a):
+                                return a, x
+                return None
 
-        return tuple(map(seed, sorted(self.desirable_edges - self.cycle.edge_set())))
+            pairs = [seed(e) for e in usable[:retries]]
+            rotation = tuple(
+                pair
+                for r in range(retries if usable else 0)
+                if (pair := pairs[r % len(usable)]) is not None
+            )
+            self._seed_rotations[retries] = rotation
+        return rotation
 
 
 @dataclass
@@ -151,18 +210,15 @@ def sample_switch_set(
     """
     params = params or Params()
     n = req.graph.n
-    blocked = req.blocked()
-    if len(blocked) >= n:
+    if len(req.blocked()) >= n:
         raise RewireError("blocked set covers every vertex")
     candidates = req.clear
     if not candidates:
         return None
-    targets = sorted(set(range(n)) - blocked)
-    off_bits = req.off_cycle_bits
-    # a target with no candidate neighbour can never be dominated
-    cand_bits = bits_of(candidates)
-    if any(not (off_bits[t] & cand_bits) for t in targets):
+    if req.undominable:
         return None
+    targets = req.targets
+    off_bits = req.off_cycle_bits
     p = params.sampling_probability(n)
     for _ in range(params.sample_retries):
         s = [v for v in candidates if rng.random() < p]
@@ -182,29 +238,25 @@ def sample_switch_set(
     return None
 
 
-def _segments(cycle: CycleCover, s: set[int]) -> list[list[int]]:
-    """Maximal runs of non-S vertices in cyclic order (S is cycle-independent)."""
+def _segments(cycle: CycleCover, s: Iterable[int]) -> list[tuple[int, ...]]:
+    """Maximal runs of non-S vertices in cyclic order (S is cycle-independent).
+
+    Run i follows the i-th S vertex in cycle order.
+    """
     assert cycle.num_components == 1
-    seq = list(cycle.cycles[0])
-    n = len(seq)
-    positions = sorted(i for i, v in enumerate(seq) if v in s)
-    segments = []
-    for idx, p in enumerate(positions):
-        q = positions[(idx + 1) % len(positions)]
-        run = []
-        i = (p + 1) % n
-        while i != q:
-            run.append(seq[i])
-            i = (i + 1) % n
-        if not run:
-            raise RewireError("switch set is not cycle-independent")
-        segments.append(run)
+    seq = cycle.cycles[0]
+    locator = cycle.locator
+    positions = sorted(locator[v][1] for v in s)
+    segments = [seq[p + 1 : q] for p, q in zip(positions, positions[1:])]
+    segments.append(seq[positions[-1] + 1 :] + seq[: positions[0]])
+    if not all(segments):
+        raise RewireError("switch set is not cycle-independent")
     return segments
 
 
 def _relink(
     cycle: CycleCover,
-    s: set[int],
+    s: Iterable[int],
     allowed_bits: list[int],
     budget: int,
 ) -> Optional[CycleCover]:
@@ -212,66 +264,78 @@ def _relink(
 
     The new cycle must alternate the |S| paths (each in either direction)
     with the S vertices, every junction using an allowed edge.  The first
-    arrangement whose edge set differs from the original cycle wins.
+    arrangement other than the original cycle wins.  Every edge inside a
+    path is a cycle edge, so an arrangement is the original cycle exactly
+    when all its junction edges are cycle edges; the search carries that
+    verdict and the current end vertex, and builds the cycle only at a close.
     """
-    if len(s) < 2:
+    s_sorted = sorted(s)
+    if len(s_sorted) < 2:
         return None
-    segments = _segments(cycle, s)
+    segments = _segments(cycle, s_sorted)
     k = len(segments)
-    original = cycle.edge_set()
     n = cycle.n
-    nodes = [budget]
+    nodes = budget
 
     anchor = segments[0]
+    start = anchor[0]
     seg_used = [False] * k
     seg_used[0] = True
-    s_sorted = sorted(s)
+    used_s = set()
+    # (S vertex, run) pieces placed after the anchor, in order
+    pieces: list[tuple[int, tuple[int, ...]]] = []
+    # a junction (x, v) is a cycle edge iff x is a cycle neighbour of v
+    near = {v: cycle.cycle_neighbors(v) for v in s_sorted}
 
-    def close(sequence: list[int]) -> Optional[CycleCover]:
-        edges = set()
-        prev = sequence[-1]
-        for v in sequence:
-            edges.add(edge_key(prev, v))
-            prev = v
-        if frozenset(edges) == original:
-            return None
-        return CycleCover.from_edge_set(n, edges)
+    def close(last: int) -> CycleCover:
+        seq = list(anchor)
+        for v, run in pieces:
+            seq.append(v)
+            seq.extend(run)
+        seq.append(last)
+        return CycleCover([seq], n)
 
-    def extend(seq: list[int], used_s: set[int]) -> Optional[CycleCover]:
-        nodes[0] -= 1
-        if nodes[0] < 0:
+    def extend(end: int, changed: bool) -> Optional[CycleCover]:
+        nonlocal nodes
+        nodes -= 1
+        if nodes < 0:
             return None
-        end = seq[-1]
         remaining = [v for v in s_sorted if v not in used_s]
-        if not any(not u for u in seg_used):
+        if len(pieces) == k - 1:
             # all segments placed: the single remaining S vertex closes the loop
             v = remaining[0]
-            if (allowed_bits[end] >> v) & 1 and (allowed_bits[v] >> anchor[0]) & 1:
-                return close(seq + [v])
+            # v's two junctions need no test: if every earlier junction is a
+            # cycle edge, the path before v is the cycle minus v, whose ends
+            # are v's cycle neighbours, so the arrangement is the original
+            if changed and (allowed_bits[end] >> v) & 1 and (allowed_bits[v] >> start) & 1:
+                return close(v)
             return None
         for v in remaining:
             if not (allowed_bits[end] >> v) & 1:
                 continue
+            v_changed = changed or end not in near[v]
             for si in range(1, k):
                 if seg_used[si]:
                     continue
                 seg = segments[si]
-                orientations = [seg] if len(seg) == 1 else [seg, seg[::-1]]
+                orientations = (seg,) if len(seg) == 1 else (seg, seg[::-1])
                 for run in orientations:
                     if not (allowed_bits[v] >> run[0]) & 1:
                         continue
                     seg_used[si] = True
                     used_s.add(v)
-                    found = extend(seq + [v] + run, used_s)
+                    pieces.append((v, run))
+                    found = extend(run[-1], v_changed or run[0] not in near[v])
+                    pieces.pop()
                     used_s.discard(v)
                     seg_used[si] = False
                     if found is not None:
                         return found
-                    if nodes[0] < 0:
+                    if nodes < 0:
                         return None
         return None
 
-    return extend(list(anchor), set())
+    return extend(anchor[-1], False)
 
 
 def _exhaustive_second_cycle(
@@ -379,15 +443,14 @@ def second_hamilton_cycle(
             stacklevel=2,
         )
 
-    seeds = req.usable_seeds
-    if not seeds:
+    if not req.usable_edges:
         return None
 
     for _ in range(params.sample_retries):
         s = sample_switch_set(req, rng, params)
         if s is None:
             break
-        found = _relink(cycle, set(s), req.allowed_bits, params.rewire_node_budget)
+        found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
 
@@ -396,10 +459,7 @@ def second_hamilton_cycle(
     # usable edge into the switch set and pad with random extras.  The relink
     # search and the post-hoc checks carry correctness either way.
     p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
-    for r in range(params.sample_retries):
-        seed = seeds[r % len(seeds)]
-        if seed is None:
-            continue
+    for seed in req.seed_rotation(params.sample_retries):
         s = _seeded_switch_set(cycle, seed, req.clear, p_relax, rng)
         found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
         if found is not None:
@@ -424,7 +484,7 @@ def _seeded_switch_set(
     rng: random.Random,
 ) -> set[int]:
     """Switch set built around a usable edge's seed pair (see
-    ``RewireRequest.usable_seeds``), padded with random clear extras."""
+    ``RewireRequest.seed_rotation``), padded with random clear extras."""
     s = set(seed)
     for v in clear:
         if v not in s and rng.random() < p_extra:

@@ -37,7 +37,7 @@ def corpus():
         for k in (8, 20, 33):
             yield f"planted-s{s}-k{k}", g, cover, k, Params(seed=s), False
     # strict enrichment with the desk rewire floor: every round calls rewire
-    for s in range(2):
+    for s in range(10):
         g, cover = planted_cover(60, 0.15, s, ell=4)
         params = Params(seed=s, thomassen_degree_floor=1, h_edge_target=2000)
         yield f"enrich-strict-s{s}", g, cover, 6, params, True

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cyclesplit.graphs import (
     CoverError,
     CycleCover,
+    Graph,
     GraphFormatError,
     Params,
     dump_cover,
@@ -70,6 +71,18 @@ def test_round_trip_random(n, rnd):
     g = gnp(random.Random(rnd.seed), n, 0.5)
     assert load_graph(dump_graph(g)) == g
     assert dump_graph(load_graph(dump_graph(g))) == dump_graph(g)
+
+
+def test_min_degree_matches_degrees():
+    assert Graph(0, []).min_degree() == 0
+    assert Graph(3, [(0, 1)]).min_degree() == 0
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        g = gnp(rng, n, rng.random())
+        assert g.min_degree() == min(g.degree(v) for v in range(n))
+        extra = g.with_extra_edges([(0, v) for v in range(1, n)])
+        assert extra.min_degree() == min(extra.degree(v) for v in range(n))
 
 
 class TestValidateCover:

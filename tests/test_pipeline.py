@@ -9,7 +9,13 @@ from cyclesplit import pipeline, switching
 from cyclesplit.pipeline import merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
 
-from conftest import complete_graph, cycle_graph, ham_cover, random_factor_instance
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    ham_cover,
+    planted_cover,
+    random_factor_instance,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -233,6 +239,28 @@ class TestSolve:
         params = Params(seed=5, thomassen_degree_floor=1, h_edge_target=20)
         res = solve(g, cover, 5, params, random.Random(5), strict=True)
         assert res.stats.used_enrichment and calls[0] >= 1
+
+    @pytest.mark.parametrize("target, changed", [(1, False), (2000, True)])
+    def test_unmerge_recounts_only_a_changed_cover(self, monkeypatch, target, changed):
+        # target 1 is met at once, so unmerge restores the input cover; out of
+        # reach, enrichment accepts a rewire and the restored cover differs
+        counted_covers = []
+
+        def counted(g, cover, count=pipeline.count_h_edges):
+            counted_covers.append(cover)
+            return count(g, cover)
+
+        monkeypatch.setattr(pipeline, "count_h_edges", counted)
+        g, cover = planted_cover(60, 0.15, 3, ell=4)
+        params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=target)
+        res = solve(g, cover, 6, params, random.Random(3), strict=True)
+        assert res.stats.merge_bridges == 6 and res.stats.h_edges_initial > 0
+        assert (res.stats.thomassen_calls > 0) == changed
+        assert counted_covers[0] == cover
+        assert len(counted_covers) == 1 + changed
+        if changed:
+            assert counted_covers[1] != cover
+            assert res.stats.ell_presplit == counted_covers[1].num_components
 
     def test_strict_mode_runs_pipeline(self):
         g, cover = gen_planted(24, 0.5, 5)

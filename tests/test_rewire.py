@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from cyclesplit.graphs import CycleCover, Params, edge_key, validate_cover
+from cyclesplit import rewire
+from cyclesplit.graphs import CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import gen_planted
 from cyclesplit.rewire import (
     RewireError,
@@ -86,6 +87,19 @@ class TestSampleSwitchSet:
         # blocking alternate vertices leaves no vertex clear of the blocked
         # set's cycle neighbourhood
         assert sample(g, ham_cover(6), {0, 2, 4}, random.Random(0), DESK) is None
+
+    def test_undominable_target_draws_nothing(self):
+        # vertex 5 has no chord, so no switch set can dominate it: the sampler
+        # returns before its first draw, on every call with the same request
+        cycle = {edge_key(v, (v + 1) % 10) for v in range(10)}
+        chords = {e for e in combinations(range(10), 2) if 5 not in e}
+        g = Graph(10, cycle | chords)
+        req = RewireRequest(g, ham_cover(10), frozenset(), frozenset(g.edge_set()))
+        rng = random.Random(0)
+        state = rng.getstate()
+        for _ in range(2):
+            assert sample_switch_set(req, rng, DESK) is None
+        assert req.undominable and rng.getstate() == state
 
     def test_deterministic(self):
         g = complete_graph(20)
@@ -217,3 +231,213 @@ class TestSecondHamiltonCycle:
         a = second_hamilton_cycle(req, random.Random(2), DESK)
         b = second_hamilton_cycle(req, random.Random(2), DESK)
         assert a.cycle == b.cycle and a.switch_set == b.switch_set
+
+
+def _reference_segments(cycle, s):
+    """The relink's segments as a scan over every vertex of the cycle."""
+    seq = list(cycle.cycles[0])
+    n = len(seq)
+    positions = sorted(i for i, v in enumerate(seq) if v in s)
+    segments = []
+    for idx, p in enumerate(positions):
+        q = positions[(idx + 1) % len(positions)]
+        run = []
+        i = (p + 1) % n
+        while i != q:
+            run.append(seq[i])
+            i = (i + 1) % n
+        if not run:
+            raise RewireError("switch set is not cycle-independent")
+        segments.append(run)
+    return segments
+
+
+def _reference_relink(cycle, s, allowed_bits, budget):
+    """The relink search copying its whole sequence at every node and
+    comparing each closed arrangement's edge set with the original's."""
+    if len(s) < 2:
+        return None
+    segments = _reference_segments(cycle, s)
+    k = len(segments)
+    original = cycle.edge_set()
+    n = cycle.n
+    nodes = [budget]
+    anchor = segments[0]
+    seg_used = [False] * k
+    seg_used[0] = True
+    s_sorted = sorted(s)
+
+    def close(sequence):
+        edges = set()
+        prev = sequence[-1]
+        for v in sequence:
+            edges.add(edge_key(prev, v))
+            prev = v
+        if frozenset(edges) == original:
+            return None
+        return CycleCover.from_edge_set(n, edges)
+
+    def extend(seq, used_s):
+        nodes[0] -= 1
+        if nodes[0] < 0:
+            return None
+        end = seq[-1]
+        remaining = [v for v in s_sorted if v not in used_s]
+        if not any(not u for u in seg_used):
+            v = remaining[0]
+            if (allowed_bits[end] >> v) & 1 and (allowed_bits[v] >> anchor[0]) & 1:
+                return close(seq + [v])
+            return None
+        for v in remaining:
+            if not (allowed_bits[end] >> v) & 1:
+                continue
+            for si in range(1, k):
+                if seg_used[si]:
+                    continue
+                seg = segments[si]
+                for run in [seg] if len(seg) == 1 else [seg, seg[::-1]]:
+                    if not (allowed_bits[v] >> run[0]) & 1:
+                        continue
+                    seg_used[si] = True
+                    used_s.add(v)
+                    found = extend(seq + [v] + run, used_s)
+                    used_s.discard(v)
+                    seg_used[si] = False
+                    if found is not None:
+                        return found
+                    if nodes[0] < 0:
+                        return None
+        return None
+
+    return extend(list(anchor), set())
+
+
+class TestRelinkMatchesReference:
+    def test_seeded_requests(self, rng):
+        # n <= 40, node budgets from one node up: searches that find a cycle,
+        # exhaust, are cut by the budget, or meet a dependent switch set
+        outcomes = {"found": 0, "none": 0, "cut": 0, "dependent": 0}
+        for _ in range(300):
+            n = rng.randint(6, 40)
+            g, cover = gen_planted(n, rng.uniform(0.15, 0.9), rng.randrange(1 << 30))
+            desirable = frozenset(e for e in g.edge_set() if rng.random() < 0.6)
+            allowed = RewireRequest(g, cover, frozenset(), desirable).allowed_bits
+            # mostly cycle-independent sets; a few with two consecutive vertices
+            s = set()
+            for v in rng.sample(range(n), rng.randint(2, max(2, n // 3))):
+                if rng.random() < 0.1 or not set(cover.cycle_neighbors(v)) & s:
+                    s.add(v)
+            for budget in (1, 2, 3, 5, 8, 200_000):
+                try:
+                    expected = _reference_relink(cover, set(s), allowed, budget)
+                except RewireError:
+                    with pytest.raises(RewireError, match="cycle-independent"):
+                        rewire._relink(cover, set(s), allowed, budget)
+                    outcomes["dependent"] += 1
+                    break
+                got = rewire._relink(cover, set(s), allowed, budget)
+                assert got == expected, (n, sorted(s), budget)
+                if expected is not None:
+                    assert validate_cover(g, got) == 1
+                    outcomes["found"] += 1
+                elif budget < 200_000 and rewire._relink(cover, s, allowed, 200_000):
+                    outcomes["cut"] += 1
+                else:
+                    outcomes["none"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_differs_only_in_junctions_out_of_s(self):
+        # every junction into an S vertex is a cycle edge here, yet the first
+        # arrangement found leaves vertex 4 along the chord (4, 7)
+        cover = CycleCover([[0, 1, 6, 3, 2, 4, 7, 5]])
+        chords = [(0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 5), (2, 7)]
+        chords += [(3, 4), (3, 5), (4, 6), (5, 6), (6, 7)]
+        desirable = frozenset(chords)
+        allowed = RewireRequest(complete_graph(8), cover, frozenset(), desirable).allowed_bits
+        s = {1, 3, 4, 5}
+        expected = _reference_relink(cover, s, allowed, 200_000)
+        assert expected.cycles == ((0, 4, 7, 1, 6, 3, 2, 5),)
+        assert rewire._relink(cover, s, allowed, 200_000) == expected
+
+    def test_segments_match_reference(self, rng):
+        for _ in range(100):
+            n = rng.randint(6, 40)
+            cover = CycleCover([rng.sample(range(n), n)], n)
+            s = set(rng.sample(range(n), rng.randint(1, n // 2)))
+            try:
+                expected = _reference_segments(cover, s)
+            except RewireError:
+                with pytest.raises(RewireError):
+                    rewire._segments(cover, s)
+                continue
+            assert [list(run) for run in rewire._segments(cover, s)] == expected
+
+
+def _result_key(res):
+    if res is None:
+        return None
+    return res.cycle, res.switch_set, res.absorbed, res.used_fallback
+
+
+class TestRequestReuse:
+    def test_reused_request_draws_like_a_fresh_one(self, rng):
+        """One request passed to every call, as ``enrich`` does, under two
+        retry counts: each call returns what a fresh request returns and
+        leaves the random stream in the same state."""
+        short = Params(thomassen_degree_floor=1, sample_retries=5)
+        results = {"found": 0, "none": 0}
+        for seed in range(24):
+            n = rng.randint(8, 40)
+            g, cover = gen_planted(n, rng.uniform(0.2, 0.6), seed)
+            edges = sorted(cover.edge_set())
+            protected = frozenset(rng.sample(edges, rng.randint(0, 3)))
+            desirable = frozenset(e for e in g.edge_set() if rng.random() < 0.5)
+            bad = frozenset(rng.sample(range(n), rng.randint(0, 2)))
+
+            def fresh():
+                return RewireRequest(g, cover, protected, desirable, bad)
+
+            reused = fresh()
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for call in range(8):
+                params = DESK if call % 3 else short
+                assert sample_switch_set(reused, ours, params) == sample_switch_set(
+                    fresh(), theirs, params
+                )
+                assert ours.getstate() == theirs.getstate()
+                got = second_hamilton_cycle(reused, ours, params)
+                assert _result_key(got) == _result_key(
+                    second_hamilton_cycle(fresh(), theirs, params)
+                )
+                assert ours.getstate() == theirs.getstate()
+                results["none" if got is None else "found"] += 1
+        assert min(results.values()) >= 10, results
+
+    def test_seed_rotation_matches_every_edge_seeded(self, rng):
+        """The rotation equals the one read from the seed pairs of all usable
+        edges, with the rounds whose edge has none left out."""
+        for seed in range(30):
+            n = rng.randint(8, 40)
+            g, cover = gen_planted(n, rng.uniform(0.2, 0.7), seed)
+            blocked = frozenset(rng.sample(range(n), rng.randint(0, 3)))
+            req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), blocked)
+            clear = set(req.clear)
+            nbrs = cover.cycle_neighbors
+
+            def seed_pair(edge):
+                for a, b in (edge, edge[::-1]):
+                    if a in clear:
+                        for x in nbrs(b):
+                            if x in clear and x != a and x not in nbrs(a):
+                                return a, x
+                return None
+
+            pairs = [seed_pair(e) for e in req.usable_edges]
+            for retries in (1, 5, 32, len(pairs) + 7):
+                expected = tuple(
+                    pairs[r % len(pairs)]
+                    for r in range(retries)
+                    if pairs[r % len(pairs)] is not None
+                )
+                assert req.seed_rotation(retries) == expected
+                assert req.seed_rotation(retries) is req.seed_rotation(retries)
