@@ -419,10 +419,9 @@ class Params:
     rewire_node_budget: int = 200_000
     exhaustive_cutoff: int = 14
     enrich_rounds: int = 64
+    # work per split step: each implanted C4 filed from a cycle the step has
+    # not seen, and each pair or triple it tries, costs one unit
     switch_candidate_budget: int = 500_000
-    # implanted C4's read per split step; the scan stops there, so this
-    # bounds the step's work and memory, not only its candidate list
-    enum_cap: int = 2_000_000
     seed: int = 0
 
     def __post_init__(self):
@@ -442,7 +441,6 @@ class Params:
             "exhaustive_cutoff",
             "enrich_rounds",
             "switch_candidate_budget",
-            "enum_cap",
         )
         for name in positive:
             if getattr(self, name) < 1:

@@ -67,6 +67,17 @@ def iter_increasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
     Scans index-ascending triples only, so the input must be sorted by
     first coordinate (the switch engine's candidate lists are).
     """
+    return _increasing_triples(pairs)
+
+
+def iter_decreasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
+    """Index triples with i increasing, j decreasing; input sorted by i."""
+    return _increasing_triples([(i, -j) for i, j in pairs])
+
+
+def _increasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
+    # one loop for both public names, neither calling the other, so a
+    # wrapper around one of them counts only its own items
     n = len(pairs)
     for a in range(n):
         ia, ja = pairs[a]
@@ -77,21 +88,6 @@ def iter_increasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
             for c in range(b + 1, n):
                 ic, jc = pairs[c]
                 if ib < ic and jb < jc:
-                    yield (a, b, c)
-
-
-def iter_decreasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
-    """Index triples with i increasing, j decreasing; input sorted by i."""
-    n = len(pairs)
-    for a in range(n):
-        ia, ja = pairs[a]
-        for b in range(a + 1, n):
-            ib, jb = pairs[b]
-            if not (ia < ib and ja > jb):
-                continue
-            for c in range(b + 1, n):
-                ic, jc = pairs[c]
-                if ib < ic and jb > jc:
                     yield (a, b, c)
 
 

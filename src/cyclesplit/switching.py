@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -240,44 +241,43 @@ def _kernel_rows(g: Graph, prev, nxt, reads: Optional[int] = None):
     return rows
 
 
-def _walk_rows(cycles: Iterable[Sequence[int]], rows):
-    """``(u, rows(u), rows(v))`` for each edge u -> v of ``cycles``, in order."""
+def _later_partners(cycles: Iterable[Sequence[int]], rows, n: int):
+    """``(u, aligned, anti)`` for each edge u -> v of ``cycles`` with a partner.
+
+    ``aligned`` and ``anti`` are the start vertices of u -> v's partner edges
+    by chord orientation (``rows`` is a ``_kernel_rows`` builder), less those
+    walked before it, so each C4 with both edges in ``cycles`` comes once.
+    """
+    later = (1 << n) - 1  # all but the start vertices walked so far
     for cyc in cycles:
-        ru = first = rows(cyc[0])
-        for u, v in zip(cyc, cyc[1:]):
-            rv = rows(v)
-            yield u, ru, rv
-            ru = rv
-        yield cyc[-1], ru, first
+        au, pu = first = rows(cyc[0])
+        for u, (av, pv) in zip(cyc, chain(map(rows, cyc[1:]), (first,))):
+            later ^= 1 << u
+            aligned = au & pv & later
+            anti = pu & av & later
+            if aligned or anti:
+                yield u, aligned, anti
+            au, pu = av, pv
 
 
-def _implanted_pairs(g: Graph, cover: CycleCover, cap: Optional[int] = None):
+def _implanted_pairs(g: Graph, cover: CycleCover):
     """``(edge_a, edge_b, aligned)`` of each implanted C4, lexicographically.
 
     ``edge_a`` precedes ``edge_b`` in global (cycle, position) order, and an
-    aligned C4 precedes the anti-aligned one on the same pair.  Iteration
-    stops after ``cap`` items, so the cap bounds the work, not only the output.
+    aligned C4 precedes the anti-aligned one on the same pair.  The items are
+    found lazily, edge by edge, so a caller that stops early stops the walk.
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
     """
     prev, nxt = _cover_arrays(cover)
     locator = cover.locator
-    later = (1 << cover.n) - 1  # start vertices of the edges not yet walked
-    found = 0
-    for u, (au, pu), (av, pv) in _walk_rows(cover.cycles, _kernel_rows(g, prev, nxt)):
-        later ^= 1 << u
-        aligned = au & pv & later
-        anti = pu & av & later
-        if not (aligned or anti):
-            continue
+    rows = _kernel_rows(g, prev, nxt)
+    for u, aligned, anti in _later_partners(cover.cycles, rows, cover.n):
         partners = [(locator[y], 0) for y in _iter_bits(aligned)]
         partners += [(locator[y], 1) for y in _iter_bits(anti)]
         partners.sort()
         ea = locator[u]
         for eb, side in partners:
             yield ea, eb, not side
-            found += 1
-            if cap is not None and found >= cap:
-                return
 
 
 def enumerate_implanted(
@@ -290,7 +290,7 @@ def enumerate_implanted(
     validate_cover(g, cover)
     return [
         _make_c4(cover, ea, eb, aligned)
-        for ea, eb, aligned in _implanted_pairs(g, cover, cap)
+        for ea, eb, aligned in islice(_implanted_pairs(g, cover), cap)
     ]
 
 
@@ -299,8 +299,9 @@ def count_h_edges(g: Graph, cover: CycleCover) -> int:
     prev, nxt = _cover_arrays(cover)
     rows = _kernel_rows(g, prev, nxt)
     seen = 0
-    # _walk_rows' walk, inlined: solve calls this once even at n <= 12, where
-    # a generator's per-edge cost shows
+    # _later_partners' walk, inlined: solve's merge -> enrich -> unmerge
+    # fallback calls this, and it runs on every failed split, most of them at
+    # n <= 12, where a generator's per-edge cost shows
     for cyc in cover.cycles:
         first = au, pu = rows(cyc[0])
         for v in cyc[1:]:
@@ -489,32 +490,14 @@ def _find_parallel(
     return None
 
 
-def _file(pairs):
-    """The case-2/3/4 buckets of ``(edge_a, edge_b, aligned)`` items, in their order.
-
-    Returns the crossing pairs (a, b) per cycle, and the aligned and the
-    anti-aligned pairs per cycle pair (ci, cj), ci < cj.
-    """
-    same_crossing: dict[int, list] = {}
-    cross_aligned: dict[tuple[int, int], list] = {}
-    cross_anti: dict[tuple[int, int], list] = {}
-    for (ci, a), (cj, b), aligned in pairs:
-        if ci != cj:
-            bucket = cross_aligned if aligned else cross_anti
-            bucket.setdefault((ci, cj), []).append((a, b))
-        elif aligned:
-            same_crossing.setdefault(ci, []).append((a, b))
-    return same_crossing, cross_aligned, cross_anti
-
-
 class _SplitMemo:
     """What one split run has learned about its cycles, keyed by their tuples.
 
     ``parallel_free`` holds the cycles scanned without a parallel C4.
-    ``same`` maps a cycle to its crossing pairs (a, b) in order and its number
-    of parallel C4's.  ``cross`` maps a cycle to ``{higher cycle: (aligned
-    pairs, anti-aligned pairs)}``, each pair (a, b) in order and holding the
-    position on the lower cycle first.
+    ``same`` maps a cycle to its crossing pairs (a, b) in order.  ``cross``
+    maps a cycle to ``{higher cycle: (aligned pairs, anti-aligned pairs)}``,
+    each pair (a, b) in order and holding the position on the lower cycle
+    first.  A cycle's parallel C4's are not filed: case 1 finds them.
 
     Invariant: an entry holds for every cover that contains its cycles,
     whatever the other cycles are.  The chords of a C4 implanted in one or
@@ -529,17 +512,20 @@ class _SplitMemo:
 
     def __init__(self):
         self.parallel_free: set[tuple[int, ...]] = set()
-        self.same: dict[tuple[int, ...], tuple[list, int]] = {}
+        self.same: dict[tuple[int, ...], list] = {}
         self.cross: dict[tuple[int, ...], dict[tuple[int, ...], tuple[list, list]]] = {}
 
-    def buckets(self, g: Graph, cover: CycleCover, cap: int):
-        """``_file(_implanted_pairs(g, cover, cap))``, from the memo where it can.
+    def buckets(self, g: Graph, cover: CycleCover, budget: int):
+        """The case-2/3/4 buckets of ``cover`` and what filing them cost.
 
-        Drops the cycles the cover lost and files the pairs of the cycles it
-        gained, from kernel rows of their vertices only: partners on the
-        other cycles in full, partners on gained cycles only later in global
-        order.  When the cover holds more than ``cap`` implanted C4's, the
-        buckets come from the truncated enumeration and nothing is filed.
+        Returns ``(fresh, buckets)``.  ``fresh`` counts the implanted C4's
+        with an edge on a cycle the cover gained, read from kernel rows of
+        those cycles' vertices only: partners on the other cycles in full,
+        partners on gained cycles only later in global order.  ``buckets``
+        holds the crossing pairs per cycle, and the aligned and the
+        anti-aligned pairs per cycle pair (ci, cj), ci < cj, each list in
+        enumeration order.  When ``fresh`` exceeds ``budget``, nothing is
+        filed and ``buckets`` is None.
         """
         cycles = cover.cycles
         same, cross = self.same, self.cross
@@ -554,28 +540,16 @@ class _SplitMemo:
         new = [cyc for cyc in cycles if cyc not in same]
         prev, nxt = _cover_arrays(cover)
         rows = _kernel_rows(g, prev, nxt, reads=sum(map(len, new)))
-        later = (1 << cover.n) - 1  # all but the start vertices walked so far
-        found = []
-        fresh = 0
-        for u, (au, pu), (av, pv) in _walk_rows(new, rows):
-            later ^= 1 << u
-            aligned = au & pv & later
-            anti = pu & av & later
-            if aligned or anti:
-                fresh += aligned.bit_count() + anti.bit_count()
-                found.append((u, aligned, anti))
-        held = sum(len(crossing) + parallel for crossing, parallel in same.values())
-        held += sum(
-            len(al) + len(an) for partners in cross.values() for al, an in partners.values()
-        )
-        if held + fresh > cap:
-            return _file(_implanted_pairs(g, cover, cap))
+        found = list(_later_partners(new, rows, cover.n))
+        fresh = sum(aligned.bit_count() + anti.bit_count() for _, aligned, anti in found)
+        if fresh > budget:
+            return fresh, None
 
         # the buckets of pairs of kept cycles come from the memo
         same_crossing: dict[int, list] = {}
         cross_aligned: dict[tuple[int, int], list] = {}
         cross_anti: dict[tuple[int, int], list] = {}
-        for cyc, (crossing, _) in same.items():
+        for cyc, crossing in same.items():
             ci = index[cyc]
             if crossing:
                 same_crossing[ci] = crossing
@@ -600,24 +574,23 @@ class _SplitMemo:
                         lists = filed[key] = ([], [])
                     lists[side].append(pair)
         for cyc in new:
-            same[cyc] = ([], 0)
+            same[cyc] = []
             cross[cyc] = {}
         for key, (al, an) in filed.items():
             al.sort()
-            an.sort()
             ci, cj = key
             if ci == cj:
-                # the anti-aligned pairs of one cycle are its parallel C4's
-                same[cycles[ci]] = (al, len(an))
+                same[cycles[ci]] = al
                 if al:
                     same_crossing[ci] = al
                 continue
+            an.sort()
             cross[cycles[ci]][cycles[cj]] = al, an
             if al:
                 cross_aligned[key] = al
             if an:
                 cross_anti[key] = an
-        return same_crossing, cross_aligned, cross_anti
+        return fresh, (same_crossing, cross_aligned, cross_anti)
 
 
 def _try_plan(cover, switches, case):
@@ -653,6 +626,13 @@ def increase_by_one_with_diag(
     adds what it learns.  Untouched tuples keep their positions,
     parallel-freeness and pairs, so the search, and its result, are those of
     a step without a memo, which starts from an empty one.
+
+    ``params.switch_candidate_budget`` bounds the step's work: each implanted
+    C4 it reads from a cycle the memo has not seen costs one unit, and so
+    does each pair or triple it tries.  A step that runs out stops with
+    ``budget_exhausted``, before filing if its new C4's alone overrun it.  A
+    step without a memo reads every cycle, so under a tight budget it can run
+    out where a step with one goes on.
     """
     params = params or Params()
     memo = _SplitMemo() if memo is None else memo
@@ -667,7 +647,12 @@ def increase_by_one_with_diag(
         if attempt is not None:
             return attempt, diag
 
-    same_crossing, cross_aligned, cross_anti = memo.buckets(g, cover, params.enum_cap)
+    fresh, buckets = memo.buckets(g, cover, budget)
+    budget -= fresh
+    if buckets is None:
+        diag["budget_exhausted"] = True
+        return None, diag
+    same_crossing, cross_aligned, cross_anti = buckets
 
     # case 2: two interleaved crossing switches on one cycle, 8 changed edges
     for ci in sorted(same_crossing, key=lambda c: (-len(same_crossing[c]), c)):
@@ -758,7 +743,10 @@ def split_to_k(
     untouched tuples keep their positions, parallel-freeness and pairs, so
     case 1 skips the cycles an earlier step scanned without a hit, and cases
     2-4 read the kernel rows only of the cycles created since the last
-    enumeration.  The plans are those of steps that start from nothing.
+    enumeration.  The plans are those of steps that start from nothing,
+    except that such a step pays ``params.switch_candidate_budget`` units for
+    every implanted C4 of the cover, so under a tight budget it can run out
+    where a step of the run goes on.
     """
     ell = cover.num_components
     if k < ell:

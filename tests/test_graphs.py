@@ -227,12 +227,12 @@ class TestParams:
         assert p.thomassen_degree_floor is None and p.sample_prob is None
         assert parse_params("sample_prob = 0.5\n").sample_prob == 0.5
 
-    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "enum_cap"])
+    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "switch_candidate_budget"])
     def test_none_rejected_for_required_key(self, key):
         with pytest.raises(GraphFormatError, match=f"line 2: '{key}' cannot be none"):
             parse_params(f"# header\n{key} = none\n")
 
-    @pytest.mark.parametrize("key", ["cover_common_floor", "zeta", "min_degree_floor"])
+    @pytest.mark.parametrize("key", ["cover_common_floor", "zeta", "min_degree_floor", "enum_cap"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(GraphFormatError, match=f"unknown params key '{key}'"):
             parse_params(f"{key} = 1\n")

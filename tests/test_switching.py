@@ -217,6 +217,9 @@ class TestEnumerate:
         c4s = enumerate_implanted(complete_graph(8), ham_cover(8), cap=3)
         assert len(c4s) == 3
 
+    def test_zero_cap_is_empty(self):
+        assert enumerate_implanted(complete_graph(8), ham_cover(8), cap=0) == []
+
 
 class TestCountHEdges:
     def test_fixed_values(self):
@@ -549,48 +552,102 @@ class TestSplitToK:
         assert seen[True] and seen[False]
 
 
-class TestCandidateBudget:
-    """Both budget exits of a split step: the case-2 loop and the case-3/4 loop.
+_LOOPS = ("iter_interleaved_pairs", "iter_increasing_triples", "iter_decreasing_triples")
 
-    On these instances the split reaches k=20 under the default budget; the
-    small budget runs out at the first step that case 1 cannot serve.
+
+class TestCandidateBudget:
+    """Every budget exit of a split step: the filing, the case-2 loop and the
+    two case-3/4 loops.
+
+    A step spends one unit per implanted C4 it reads from a cycle the memo has
+    not seen and one per candidate it tries.  Each budget below comes from a
+    run under the default budget: what the target step files, plus the
+    candidates it tries before the target.  On this instance the split reaches
+    k=20, and its last step, the first one case 1 cannot serve, files the
+    whole cover and tries candidates of all three loops.
     """
 
-    @pytest.mark.parametrize(
-        "seed, budget, loop",
-        [
-            (2, 1, "iter_interleaved_pairs"),
-            (3, 3, "iter_increasing_triples"),
-            (3, 12, "iter_decreasing_triples"),
-        ],
-    )
-    def test_budget_exhausted(self, monkeypatch, seed, budget, loop):
-        last = []  # the candidate iterator that yielded last
-        loops = (
-            "iter_interleaved_pairs",
-            "iter_increasing_triples",
-            "iter_decreasing_triples",
-        )
-        for name in loops:
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """``run(params)``: split to k=20, and per step the C4's it filed and
+        the loop of each candidate it tried."""
+        steps = []
+        for name in _LOOPS:
 
             def tracked(pairs, inner=getattr(switching, name), name=name):
                 for item in inner(pairs):
-                    last[:] = [name]
+                    steps[-1]["tried"].append(name)
                     yield item
 
             monkeypatch.setattr(switching, name, tracked)
-        g, cover = gen_planted(100, 0.2, seed)
-        assert split_to_k(g, cover, 20).cover is not None
-        out = split_to_k(g, cover, 20, Params(switch_candidate_budget=budget))
+        buckets, step = switching._SplitMemo.buckets, switching.increase_by_one_with_diag
+
+        def filing(memo, g, cover, budget):
+            fresh, got = buckets(memo, g, cover, budget)
+            steps[-1]["filed"] = fresh
+            return fresh, got
+
+        def logged(g, cover, params=None, memo=None):
+            steps.append({"filed": 0, "tried": []})
+            return step(g, cover, params, memo)
+
+        monkeypatch.setattr(switching._SplitMemo, "buckets", filing)
+        monkeypatch.setattr(switching, "increase_by_one_with_diag", logged)
+        g, cover = gen_planted(100, 0.2, 31)
+
+        def run(params):
+            steps.clear()
+            return split_to_k(g, cover, 20, params), list(steps)
+
+        return run
+
+    @pytest.mark.parametrize("loop", _LOOPS)
+    def test_budget_exhausted(self, record, loop):
+        out, steps = record(Params())
+        assert out.cover is not None
+        at = next(i for i, s in enumerate(steps) if loop in s["tried"])
+        before = steps[at]["tried"].index(loop)
+        budget = steps[at]["filed"] + before
+        # every earlier step fits, so the run reaches that step unchanged
+        assert all(s["filed"] + len(s["tried"]) <= budget for s in steps[:at])
+        out, cut = record(Params(switch_candidate_budget=budget))
         assert out.cover is None
         assert out.diagnostics["budget_exhausted"] is True
-        assert out.diagnostics["stopped_at"] < 20
-        assert last == [loop]
+        assert len(cut) == len(out.plans) + 1 == at + 1
+        # the loop's first candidate is the first one past the budget
+        assert cut[at] == {"filed": steps[at]["filed"], "tried": steps[at]["tried"][: before + 1]}
+
+    def test_filing_exhausts_before_any_candidate(self, record):
+        out, steps = record(Params())
+        at = next(i for i, s in enumerate(steps) if s["filed"])
+        filed = steps[at]["filed"]
+        assert all(s == {"filed": 0, "tried": []} for s in steps[:at])
+        out, cut = record(Params(switch_candidate_budget=filed - 1))
+        assert out.cover is None and len(out.plans) == at
+        assert out.diagnostics["budget_exhausted"] is True
+        assert [out.diagnostics[f"case{c}"] for c in (2, 3, 4)] == [0, 0, 0]
+        assert cut[at] == {"filed": filed, "tried": []}
+        # one unit more pays for the filing, and the step goes on to a candidate
+        _, cut = record(Params(switch_candidate_budget=filed))
+        assert cut[at]["filed"] == filed and cut[at]["tried"]
 
 
-def _fresh_buckets(g, cover, cap=Params().enum_cap):
-    """A step's case-2/3/4 buckets filed from a full enumeration."""
-    return switching._file(_implanted_pairs(g, cover, cap))
+def _reference_file(pairs):
+    """The case-2/3/4 buckets of ``(edge_a, edge_b, aligned)`` items, in their order.
+
+    Returns the crossing pairs (a, b) per cycle, and the aligned and the
+    anti-aligned pairs per cycle pair (ci, cj), ci < cj.
+    """
+    same_crossing: dict[int, list] = {}
+    cross_aligned: dict[tuple[int, int], list] = {}
+    cross_anti: dict[tuple[int, int], list] = {}
+    for (ci, a), (cj, b), aligned in pairs:
+        if ci != cj:
+            bucket = cross_aligned if aligned else cross_anti
+            bucket.setdefault((ci, cj), []).append((a, b))
+        elif aligned:
+            same_crossing.setdefault(ci, []).append((a, b))
+    return same_crossing, cross_aligned, cross_anti
 
 
 # (n, average degree, seed): planted graphs split up to k = n/3, past the
@@ -609,11 +666,15 @@ class TestSplitMemo:
         checked = {"buckets": 0, "parallel": 0}
         buckets, find_parallel = switching._SplitMemo.buckets, switching._find_parallel
 
-        def checked_buckets(memo, g, cover, cap):
-            got = buckets(memo, g, cover, cap)
-            assert got == _fresh_buckets(g, cover, cap)
+        def checked_buckets(memo, g, cover, budget):
+            unseen = {ci for ci, cyc in enumerate(cover.cycles) if cyc not in memo.same}
+            fresh, got = buckets(memo, g, cover, budget)
+            pairs = list(_implanted_pairs(g, cover))
+            assert got == _reference_file(pairs)
+            # the step pays for the C4's with an edge on a cycle it had not seen
+            assert fresh == sum(ea[0] in unseen or eb[0] in unseen for ea, eb, _ in pairs)
             checked["buckets"] += 1
-            return got
+            return fresh, got
 
         def checked_parallel(g, cover, parallel_free):
             got = find_parallel(g, cover, parallel_free)
@@ -653,39 +714,6 @@ class TestSplitMemo:
             (current, fresh), _ = switching.increase_by_one_with_diag(g, current)
             assert fresh == plan
         assert current == out.cover
-
-    @staticmethod
-    def _warm_memo(g, cover, steps):
-        """A memo that earlier steps filled, and the cover they reached."""
-        memo = switching._SplitMemo()
-        for _ in range(steps):
-            memo.buckets(g, cover, Params().enum_cap)
-            (cover, _), _ = switching.increase_by_one_with_diag(g, cover, None, memo)
-        return memo, cover
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("cap", [5, 50, 500])
-    def test_enum_cap_bounds_the_step(self, seed, cap):
-        g, cover = _planted(100, 20, seed)
-        memo, cover = self._warm_memo(g, cover, 12)
-        kept = {cyc: (list(c), p) for cyc, (c, p) in memo.same.items()}
-        total = count_h_edges(g, cover)
-        assert memo.buckets(g, cover, cap) == _fresh_buckets(g, cover, cap)
-        if total > cap:
-            # truncated: nothing is filed, and only lost cycles are dropped
-            assert memo.same == {c: e for c, e in kept.items() if c in cover.cycles}
-        else:
-            assert set(memo.same) == set(cover.cycles)
-
-    def test_enum_cap_at_the_total(self):
-        g, cover = _planted(100, 20, 0)
-        memo, cover = self._warm_memo(g, cover, 12)
-        total = count_h_edges(g, cover)
-        assert _fresh_buckets(g, cover, total - 1) != _fresh_buckets(g, cover, total)
-        for cap in (total - 1, total):
-            assert memo.buckets(g, cover, cap) == _fresh_buckets(g, cover, cap)
-            # the step files its new cycles only when the cover fits the cap
-            assert (set(memo.same) == set(cover.cycles)) == (cap == total)
 
     def test_each_cycle_read_once(self, monkeypatch):
         """Case 1 scans a tuple to the end at most once, and the kernel builds a
