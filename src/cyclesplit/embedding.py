@@ -454,12 +454,14 @@ def enrich(
     protected: Iterable[tuple[int, int]],
     params: Optional[Params] = None,
     rng: Optional[random.Random] = None,
+    h_edges: Optional[int] = None,
 ) -> EnrichResult:
     """Rewire the Hamilton cycle until it hosts many implanted C4's.
 
     Keeps the given protected edges in every intermediate cycle.  Returns the
     target-reaching cycle, or the best cycle found at budget exhaustion with
     diagnostics.  The (t_sum, m_sum, h_count) potential never decreases.
+    ``h_edges`` is ``count_h_edges(g, cycle)`` where the caller has it.
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
@@ -471,7 +473,7 @@ def enrich(
     if len(e0) > params.protected_cap:
         raise ValueError(f"protected set exceeds cap {params.protected_cap}")
 
-    h = count_h_edges(g, cycle)
+    h = count_h_edges(g, cycle) if h_edges is None else h_edges
     target = params.h_edge_target
     diagnostics: list[str] = []
     if h >= target:

@@ -192,7 +192,9 @@ def _merge_enrich_unmerge(
     stats.merge_bridges = len(rec.e_plus)
     protected = protected_for_merge(merged, rec)
     try:
-        enriched = enrich(augmented, merged, protected, params, rng)
+        # a no-op merge passes the cover on, with the count solve has just taken
+        h_edges = None if rec.e_plus else stats.h_edges_initial
+        enriched = enrich(augmented, merged, protected, params, rng, h_edges)
         stats.h_edges_enriched = enriched.h_edges
         stats.thomassen_calls = enriched.thomassen_calls
         stats.ledger_summary = enriched.ledger_summary

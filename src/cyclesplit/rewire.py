@@ -19,8 +19,8 @@ bitsets, the clear candidates, the sampler's targets and its verdict that
 some target can never be dominated, and the sorted usable edges; the
 desk-scale seed pairs depend on ``Params`` only through ``sample_retries``,
 which keys their cache.  The relink search carries its end vertex and the
-pieces placed so far, and builds a cycle only when it closes one that
-differs from the original.
+pieces placed so far, builds a cycle only when it closes one that differs
+from the original; a request never repeats a failed desk-scale search.
 """
 
 from __future__ import annotations
@@ -122,6 +122,12 @@ class RewireRequest:
     @cached_property
     def _seed_rotations(self) -> dict[int, tuple[tuple[int, int], ...]]:
         return {}
+
+    @cached_property
+    def _failed_relinks(self) -> set[tuple[frozenset[int], int]]:
+        """The (S, node budget) pairs of desk-scale relinks that found no
+        cycle; the relink draws nothing, so each would fail again."""
+        return set()
 
     def seed_rotation(self, retries: int) -> tuple[tuple[int, int], ...]:
         """The seed pairs of desk-scale rounds 0 .. retries - 1, in order.
@@ -461,9 +467,13 @@ def second_hamilton_cycle(
     p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
     for seed in req.seed_rotation(params.sample_retries):
         s = _seeded_switch_set(cycle, seed, req.clear, p_relax, rng)
+        tried = (frozenset(s), params.rewire_node_budget)
+        if tried in req._failed_relinks:
+            continue
         found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
+        req._failed_relinks.add(tried)
 
     if n <= params.exhaustive_cutoff:
         found = _exhaustive_second_cycle(

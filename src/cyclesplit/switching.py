@@ -505,7 +505,8 @@ class _SplitMemo:
     edge only if it is an edge of one of them; the positions come from the
     tuples.  So untouched tuples keep their positions, their
     parallel-freeness and their pairs, and a step reads only the cycles its
-    cover gained.
+    cover gained.  A cover sorts its cycles by first vertex, and cycles share
+    no vertex, so "lower" and "higher" hold in every cover.
     """
 
     __slots__ = ("parallel_free", "same", "cross")
@@ -516,16 +517,15 @@ class _SplitMemo:
         self.cross: dict[tuple[int, ...], dict[tuple[int, ...], tuple[list, list]]] = {}
 
     def buckets(self, g: Graph, cover: CycleCover, budget: int):
-        """The case-2/3/4 buckets of ``cover`` and what filing them cost.
+        """File the C4's of the cycles ``cover`` gained; ``(fresh, index)``.
 
-        Returns ``(fresh, buckets)``.  ``fresh`` counts the implanted C4's
-        with an edge on a cycle the cover gained, read from kernel rows of
-        those cycles' vertices only: partners on the other cycles in full,
-        partners on gained cycles only later in global order.  ``buckets``
-        holds the crossing pairs per cycle, and the aligned and the
-        anti-aligned pairs per cycle pair (ci, cj), ci < cj, each list in
-        enumeration order.  When ``fresh`` exceeds ``budget``, nothing is
-        filed and ``buckets`` is None.
+        ``fresh`` counts the implanted C4's with an edge on a cycle the cover
+        gained, read from kernel rows of those cycles' vertices only:
+        partners on the other cycles in full, partners on gained cycles only
+        later in global order.  Each is filed once, into a list that holds a
+        gained cycle and so is created here; only those lists are sorted.
+        ``index`` maps each cycle of ``cover`` to its position.  When
+        ``fresh`` exceeds ``budget``, nothing is filed and ``index`` is None.
         """
         cycles = cover.cycles
         same, cross = self.same, self.cross
@@ -545,52 +545,93 @@ class _SplitMemo:
         if fresh > budget:
             return fresh, None
 
-        # the buckets of pairs of kept cycles come from the memo
-        same_crossing: dict[int, list] = {}
-        cross_aligned: dict[tuple[int, int], list] = {}
-        cross_anti: dict[tuple[int, int], list] = {}
-        for cyc, crossing in same.items():
-            ci = index[cyc]
-            if crossing:
-                same_crossing[ci] = crossing
-            for other, (al, an) in cross[cyc].items():
-                key = (ci, index[other])
-                if al:
-                    cross_aligned[key] = al
-                if an:
-                    cross_anti[key] = an
-
-        # every other bucket holds a new cycle: file it, then keep it
+        created = []  # the lists filed into: each holds a gained cycle
+        for cyc in new:
+            same[cyc] = crossing = []
+            created.append(crossing)
+            cross[cyc] = {}
         locator = cover.locator
-        filed: dict[tuple[int, int], tuple[list, list]] = {}  # by (lower, higher) index
         for u, aligned, anti in found:
             ci, a = locator[u]
+            cyc = cycles[ci]
             for side, mask in ((0, aligned), (1, anti)):
                 for y in _iter_bits(mask):
                     cj, b = locator[y]
-                    key, pair = ((ci, cj), (a, b)) if ci <= cj else ((cj, ci), (b, a))
-                    lists = filed.get(key)
+                    if ci == cj:
+                        if not side:  # the anti-aligned ones are parallel
+                            same[cyc].append((a, b))
+                        continue
+                    if ci < cj:
+                        lower, higher, pair = cyc, cycles[cj], (a, b)
+                    else:
+                        lower, higher, pair = cycles[cj], cyc, (b, a)
+                    lists = cross[lower].get(higher)
                     if lists is None:
-                        lists = filed[key] = ([], [])
+                        lists = cross[lower][higher] = ([], [])
+                        created += lists
                     lists[side].append(pair)
-        for cyc in new:
-            same[cyc] = []
-            cross[cyc] = {}
-        for key, (al, an) in filed.items():
-            al.sort()
-            ci, cj = key
-            if ci == cj:
-                same[cycles[ci]] = al
-                if al:
-                    same_crossing[ci] = al
+        for pairs in created:
+            pairs.sort()
+        return fresh, index
+
+
+def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
+    """``(case, switches)`` for each case-2/3/4 candidate, in search order.
+
+    ``switches`` is None where the new cycles would be shorter than 3.  The
+    buckets are the memo's lists (``index`` maps each tuple to its position):
+    case 2 takes the crossing pairs per cycle, cases 3 and 4 the aligned and
+    the anti-aligned pairs per cycle pair, each by decreasing size, then
+    index.  Tuples sort as their indices do (see ``_SplitMemo``), so they
+    break the ties themselves.
+    """
+    same = memo.same
+    # case 2: two interleaved crossing switches on one cycle, 8 changed edges
+    for cyc in sorted((c for c in same if same[c]), key=lambda c: (-len(same[c]), c)):
+        chords = same[cyc]
+        ci, L = index[cyc], len(cyc)
+        for ka, kb in iter_interleaved_pairs(chords):
+            h, j = chords[ka]
+            i, m = chords[kb]
+            # resulting cycle lengths (i-h)+(m-j) and (j-i)+(L-(m-h))
+            if (i - h) + (m - j) < 3 or (j - i) + (L - (m - h)) < 3:
+                yield 2, None
                 continue
-            an.sort()
-            cross[cycles[ci]][cycles[cj]] = al, an
-            if al:
-                cross_aligned[key] = al
-            if an:
-                cross_anti[key] = an
-        return fresh, (same_crossing, cross_aligned, cross_anti)
+            yield 2, [
+                _make_c4(cover, (ci, h), (ci, j), aligned=True),
+                _make_c4(cover, (ci, i), (ci, m), aligned=True),
+            ]
+
+    # case 3 / case 4: three cross-cycle switches, 12 changed edges; the
+    # positions b on the higher cycle run up in case 3 and down in case 4
+    for case, side, sign, finder, itertriples in (
+        (3, 0, 1, find_increasing_triple, iter_increasing_triples),
+        (4, 1, -1, find_decreasing_triple, iter_decreasing_triples),
+    ):
+        buckets = sorted(
+            ((lower, higher, lists[side]) for lower, partners in memo.cross.items()
+             for higher, lists in partners.items() if lists[side]),
+            key=lambda b: (-len(b[2]), b[0], b[1]),
+        )
+        for lower, higher, pairs in buckets:
+            if finder(pairs) is None:
+                continue
+            ci, cj = index[lower], index[higher]
+            for ta, tb, tc in itertriples(pairs):
+                a1, b1 = pairs[ta]
+                a2, b2 = pairs[tb]
+                a3, b3 = pairs[tc]
+                # the three new cycles have exactly these lengths
+                g2 = (a2 - a1) + sign * (b2 - b1)
+                g3 = (a3 - a2) + sign * (b3 - b2)
+                gw = (len(lower) - (a3 - a1)) + (len(higher) - sign * (b3 - b1))
+                if g2 < 3 or g3 < 3 or gw < 3:
+                    yield case, None
+                    continue
+                yield case, [
+                    _make_c4(cover, (ci, a), (cj, b), aligned=not side)
+                    for a, b in (pairs[ta], pairs[tb], pairs[tc])
+                ]
 
 
 def _try_plan(cover, switches, case):
@@ -621,18 +662,19 @@ def increase_by_one_with_diag(
     """``increase_by_one`` plus the per-case counters of the search.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
-    ``memo`` is the split run's ``_SplitMemo``: the step skips the cycles it
-    knows to be parallel-free, re-reads only the cycles it has not seen and
-    adds what it learns.  Untouched tuples keep their positions,
-    parallel-freeness and pairs, so the search, and its result, are those of
-    a step without a memo, which starts from an empty one.
+    ``memo`` is the split run's ``_SplitMemo``: case 1 skips the cycles it
+    knows to be parallel-free, the step files only the cycles it has not
+    seen, and cases 2-4 are one ``_candidates`` stream over the memo's pairs.
+    Untouched tuples keep their positions, parallel-freeness and pairs, so
+    the search, and its result, are those of a step without a memo, which
+    starts from an empty one.
 
     ``params.switch_candidate_budget`` bounds the step's work: each implanted
     C4 it reads from a cycle the memo has not seen costs one unit, and so
-    does each pair or triple it tries.  A step that runs out stops with
-    ``budget_exhausted``, before filing if its new C4's alone overrun it.  A
-    step without a memo reads every cycle, so under a tight budget it can run
-    out where a step with one goes on.
+    does each candidate the stream yields, one too short to try included.  A
+    step that runs out stops with ``budget_exhausted``, before filing if its
+    new C4's alone overrun it.  A step without a memo reads every cycle, so
+    under a tight budget it can run out where a step with one goes on.
     """
     params = params or Params()
     memo = _SplitMemo() if memo is None else memo
@@ -647,78 +689,21 @@ def increase_by_one_with_diag(
         if attempt is not None:
             return attempt, diag
 
-    fresh, buckets = memo.buckets(g, cover, budget)
+    # cases 2-4: one candidate stream over the memo's pairs; a filing that
+    # overruns the budget leaves it negative and the stream untried
+    fresh, index = memo.buckets(g, cover, budget)
     budget -= fresh
-    if buckets is None:
-        diag["budget_exhausted"] = True
-        return None, diag
-    same_crossing, cross_aligned, cross_anti = buckets
-
-    # case 2: two interleaved crossing switches on one cycle, 8 changed edges
-    for ci in sorted(same_crossing, key=lambda c: (-len(same_crossing[c]), c)):
-        chords = same_crossing[ci]
-        L = len(cover.cycles[ci])
-        for ka, kb in iter_interleaved_pairs(chords):
-            budget -= 1
-            if budget < 0:
-                diag["budget_exhausted"] = True
-                return None, diag
-            h, j = chords[ka]
-            i, m = chords[kb]
-            # resulting cycle lengths (i-h)+(m-j) and (j-i)+(L-(m-h))
-            if (i - h) + (m - j) < 3 or (j - i) + (L - (m - h)) < 3:
-                continue
-            diag["case2"] += 1
-            switches = [
-                _make_c4(cover, (ci, h), (ci, j), aligned=True),
-                _make_c4(cover, (ci, i), (ci, m), aligned=True),
-            ]
-            attempt = _try_plan(cover, switches, case=2)
-            if attempt is not None:
-                return attempt, diag
-
-    # case 3 / case 4: three cross-cycle switches, 12 changed edges
-    for case, buckets, finder, itertriples in (
-        (3, cross_aligned, find_increasing_triple, iter_increasing_triples),
-        (4, cross_anti, find_decreasing_triple, iter_decreasing_triples),
-    ):
-        for key in sorted(buckets, key=lambda p: (-len(buckets[p]), p)):
-            pairs = buckets[key]
-            if finder(pairs) is None:
-                continue
-            ci, cj = key
-            lx = len(cover.cycles[ci])
-            ly = len(cover.cycles[cj])
-            for ta, tb, tc in itertriples(pairs):
-                budget -= 1
-                if budget < 0:
-                    diag["budget_exhausted"] = True
-                    return None, diag
-                a1, b1 = pairs[ta]
-                a2, b2 = pairs[tb]
-                a3, b3 = pairs[tc]
-                if case == 3:
-                    g2 = (a2 - a1) + (b2 - b1)
-                    g3 = (a3 - a2) + (b3 - b2)
-                    gw = (lx - (a3 - a1)) + (ly - (b3 - b1))
-                else:
-                    g2 = (a2 - a1) + (b1 - b2)
-                    g3 = (a3 - a2) + (b2 - b3)
-                    gw = (lx - (a3 - a1)) + (ly - (b1 - b3))
-                # the three new cycles have exactly these lengths
-                if g2 < 3 or g3 < 3 or gw < 3:
-                    continue
-                diag[f"case{case}"] += 1
-                aligned = case == 3
-                switches = [
-                    _make_c4(cover, (ci, a1), (cj, b1), aligned=aligned),
-                    _make_c4(cover, (ci, a2), (cj, b2), aligned=aligned),
-                    _make_c4(cover, (ci, a3), (cj, b3), aligned=aligned),
-                ]
-                attempt = _try_plan(cover, switches, case=case)
-                if attempt is not None:
-                    return attempt, diag
-
+    for case, switches in () if index is None else _candidates(cover, memo, index):
+        budget -= 1
+        if budget < 0:
+            break
+        if switches is None:
+            continue
+        diag[f"case{case}"] += 1
+        attempt = _try_plan(cover, switches, case)
+        if attempt is not None:
+            return attempt, diag
+    diag["budget_exhausted"] = budget < 0
     return None, diag
 
 
@@ -741,12 +726,13 @@ def split_to_k(
 
     The steps share one ``_SplitMemo``, which lives only for this call:
     untouched tuples keep their positions, parallel-freeness and pairs, so
-    case 1 skips the cycles an earlier step scanned without a hit, and cases
-    2-4 read the kernel rows only of the cycles created since the last
-    enumeration.  The plans are those of steps that start from nothing,
-    except that such a step pays ``params.switch_candidate_budget`` units for
-    every implanted C4 of the cover, so under a tight budget it can run out
-    where a step of the run goes on.
+    case 1 skips the cycles an earlier step scanned without a hit, each step
+    files the pairs of only the cycles created since the last filing, and
+    cases 2-4 read the memo's lists through one candidate stream.  The plans
+    are those of steps that start from nothing, except that such a step pays
+    ``params.switch_candidate_budget`` units for every implanted C4 of the
+    cover, so under a tight budget it can run out where a step of the run
+    goes on.
     """
     ell = cover.num_components
     if k < ell:

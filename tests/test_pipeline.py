@@ -5,7 +5,7 @@ import pytest
 
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, validate_cover
 from cyclesplit.instances import gen_planted, gen_triangles_biclique
-from cyclesplit import pipeline, switching
+from cyclesplit import embedding, pipeline, switching
 from cyclesplit.pipeline import merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
 
@@ -239,6 +239,33 @@ class TestSolve:
         params = Params(seed=5, thomassen_degree_floor=1, h_edge_target=20)
         res = solve(g, cover, 5, params, random.Random(5), strict=True)
         assert res.stats.used_enrichment and calls[0] >= 1
+
+    def test_single_cycle_fallback_counts_the_cover_once(self, monkeypatch):
+        # a Hamilton cover past the stall: the merge is a no-op, so enrich
+        # starts from the count solve has just taken
+        calls = [0]
+
+        def counted(*args, count=count_h_edges):
+            calls[0] += 1
+            return count(*args)
+
+        g, cover = gen_planted(100, 0.2, 7)
+        stats = []
+        for recount in (False, True):
+            if recount:
+                # what solve did before: enrich counts its input cover again
+                monkeypatch.setattr(
+                    pipeline, "enrich", lambda *args, inner=embedding.enrich: inner(*args[:5])
+                )
+            calls[0] = 0
+            for module in (pipeline, embedding):
+                monkeypatch.setattr(module, "count_h_edges", counted)
+            res = solve(g, cover, 33)
+            assert res.cover is None and res.stats.used_enrichment
+            assert res.stats.merge_bridges == 0
+            assert calls[0] == 1 + recount
+            stats.append(res.stats.to_json(drop_timing=True))
+        assert stats[0] == stats[1]
 
     @pytest.mark.parametrize("target, changed", [(1, False), (2000, True)])
     def test_unmerge_recounts_only_a_changed_cover(self, monkeypatch, target, changed):

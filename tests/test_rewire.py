@@ -413,6 +413,53 @@ class TestRequestReuse:
                 results["none" if got is None else "found"] += 1
         assert min(results.values()) >= 10, results
 
+    def test_reused_request_relinks_each_switch_set_once(self, monkeypatch, rng):
+        """A request passed to every call never searches again an (S, budget)
+        pair whose search failed, and its results and random stream equal
+        those of a fresh request per call, which searches again.  All but an
+        arc of 8 cycle vertices are bad, so few vertices are clear and the
+        desk-scale switch sets repeat."""
+        searched = []
+        relink = rewire._relink
+
+        def counted(cycle, s, allowed_bits, budget):
+            found = relink(cycle, s, allowed_bits, budget)
+            searched.append(((frozenset(s), budget), found is None))
+            return found
+
+        monkeypatch.setattr(rewire, "_relink", counted)
+        tight = Params(thomassen_degree_floor=1, rewire_node_budget=40)
+        saved = 0
+        for seed in range(24):
+            n = rng.randint(20, 40)
+            g, cover = gen_planted(n, rng.uniform(0.2, 0.5), seed)
+            start = rng.randrange(n)
+            arc = {cover.cycles[0][(start + i) % n] for i in range(8)}
+            bad = frozenset(range(n)) - arc
+
+            def fresh():
+                return RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), bad)
+
+            runs = []
+            for make in (lambda req=fresh(): req, fresh):
+                searched.clear()
+                ours = random.Random(seed)
+                got = [
+                    _result_key(second_hamilton_cycle(make(), ours, DESK if call % 2 else tight))
+                    for call in range(8)
+                ]
+                runs.append((got, ours.getstate(), list(searched)))
+            (reused, state, once), (fresh_got, fresh_state, every) = runs
+            assert reused == fresh_got and state == fresh_state
+            failed = set()
+            for tried, failure in once:
+                assert tried not in failed
+                if failure:
+                    failed.add(tried)
+            assert {tried for tried, _ in once} == {tried for tried, _ in every}
+            saved += len(every) - len(once)
+        assert saved > 50, saved
+
     def test_seed_rotation_matches_every_edge_seeded(self, rng):
         """The rotation equals the one read from the seed pairs of all usable
         edges, with the rounds whose edge has none left out."""

@@ -15,6 +15,13 @@ from cyclesplit.graphs import (
     validate_cover,
 )
 from cyclesplit.instances import count_implanted_bruteforce, gen_planted
+from cyclesplit.patterns import (
+    find_decreasing_triple,
+    find_increasing_triple,
+    iter_decreasing_triples,
+    iter_increasing_triples,
+    iter_interleaved_pairs,
+)
 from cyclesplit.switching import (
     ImplantedC4,
     SwitchKind,
@@ -650,6 +657,76 @@ def _reference_file(pairs):
     return same_crossing, cross_aligned, cross_anti
 
 
+def _memo_lists(memo, index):
+    """The memo's non-empty lists keyed by cycle index, as ``_reference_file``
+    keys its buckets."""
+    assert set(memo.same) == set(memo.cross) == set(index)
+    same_crossing = {index[cyc]: pairs for cyc, pairs in memo.same.items() if pairs}
+    cross_aligned, cross_anti = {}, {}
+    for lower, partners in memo.cross.items():
+        for higher, (al, an) in partners.items():
+            key = (index[lower], index[higher])
+            for bucket, pairs in ((cross_aligned, al), (cross_anti, an)):
+                if pairs:
+                    bucket[key] = pairs
+    return same_crossing, cross_aligned, cross_anti
+
+
+def _reference_candidates(cover, buckets):
+    """The case-2/3/4 loops over ``_reference_file``'s buckets, as a stream.
+
+    Yields ``(case, switches)`` at each point where the loops charge the
+    budget one unit, with ``switches`` None where they skip a candidate whose
+    new cycles would be shorter than 3.
+    """
+    same_crossing, cross_aligned, cross_anti = buckets
+    for ci in sorted(same_crossing, key=lambda c: (-len(same_crossing[c]), c)):
+        chords = same_crossing[ci]
+        L = len(cover.cycles[ci])
+        for ka, kb in iter_interleaved_pairs(chords):
+            h, j = chords[ka]
+            i, m = chords[kb]
+            if (i - h) + (m - j) < 3 or (j - i) + (L - (m - h)) < 3:
+                yield 2, None
+                continue
+            yield 2, [
+                _make_c4(cover, (ci, h), (ci, j), aligned=True),
+                _make_c4(cover, (ci, i), (ci, m), aligned=True),
+            ]
+    for case, buckets, finder, itertriples in (
+        (3, cross_aligned, find_increasing_triple, iter_increasing_triples),
+        (4, cross_anti, find_decreasing_triple, iter_decreasing_triples),
+    ):
+        for key in sorted(buckets, key=lambda p: (-len(buckets[p]), p)):
+            pairs = buckets[key]
+            if finder(pairs) is None:
+                continue
+            ci, cj = key
+            lx = len(cover.cycles[ci])
+            ly = len(cover.cycles[cj])
+            for ta, tb, tc in itertriples(pairs):
+                a1, b1 = pairs[ta]
+                a2, b2 = pairs[tb]
+                a3, b3 = pairs[tc]
+                if case == 3:
+                    g2 = (a2 - a1) + (b2 - b1)
+                    g3 = (a3 - a2) + (b3 - b2)
+                    gw = (lx - (a3 - a1)) + (ly - (b3 - b1))
+                else:
+                    g2 = (a2 - a1) + (b1 - b2)
+                    g3 = (a3 - a2) + (b2 - b3)
+                    gw = (lx - (a3 - a1)) + (ly - (b1 - b3))
+                if g2 < 3 or g3 < 3 or gw < 3:
+                    yield case, None
+                    continue
+                aligned = case == 3
+                yield case, [
+                    _make_c4(cover, (ci, a1), (cj, b1), aligned=aligned),
+                    _make_c4(cover, (ci, a2), (cj, b2), aligned=aligned),
+                    _make_c4(cover, (ci, a3), (cj, b3), aligned=aligned),
+                ]
+
+
 # (n, average degree, seed): planted graphs split up to k = n/3, past the
 # stall; together their steps reach cases 2, 3 and 4
 _MEMO_RUNS = [(30, 20, 0), (60, 20, 0), (100, 10, 2), (300, 20, 2)]
@@ -668,13 +745,14 @@ class TestSplitMemo:
 
         def checked_buckets(memo, g, cover, budget):
             unseen = {ci for ci, cyc in enumerate(cover.cycles) if cyc not in memo.same}
-            fresh, got = buckets(memo, g, cover, budget)
+            fresh, index = buckets(memo, g, cover, budget)
             pairs = list(_implanted_pairs(g, cover))
-            assert got == _reference_file(pairs)
+            assert index == {cyc: ci for ci, cyc in enumerate(cover.cycles)}
+            assert _memo_lists(memo, index) == _reference_file(pairs)
             # the step pays for the C4's with an edge on a cycle it had not seen
             assert fresh == sum(ea[0] in unseen or eb[0] in unseen for ea, eb, _ in pairs)
             checked["buckets"] += 1
-            return fresh, got
+            return fresh, index
 
         def checked_parallel(g, cover, parallel_free):
             got = find_parallel(g, cover, parallel_free)
@@ -750,3 +828,75 @@ class TestSplitMemo:
         assert steps.count(1) < len(steps)  # some steps enumerate
         assert len(row_builds) > 300 and max(row_builds.values()) == 1
         assert len(scans) > 20 and max(scans.values()) == 1
+
+
+def _stream_covers():
+    """``(g, cover)`` of every split step of ``_MEMO_RUNS`` that reads the
+    candidate stream."""
+    for n, degree, seed in _MEMO_RUNS:
+        g, cover = _planted(n, degree, seed)
+        current = cover
+        while True:
+            if switching._find_parallel(g, current, set()) is None:
+                yield g, current
+            step, _ = switching.increase_by_one_with_diag(g, current)
+            if step is None:
+                break
+            current = step[0]
+
+
+class TestCandidateStream:
+    """Cases 2-4 try the candidates of the reference loops, in their order,
+    and pay one unit for each, a candidate too short to try included."""
+
+    def test_stream_matches_reference_loops(self, monkeypatch):
+        seen = Counter()
+        runs = []
+        candidates = switching._candidates
+
+        def checked(cover, memo, index):
+            got = list(candidates(cover, memo, index))
+            buckets = _reference_file(_implanted_pairs(runs[-1], cover))
+            assert got == list(_reference_candidates(cover, buckets))
+            for bucket in buckets:
+                sizes = [len(pairs) for pairs in bucket.values()]
+                seen["ties"] += len(set(sizes)) < len(sizes)
+                seen["orders"] += sizes != sorted(sizes, reverse=True)
+            seen.update(case if switches else "short" for case, switches in got)
+            yield from got
+
+        monkeypatch.setattr(switching, "_candidates", checked)
+        for n, degree, seed in _MEMO_RUNS[:3]:
+            g, cover = _planted(n, degree, seed)
+            runs.append(g)
+            split_to_k(g, cover, n // 3)
+        # buckets tie in size, and size is not index order, on many steps
+        assert seen["ties"] > 10 and seen["orders"] > 10, seen
+        assert all(seen[key] for key in (2, 3, 4, "short")), seen
+
+    def test_each_candidate_costs_one_unit(self):
+        seen = Counter()
+        for g, cover in _stream_covers():
+            pairs = list(_implanted_pairs(g, cover))
+            want, units, counts = None, 0, Counter()
+            for case, switches in _reference_candidates(cover, _reference_file(pairs)):
+                units += 1
+                if switches is None:
+                    seen["short"] += 1
+                    continue
+                counts[case] += 1
+                want = _try_plan(cover, switches, case)
+                if want is not None:
+                    break
+            # a step with no memo files every C4, then pays for its candidates
+            for budget, exhausted in ((len(pairs) + units, False), (len(pairs) + units - 1, True)):
+                step, diag = switching.increase_by_one_with_diag(
+                    g, cover, Params(switch_candidate_budget=budget)
+                )
+                assert diag["budget_exhausted"] is exhausted
+                if not exhausted:
+                    assert step == want
+                    assert [diag[f"case{c}"] for c in (2, 3, 4)] == [counts[c] for c in (2, 3, 4)]
+            seen["stall" if want is None else "plan"] += 1
+        # stalls and plans, with short candidates among those paid for
+        assert seen["stall"] >= 4 and seen["plan"] >= 15 and seen["short"] > 100, seen
