@@ -4,6 +4,8 @@ Merging removes one edge from each of two cycles and bridges their loose
 ends in parallel, which is exactly the inverse of a parallel C4-switch; the
 bridges may fall outside the host graph, so the enrichment stage runs on the
 augmented graph and the bridges stay protected until they are removed again.
+Merge and unmerge are each one batch of switches through the splice
+``switching._toggle``, the only way the pipeline changes a cover.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from typing import Optional
 from .embedding import PartitionError, enrich
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from .rewire import RewireError
-from .switching import _split_validated, count_h_edges
+from .switching import _make_c4, _split_validated, _toggle, count_h_edges
 
 @dataclass(frozen=True)
 class MergeRecord:
     """Bookkeeping for undoing a merge.
 
-    Unmerge removes every bridge in ``e_plus`` from the cycle; a bridge that
-    happened to exist in the host graph already stays in the graph.
+    Per merge, ``e_minus`` holds the removed edges ``zw, xy`` and ``e_plus``
+    the bridges ``zx, wy``.  Unmerge removes every bridge in ``e_plus`` from
+    the cycle; a bridge that happened to exist in the host graph already
+    stays in the graph.
     """
 
     e_minus: tuple[tuple[int, int], ...]
@@ -33,73 +37,46 @@ class MergeRecord:
     ell: int
 
 
-def _pick_merge_edge(
-    g: Graph, cycle: tuple[int, ...], exclude: Optional[tuple[int, int]]
-) -> tuple[int, int]:
-    """Edge of the cycle whose endpoints have maximum degree sum, lex first."""
-    scored = []
+def _pick_merge_edge(g: Graph, cycle: tuple[int, ...], exclude: Optional[int]) -> int:
+    """Position of the cycle edge whose endpoints have maximum degree sum,
+    the smallest edge key first among ties; ``exclude`` is a position."""
     L = len(cycle)
+    scored = []
     for pos in range(L):
-        u, v = cycle[pos], cycle[(pos + 1) % L]
-        e = edge_key(u, v)
-        if e != exclude:
-            scored.append((-(g.degree(u) + g.degree(v)), e))
-    return min(scored)[1]
+        if pos != exclude:
+            u, v = cycle[pos], cycle[(pos + 1) % L]
+            scored.append((-(g.degree(u) + g.degree(v)), edge_key(u, v), pos))
+    return min(scored)[2]
 
 
 def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRecord]:
     """Chain all cycles into one Hamilton cycle of the bridge-augmented graph.
 
-    For consecutive cycles the construction removes one edge from each and
-    adds the two parallel bridges joining the loose ends; a single-cycle
-    cover passes through untouched.
+    Cycle i is joined to cycle i + 1 by the aligned cross-cycle switch on
+    its outgoing edge z -> w and the next cycle's incoming edge x -> y
+    (bridges zx and wy), and all ell - 1 switches go through the splice
+    ``_toggle`` as one batch.  A single-cycle cover passes through untouched.
     """
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
-        rec = MergeRecord((), (), frozenset(), 1)
-        return g, cover, rec
-    e_minus = []
-    e_plus = []
-    touched = set()
-    # per cycle: the edge removed when merging into the chain ("outgoing")
-    # and the edge removed when the chain absorbs it ("incoming")
-    incoming = [None] * ell
-    outgoing = [None] * ell
+        return g, cover, MergeRecord((), (), frozenset(), 1)
+    switches, e_minus, e_plus = [], [], []
+    incoming = None  # position of the edge the chain removed from cycle i
     for i in range(ell - 1):
-        outgoing[i] = _pick_merge_edge(g, cover.cycles[i], incoming[i])
-        incoming[i + 1] = _pick_merge_edge(g, cover.cycles[i + 1], None)
-    edges = set(cover.edge_set())
-    for i in range(ell - 1):
-        zw = outgoing[i]
-        xy = incoming[i + 1]
-        # orient each removed edge along its cycle before bridging
-        z, w = _oriented(cover, zw)
-        x, y = _oriented(cover, xy)
-        bridge_a = edge_key(z, x)
-        bridge_b = edge_key(w, y)
-        e_minus.extend([edge_key(*zw), edge_key(*xy)])
-        e_plus.extend([bridge_a, bridge_b])
-        touched.update((z, w, x, y))
-        edges.discard(edge_key(*zw))
-        edges.discard(edge_key(*xy))
-        edges.add(bridge_a)
-        edges.add(bridge_b)
-    augmented = g.with_extra_edges(e_plus)
-    merged = CycleCover.from_edge_set(g.n, edges)
-    if merged.num_components != 1:
+        outgoing = _pick_merge_edge(g, cover.cycles[i], incoming)
+        incoming = _pick_merge_edge(g, cover.cycles[i + 1], None)
+        switches.append(_make_c4(cover, (i, outgoing), (i + 1, incoming), aligned=True))
+        z, w = cover.cycle_edge(i, outgoing)
+        x, y = cover.cycle_edge(i + 1, incoming)
+        e_minus.extend([edge_key(z, w), edge_key(x, y)])
+        e_plus.extend([edge_key(z, x), edge_key(w, y)])
+    merged = _toggle(cover, switches)
+    if merged is None or merged.num_components != 1:
         raise AssertionError("merge did not produce a Hamilton cycle")
-    rec = MergeRecord(tuple(e_minus), tuple(e_plus), frozenset(touched), ell)
-    return augmented, merged, rec
-
-
-def _oriented(cover: CycleCover, e: tuple[int, int]) -> tuple[int, int]:
-    u, v = e
-    ci, pos = cover.locator[u]
-    cyc = cover.cycles[ci]
-    if cyc[(pos + 1) % len(cyc)] == v:
-        return u, v
-    return v, u
+    touched = frozenset(v for e in e_minus for v in e)
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus), touched, ell)
+    return g.with_extra_edges(e_plus), merged, rec
 
 
 def protected_for_merge(cycle: CycleCover, rec: MergeRecord) -> frozenset:
@@ -113,16 +90,39 @@ def protected_for_merge(cycle: CycleCover, rec: MergeRecord) -> frozenset:
 
 
 def unmerge(cycle: CycleCover, rec: MergeRecord) -> CycleCover:
-    """Swap the bridges back out; valid whenever they were all protected."""
-    edges = set(cycle.edge_set())
+    """Swap the bridges back out; valid whenever they were all protected.
+
+    Each merge's bridges and removed edges bound a 4-cycle, so undoing it is
+    the switch on its bridges whose chords are its removed edges; the splice
+    ``_toggle`` applies all of them as one batch.  A missing bridge, a pair
+    off its 4-cycle or a removed edge already on the cycle is a CoverError.
+    """
+    at = []  # (cycle, position) of each bridge
     for e in rec.e_plus:
-        if e not in edges:
+        u, v = e
+        ci, pos = cycle.locator[u]
+        cyc = cycle.cycles[ci]
+        if cyc[(pos + 1) % len(cyc)] == v:
+            at.append((ci, pos))
+        elif cyc[pos - 1] == v:
+            at.append((ci, (pos - 1) % len(cyc)))
+        else:
             raise CoverError(f"bridge edge {e} missing from the cycle")
-    for e in rec.e_plus:
-        edges.discard(e)
-    for e in rec.e_minus:
-        edges.add(e)
-    out = CycleCover.from_edge_set(cycle.n, edges)
+    switches = []
+    for j in range(0, len(at), 2):
+        for aligned in (True, False):
+            c4 = _make_c4(cycle, at[j], at[j + 1], aligned)
+            if set(c4.chords) == set(rec.e_minus[j : j + 2]):
+                switches.append(c4)
+                break
+        else:
+            raise CoverError(
+                f"bridges {rec.e_plus[j:j + 2]} and removed edges "
+                f"{rec.e_minus[j:j + 2]} do not bound a 4-cycle"
+            )
+    out = _toggle(cycle, switches)
+    if out is None:
+        raise CoverError("the merge's removed edges do not fit back into the cycle")
     if out.num_components > rec.ell:
         raise AssertionError("unmerge created more cycles than it started with")
     return out

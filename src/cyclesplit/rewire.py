@@ -348,10 +348,10 @@ def _exhaustive_second_cycle(
     n: int,
     allowed_bits: list[int],
     forced: frozenset[tuple[int, int]],
-    original: frozenset[tuple[int, int]],
+    original: CycleCover,
     budget: int,
 ) -> Optional[CycleCover]:
-    """Backtracking Hamilton search with forced edges, skipping the original."""
+    """Backtracking Hamilton search with forced edges, skipping ``original``."""
     forced_at = [[] for _ in range(n)]
     for u, v in forced:
         forced_at[u].append(v)
@@ -380,11 +380,9 @@ def _exhaustive_second_cycle(
                 and all(w == 0 for w in musts)
                 and all(w == path[1] or w == v for w in forced_at[0])
             ):
-                edges = frozenset(
-                    edge_key(path[i], path[(i + 1) % n]) for i in range(n)
-                )
-                if edges != original:
-                    return CycleCover.from_edge_set(n, edges)
+                found = CycleCover([path], n)
+                if found != original:
+                    return found
             return None
         if not at_start and len(musts) > 1:
             return None
@@ -477,7 +475,7 @@ def second_hamilton_cycle(
 
     if n <= params.exhaustive_cutoff:
         found = _exhaustive_second_cycle(
-            n, req.allowed_bits, req.protected, cyc_edges, params.rewire_node_budget
+            n, req.allowed_bits, req.protected, cycle, params.rewire_node_budget
         )
         if found is not None:
             changed = found.edge_set() ^ cyc_edges

@@ -39,6 +39,22 @@ class TestGen:
     def test_missing_model_args(self, tmp_path):
         assert run("gen", "--model", "planted", "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--model", "cliques"], "gen cliques requires --q"),
+            (["--model", "triangles"], "gen triangles requires --k and --m"),
+            (["--model", "triangles", "--k", "3"], "gen triangles requires --k and --m"),
+            (["--model", "triangles", "--m", "4"], "gen triangles requires --k and --m"),
+        ],
+        ids=["cliques-without-q", "triangles-without-k-m", "triangles-without-m",
+             "triangles-without-k"],
+    )
+    def test_missing_model_args_message(self, tmp_path, capsys, args, message):
+        assert run("gen", *args, "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.fixture
 def planted_instance(tmp_path):
@@ -196,6 +212,7 @@ class TestReaders:
             ({"cover": b"0 1 2 3 4 100000000000\n"}, 1),
             ({"params": b"enrich_rounds\n"}, 1),
             ({"params": b"sample_prob = 2\n"}, 1),
+            ({"params": b"sample_retries = many\n"}, 1),
             ({name: text.replace("\n", "\r\n").encode() for name, text in READER_FILES.items()}, 0),
             ({"params": b"enrich_rounds 2\n"}, 0),
         ],
@@ -203,7 +220,7 @@ class TestReaders:
             "empty-graph", "non-integer-header", "negative-n", "three-token-edge",
             "non-integer-endpoint", "5000-digit-integer", "non-utf8", "non-integer-cover",
             "negative-cover-vertex", "huge-graph-n", "huge-cover-vertex", "params-without-value",
-            "sample-prob-2", "crlf", "params-key-space-value",
+            "sample-prob-2", "params-non-integer-value", "crlf", "params-key-space-value",
         ],
     )
     def test_exit_code(self, tmp_path, capsys, overrides, code):

@@ -60,6 +60,22 @@ class TestLoadGraph:
             load_graph("100000000000 0\n", max_n=3)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, [], "vertex count must be non-negative"),
+        (3, [(0, 1), (2, 2)], "loop at vertex 2"),
+        (3, [(0, 3)], r"vertex out of range in edge \(0, 3\)"),
+        (3, [(-1, 2)], r"vertex out of range in edge \(-1, 2\)"),
+        (3, [(0, 1), (1, 0)], r"duplicate edge \(1, 0\)"),
+    ],
+    ids=["negative-n", "loop", "endpoint-too-large", "negative-endpoint", "duplicate"],
+)
+def test_graph_rejects_bad_input(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(n, edges)
+
+
 def test_round_trip_bit_exact():
     text = "5 4\n0 1\n0 4\n1 2\n2 3\n"
     assert dump_graph(load_graph(text)) == text
@@ -231,6 +247,11 @@ class TestParams:
     def test_none_rejected_for_required_key(self, key):
         with pytest.raises(GraphFormatError, match=f"line 2: '{key}' cannot be none"):
             parse_params(f"# header\n{key} = none\n")
+
+    @pytest.mark.parametrize("key, value", [("sample_retries", "many"), ("sample_prob", "half")])
+    def test_bad_value_rejected(self, key, value):
+        with pytest.raises(GraphFormatError, match=f"^line 2: bad value for '{key}': '{value}'$"):
+            parse_params(f"seed = 1\n{key} = {value}\n")
 
     @pytest.mark.parametrize("key", ["cover_common_floor", "zeta", "min_degree_floor", "enum_cap"])
     def test_removed_key_rejected(self, key):

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,13 @@ class TestInterleavedPair:
     def test_sweep_order(self):
         chords = [(0, 3), (1, 4), (2, 5)]
         assert list(iter_interleaved_pairs(chords)) == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("chord", [(3, 1), (2, 2)])
+    def test_unnormalised_chord_rejected(self, chord):
+        h, j = chord
+        message = rf"^chord \({h}, {j}\) not normalized \(need h < j\)$"
+        with pytest.raises(ValueError, match=message):
+            list(iter_interleaved_pairs([(0, 4), chord]))
 
     def test_pair_is_valid(self):
         chords = [(3, 9), (0, 5), (6, 11), (1, 2)]

@@ -1,12 +1,14 @@
 import random
 import warnings
+from dataclasses import replace
+from typing import Optional
 
 import pytest
 
-from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, validate_cover
+from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import gen_planted, gen_triangles_biclique
 from cyclesplit import embedding, pipeline, switching
-from cyclesplit.pipeline import merge_cover, protected_for_merge, solve, unmerge
+from cyclesplit.pipeline import MergeRecord, merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
 
 from conftest import (
@@ -33,6 +35,110 @@ def two_triangles():
 def three_squares():
     g = Graph(12, [(i + o, (i + 1) % 4 + o) for o in (0, 4, 8) for i in range(4)])
     return g, CycleCover([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+
+
+# -- edge-set references: merge and unmerge as they were before they became
+# switch batches, kept verbatim to pin the splice to the same outputs
+
+
+def _reference_pick_merge_edge(
+    g: Graph, cycle: tuple[int, ...], exclude: Optional[tuple[int, int]]
+) -> tuple[int, int]:
+    """Edge of the cycle whose endpoints have maximum degree sum, lex first."""
+    scored = []
+    L = len(cycle)
+    for pos in range(L):
+        u, v = cycle[pos], cycle[(pos + 1) % L]
+        e = edge_key(u, v)
+        if e != exclude:
+            scored.append((-(g.degree(u) + g.degree(v)), e))
+    return min(scored)[1]
+
+
+def _reference_merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRecord]:
+    """Chain all cycles into one Hamilton cycle of the bridge-augmented graph.
+
+    For consecutive cycles the construction removes one edge from each and
+    adds the two parallel bridges joining the loose ends; a single-cycle
+    cover passes through untouched.
+    """
+    validate_cover(g, cover)
+    ell = cover.num_components
+    if ell == 1:
+        rec = MergeRecord((), (), frozenset(), 1)
+        return g, cover, rec
+    e_minus = []
+    e_plus = []
+    touched = set()
+    # per cycle: the edge removed when merging into the chain ("outgoing")
+    # and the edge removed when the chain absorbs it ("incoming")
+    incoming = [None] * ell
+    outgoing = [None] * ell
+    for i in range(ell - 1):
+        outgoing[i] = _reference_pick_merge_edge(g, cover.cycles[i], incoming[i])
+        incoming[i + 1] = _reference_pick_merge_edge(g, cover.cycles[i + 1], None)
+    edges = set(cover.edge_set())
+    for i in range(ell - 1):
+        zw = outgoing[i]
+        xy = incoming[i + 1]
+        # orient each removed edge along its cycle before bridging
+        z, w = _reference_oriented(cover, zw)
+        x, y = _reference_oriented(cover, xy)
+        bridge_a = edge_key(z, x)
+        bridge_b = edge_key(w, y)
+        e_minus.extend([edge_key(*zw), edge_key(*xy)])
+        e_plus.extend([bridge_a, bridge_b])
+        touched.update((z, w, x, y))
+        edges.discard(edge_key(*zw))
+        edges.discard(edge_key(*xy))
+        edges.add(bridge_a)
+        edges.add(bridge_b)
+    augmented = g.with_extra_edges(e_plus)
+    merged = CycleCover.from_edge_set(g.n, edges)
+    if merged.num_components != 1:
+        raise AssertionError("merge did not produce a Hamilton cycle")
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus), frozenset(touched), ell)
+    return augmented, merged, rec
+
+
+def _reference_oriented(cover: CycleCover, e: tuple[int, int]) -> tuple[int, int]:
+    u, v = e
+    ci, pos = cover.locator[u]
+    cyc = cover.cycles[ci]
+    if cyc[(pos + 1) % len(cyc)] == v:
+        return u, v
+    return v, u
+
+
+def _reference_unmerge(cycle: CycleCover, rec: MergeRecord) -> CycleCover:
+    """Swap the bridges back out; valid whenever they were all protected."""
+    edges = set(cycle.edge_set())
+    for e in rec.e_plus:
+        if e not in edges:
+            raise CoverError(f"bridge edge {e} missing from the cycle")
+    for e in rec.e_plus:
+        edges.discard(e)
+    for e in rec.e_minus:
+        edges.add(e)
+    out = CycleCover.from_edge_set(cycle.n, edges)
+    if out.num_components > rec.ell:
+        raise AssertionError("unmerge created more cycles than it started with")
+    return out
+
+
+def triangle_instance(rng, count, p=0.3):
+    """A cover of ``count`` triangles: each middle cycle's incoming and
+    outgoing merge edges share a vertex."""
+    return random_factor_instance(rng, 3 * count, p, lengths=[3] * count)
+
+
+def reference_instances(rng):
+    """Random factor instances, three squares and all-triangle covers."""
+    for _ in range(25):
+        yield random_factor_instance(rng, rng.randint(9, 24), 0.2)
+    yield three_squares()
+    for count in (2, 3, 5, 8):
+        yield triangle_instance(rng, count)
 
 
 class TestMergeCover:
@@ -75,6 +181,19 @@ class TestMergeCover:
             assert len(rec.e_plus) == 2 * (cover.num_components - 1)
             assert len(protected_for_merge(merged, rec)) <= 8 * (cover.num_components - 1)
 
+    def test_matches_edge_set_reference(self, rng):
+        for g, cover in reference_instances(rng):
+            assert merge_cover(g, cover) == _reference_merge_cover(g, cover)
+
+    def test_triangles_share_a_vertex_in_the_middle_cycle(self, rng):
+        g, cover = triangle_instance(rng, 4)
+        aug, merged, rec = merge_cover(g, cover)
+        # cycle i's incoming edge is e_minus[2i - 1], its outgoing e_minus[2i]
+        for i in (1, 2):
+            assert set(rec.e_minus[2 * i - 1]) & set(rec.e_minus[2 * i])
+        assert validate_cover(aug, merged) == 1
+        assert len(rec.touched) == 4 * 3 - 2
+
 
 class TestUnmerge:
     def test_inverse_without_enrichment(self, rng):
@@ -83,15 +202,38 @@ class TestUnmerge:
             aug, merged, rec = merge_cover(g, cover)
             assert unmerge(merged, rec) == cover
 
+    def test_matches_edge_set_reference(self, rng):
+        for g, cover in reference_instances(rng):
+            aug, merged, rec = merge_cover(g, cover)
+            assert unmerge(merged, rec) == _reference_unmerge(merged, rec) == cover
+
     def test_missing_bridge_rejected(self):
         g, cover = two_triangles()
         aug, merged, rec = merge_cover(g, cover)
-        tampered = CycleCover([[0, 1, 2, 3, 4, 5]])  # contains no bridge (0,3)? it does; build another
-        other = CycleCover([[0, 2, 1, 5, 4, 3]])
-        if (0, 3) in other.edge_set():
-            other = CycleCover([[0, 1, 4, 5, 3, 2]])
-        with pytest.raises(CoverError, match="bridge"):
+        other = CycleCover([[0, 1, 4, 5, 3, 2]])
+        assert (0, 3) in rec.e_plus and (0, 3) not in other.edge_set()
+        with pytest.raises(CoverError, match=r"bridge edge \(0, 3\) missing from the cycle"):
             unmerge(other, rec)
+
+    def test_bridge_pair_off_its_4_cycle_rejected(self):
+        g, cover = three_squares()
+        aug, merged, rec = merge_cover(g, cover)
+        # pair the first merge's bridge zx with the second merge's
+        b = rec.e_plus
+        swapped = replace(rec, e_plus=(b[0], b[2], b[1], b[3]))
+        with pytest.raises(CoverError, match="do not bound a 4-cycle"):
+            unmerge(merged, swapped)
+
+    def test_removed_edge_already_on_the_cycle_rejected(self):
+        g, cover = two_triangles()
+        aug, merged, rec = merge_cover(g, cover)
+        # both bridges (0, 3), (1, 4) and the removed edge (0, 1) are on it
+        cycle = CycleCover([[0, 1, 4, 2, 5, 3]])
+        assert set(rec.e_plus) | {(0, 1)} <= cycle.edge_set()
+        with pytest.raises(CoverError, match="do not fit back into the cycle"):
+            unmerge(cycle, rec)
+        with pytest.raises(CoverError):
+            _reference_unmerge(cycle, rec)
 
 
 class TestSolve:
@@ -172,6 +314,23 @@ class TestSolve:
         assert len(split_calls) == 1 and split_calls[0][1] is cover
         assert res.stats.ell_presplit == 2
         assert validate_cover(g, res.cover) == 3
+
+    def test_unmerge_error_is_a_pipeline_diagnostic(self, monkeypatch):
+        # a record whose bridge pairs are crossed between merges: unmerge
+        # raises, and solve splits the input cover instead
+        def crossed(g, cover, inner=merge_cover):
+            aug, merged, rec = inner(g, cover)
+            b = rec.e_plus
+            return aug, merged, replace(rec, e_plus=(b[0], b[2], b[1], b[3]) + b[4:])
+
+        monkeypatch.setattr(pipeline, "merge_cover", crossed)
+        g, cover = planted_cover(60, 0.15, 3, ell=4)
+        params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=1)
+        res = solve(g, cover, 6, params, random.Random(3), strict=True)
+        (diag,) = [d["pipeline"] for d in res.stats.diagnostics if "pipeline" in d]
+        assert "do not bound a 4-cycle" in diag
+        assert res.stats.ell_presplit == 4
+        assert validate_cover(g, res.cover) == 6
 
     def test_each_cover_validated_once(self, monkeypatch):
         # the input on entry and the split's result: the split trusts the
@@ -297,10 +456,17 @@ class TestSolve:
         assert res.cover is not None
         assert validate_cover(g, res.cover) == 3
 
-    def test_full_pipeline_with_enrichment_rewiring(self):
+    def test_full_pipeline_with_enrichment_rewiring(self, monkeypatch):
         """merge -> enrich (with a real rewire) -> unmerge -> split, end to end."""
         from conftest import two_cycle_instance
 
+        seen = []
+
+        def recorded(cycle, rec, inner=pipeline.unmerge):
+            seen.append((cycle, rec))
+            return inner(cycle, rec)
+
+        monkeypatch.setattr(pipeline, "unmerge", recorded)
         g, cover = two_cycle_instance(60, 0.2, 0)
         aug, merged, rec = merge_cover(g, cover)
         h0 = count_h_edges(aug, merged)
@@ -319,6 +485,11 @@ class TestSolve:
         assert res.stats.thomassen_calls >= 1
         assert res.stats.h_edges_enriched >= h0 + 4
         assert res.stats.merge_bridges == 2
+        # the rewire changed the merged cycle; unmerge still matches the
+        # edge-set reference on it
+        ((cycle, seen_rec),) = seen
+        assert seen_rec == rec and cycle != merged
+        assert unmerge(cycle, rec) == _reference_unmerge(cycle, rec) != cover
 
     def test_rewire_precondition_failure(self):
         # default Params: the rewire degree precondition raises on the first call
