@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
@@ -122,95 +121,13 @@ def _cover_arrays(cover: CycleCover):
 # found from two bitset rows per vertex, once from each of its two cover
 # edges, not by a scan over all pairs of cover edges.
 #
-# The neighbour rows are the graph's bitsets.  The predecessor rows p(x) have
-# two builders, which give the same integers:
-#
-# * per-vertex sums: p(x) adds one single-bit integer per neighbour of x, so
-#   a cover costs 2m big-integer additions, each row summed when it is read;
-# * one bit-matrix transpose: bit y of p(x) is set exactly when nxt[y] is a
-#   neighbour of x, and the graph is undirected, so the rows p(x) are the
-#   transpose of the columns neighbor_bits(nxt[y]).  That is O(n^2 / 8)
-#   bytes of work in a few whole-matrix integer operations, whatever m is.
-#
-# ``_transpose_wins`` picks one from n, m and the number of rows the caller
-# reads (see its table).
+# The neighbour rows are the graph's bitsets.  The predecessor row p(x) adds
+# one single-bit integer per neighbour of x, summed when the row is read, so
+# a caller pays only for the rows it reads: a whole cover costs 2m big-integer
+# additions, and a split step's filing reads only the rows of its gained cycles.
 
 
-def _transpose_wins(n: int, m: int, reads: int) -> bool:
-    """Whether the transpose beats the sums for ``reads`` row reads.
-
-    Average degree 2m/n at which ``count_h_edges`` costs the same through
-    either builder, on planted graphs (Python 3.11, a shared 2-CPU host):
-
-    ======  ==  ==  ===  ===  ===  ====  ====  ====  ====
-    n       24  60  100  200  500  1000  2000  4000  8000
-    degree  7   7   7    8    8    11    19    23    28
-    ======  ==  ==  ===  ===  ===  ====  ====  ====  ====
-
-    At n = 12 even the complete graph only ties.  The rule, the transpose
-    from n = 16 and average degree 8 + n/200, errs towards the sums where
-    the two are close.  The sums cost grows with the rows read and the
-    transpose cost does not, so a caller that reads fewer than n rows (as
-    ``induced_h_edges`` does) scales m by ``reads / n``.
-    """
-    return n >= 16 and 400 * m * reads >= n * n * (n + 1600)
-
-
-# the three delta swaps that transpose each 8x8 bit block of a little-endian
-# 64-bit word (bit 8i + j is row i, column j): shift and the word's mask
-_BLOCK_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-
-
-@lru_cache(maxsize=4)
-def _block_swap_masks(nb: int) -> tuple[tuple[int, int], ...]:
-    """``_BLOCK_SWAPS`` with each mask repeated over ``nb * nb`` words."""
-    return tuple(
-        (shift, int.from_bytes(mask.to_bytes(8, "little") * (nb * nb), "little"))
-        for shift, mask in _BLOCK_SWAPS
-    )
-
-
-def _transpose(cols: Sequence[int]) -> list[int]:
-    """Rows of a square bit matrix given by its columns.
-
-    Bit x of ``cols[y]`` is entry (x, y); row x of the result has bit y set
-    exactly when that entry is.  The columns are packed as ``8 * nb`` byte
-    rows of ``nb`` bytes each.  Read top to bottom, byte column C of that
-    matrix is the 8x8 bit blocks of rows 8C..8C+7 and columns 8R..8R+7 for
-    R = 0, 1, ..., one 8-byte word each, so one strided slice per byte column
-    lays out every block.  Three delta swaps on one integer transpose every
-    word at once; byte j of word (C, R) is then byte R of row 8C + j, and
-    each row is one strided slice of the result.
-    """
-    n = len(cols)
-    nb = (n + 7) // 8
-    size = 8 * nb * nb
-    packed = b"".join([c.to_bytes(nb, "little") for c in cols]).ljust(size, b"\0")
-    blocks = int.from_bytes(b"".join([packed[c::nb] for c in range(nb)]), "little")
-    for shift, mask in _block_swap_masks(nb):
-        t = ((blocks >> shift) ^ blocks) & mask
-        blocks ^= t ^ (t << shift)
-    out = blocks.to_bytes(size, "little")
-    span = 8 * nb
-    return [
-        int.from_bytes(out[(x >> 3) * span + (x & 7) : ((x >> 3) + 1) * span : 8], "little")
-        for x in range(n)
-    ]
-
-
-def _pred_rows_sums(g: Graph, prev):
-    """``x -> p(x)`` before masking, summed from x's adjacency on each call."""
-    pbit = [1 << p for p in prev]
-    adjacency = g.adjacency
-    return lambda x: sum(map(pbit.__getitem__, adjacency(x)))
-
-
-def _pred_rows_transpose(g: Graph, nxt):
-    """``x -> p(x)`` before masking, all rows built at once by ``_transpose``."""
-    return _transpose([g.neighbor_bits(y) for y in nxt]).__getitem__
-
-
-def _kernel_rows(g: Graph, prev, nxt, reads: Optional[int] = None):
+def _kernel_rows(g: Graph, prev, nxt):
     """Row builder of the implanted-C4 kernel.
 
     ``rows(x)`` returns two vertex bitsets: ``a``, the neighbours of x other
@@ -219,23 +136,15 @@ def _kernel_rows(g: Graph, prev, nxt, reads: Optional[int] = None):
     of ``a(u) & p(v)`` and the anti-aligned ones at those of ``p(u) & a(v)``.
     Chords are off-cover by construction, and the four endpoints are distinct
     because v is a cover neighbour of u.
-
-    The unmasked ``p`` rows come from the bit-matrix transpose, built for all
-    vertices up front, when ``_transpose_wins`` says so for the ``reads``
-    calls the caller makes (n by default), and otherwise from per-vertex
-    sums, built on each call; both give the same rows.
     """
-    neighbor_bits = g.neighbor_bits
-    if _transpose_wins(g.n, g.m, g.n if reads is None else reads):
-        pred_row = _pred_rows_transpose(g, nxt)
-    else:
-        pred_row = _pred_rows_sums(g, prev)
+    neighbor_bits, adjacency = g.neighbor_bits, g.adjacency
+    pbit = [1 << p for p in prev]
 
     def rows(x: int) -> tuple[int, int]:
         p, q = prev[x], nxt[x]
         a = neighbor_bits(x) & ~((1 << p) | (1 << q))
         # p(x) holds prev[w] for each neighbour w; drop w = p and w = q
-        pred = pred_row(x) & ~((1 << prev[p]) | (1 << x))
+        pred = sum(map(pbit.__getitem__, adjacency(x))) & ~((1 << prev[p]) | (1 << x))
         return a, pred
 
     return rows
@@ -334,7 +243,7 @@ def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]
             mask |= 1 << v
         else:
             raise CoverError(f"edge {(u, v)} is not on the cover")
-    rows = _kernel_rows(g, prev, nxt, reads=2 * mask.bit_count())
+    rows = _kernel_rows(g, prev, nxt)
     seen = 0
     for u in _iter_bits(mask):
         au, pu = rows(u)
@@ -473,31 +382,52 @@ def _parallel_in(g: Graph, cyc: Sequence[int]) -> Optional[tuple[int, int]]:
 
 
 def _find_parallel(
-    g: Graph, cover: CycleCover, parallel_free: set
+    g: Graph, cover: CycleCover, parallel_free: dict
 ) -> Optional[ImplantedC4]:
     """Lexicographically first same-cycle parallel implanted C4.
 
-    Cycles in ``parallel_free`` are skipped, and each cycle scanned to the end
-    without a hit is added to it.
+    ``parallel_free`` maps a first vertex to the cycle scanned there without a
+    hit.  A cycle is skipped when it is that very tuple (``is``), and each
+    cycle scanned to the end without a hit is filed under its first vertex.
     """
     for ci, cyc in enumerate(cover.cycles):
-        if len(cyc) < 6 or cyc in parallel_free:
+        if len(cyc) < 6 or parallel_free.get(cyc[0]) is cyc:
             continue
         hit = _parallel_in(g, cyc)
         if hit is not None:
             return _make_c4(cover, (ci, hit[0]), (ci, hit[1]), aligned=False)
-        parallel_free.add(cyc)
+        parallel_free[cyc[0]] = cyc
     return None
 
 
 class _SplitMemo:
-    """What one split run has learned about its cycles, keyed by their tuples.
+    """What one split run has learned about its cycles, keyed by first vertex.
 
-    ``parallel_free`` holds the cycles scanned without a parallel C4.
-    ``same`` maps a cycle to its crossing pairs (a, b) in order.  ``cross``
-    maps a cycle to ``{higher cycle: (aligned pairs, anti-aligned pairs)}``,
-    each pair (a, b) in order and holding the position on the lower cycle
-    first.  A cycle's parallel C4's are not filed: case 1 finds them.
+    The cycles of one cover share no vertex, so a cycle is known by its first
+    vertex, and first vertices sort as the tuples do.  A cycle counts as
+    known when the tuple filed under its first vertex is the cover's own
+    tuple object (``is``).  ``_toggle`` hands back every untouched cycle as
+    the same object, so a split run never meets an equal but distinct copy;
+    if a caller passed one, it would only be filed again.
+
+    ``parallel_free`` maps a first vertex to the cycle scanned there without
+    a parallel C4, and ``cycles`` to the cycle filed there.  The vertex
+    arrays ``first`` (the first vertex of each vertex's cycle), ``pos`` (its
+    position on that cycle), ``prev`` and ``nxt`` (its cover neighbours) are
+    rewritten only for the vertices of gained cycles.
+
+    Three orders hold the filed pairs, each order sorted and each list of
+    pairs (a, b) sorted:
+
+    * ``crossing``: ``(-size, v, pairs)``, the crossing pairs of the cycle at
+      v, a < b;
+    * ``aligned`` and ``anti``: ``(-size, lower, higher, pairs)``, the aligned
+      and the anti-aligned pairs of a cycle pair, each holding the position
+      on the lower cycle first.
+
+    A list below its threshold can never yield a candidate, so it is neither
+    sorted nor kept: case 2 needs two crossing pairs, cases 3 and 4 three
+    pairs.  A cycle's parallel C4's are not filed: case 1 finds them.
 
     Invariant: an entry holds for every cover that contains its cycles,
     whatever the other cycles are.  The chords of a C4 implanted in one or
@@ -505,16 +435,24 @@ class _SplitMemo:
     edge only if it is an edge of one of them; the positions come from the
     tuples.  So untouched tuples keep their positions, their
     parallel-freeness and their pairs, and a step reads only the cycles its
-    cover gained.  A cover sorts its cycles by first vertex, and cycles share
-    no vertex, so "lower" and "higher" hold in every cover.
+    cover gained.  Every list holds a gained cycle when it is filed, so its
+    pairs are complete then and never change.
     """
 
-    __slots__ = ("parallel_free", "same", "cross")
+    __slots__ = (
+        "parallel_free", "cycles", "first", "pos", "prev", "nxt", "crossing", "aligned", "anti"
+    )
 
-    def __init__(self):
-        self.parallel_free: set[tuple[int, ...]] = set()
-        self.same: dict[tuple[int, ...], list] = {}
-        self.cross: dict[tuple[int, ...], dict[tuple[int, ...], tuple[list, list]]] = {}
+    def __init__(self, n: int):
+        self.parallel_free: dict[int, tuple[int, ...]] = {}
+        self.cycles: dict[int, tuple[int, ...]] = {}
+        self.first = [0] * n
+        self.pos = [0] * n
+        self.prev = [0] * n
+        self.nxt = [0] * n
+        self.crossing: list[tuple] = []
+        self.aligned: list[tuple] = []
+        self.anti: list[tuple] = []
 
     def buckets(self, g: Graph, cover: CycleCover, budget: int):
         """File the C4's of the cycles ``cover`` gained; ``(fresh, index)``.
@@ -523,55 +461,73 @@ class _SplitMemo:
         gained, read from kernel rows of those cycles' vertices only:
         partners on the other cycles in full, partners on gained cycles only
         later in global order.  Each is filed once, into a list that holds a
-        gained cycle and so is created here; only those lists are sorted.
-        ``index`` maps each cycle of ``cover`` to its position.  When
-        ``fresh`` exceeds ``budget``, nothing is filed and ``index`` is None.
+        gained cycle and so is created here.  The entries of the lost cycles
+        leave the orders first; the lists long enough to yield are sorted
+        and merged in.  ``index`` maps the first vertex of each cycle of
+        ``cover`` to its position.  When ``fresh`` exceeds ``budget``, nothing
+        is filed and ``index`` is None.
         """
         cycles = cover.cycles
-        same, cross = self.same, self.cross
-        index = {cyc: ci for ci, cyc in enumerate(cycles)}
-        gone = [cyc for cyc in same if cyc not in index]
-        for cyc in gone:
-            del same[cyc], cross[cyc]
-        for partners in cross.values():
-            for cyc in gone:
-                partners.pop(cyc, None)
+        index = {cyc[0]: ci for ci, cyc in enumerate(cycles)}
+        filed = self.cycles
+        lost = {v for v, cyc in filed.items() if v not in index or cycles[index[v]] is not cyc}
+        if lost:
+            for v in lost:
+                del filed[v]
+            self.crossing = [e for e in self.crossing if e[1] not in lost]
+            self.aligned = [e for e in self.aligned if e[1] not in lost and e[2] not in lost]
+            self.anti = [e for e in self.anti if e[1] not in lost and e[2] not in lost]
 
-        new = [cyc for cyc in cycles if cyc not in same]
-        prev, nxt = _cover_arrays(cover)
-        rows = _kernel_rows(g, prev, nxt, reads=sum(map(len, new)))
-        found = list(_later_partners(new, rows, cover.n))
+        new = [cyc for cyc in cycles if cyc[0] not in filed]
+        first, pos, prev, nxt = self.first, self.pos, self.prev, self.nxt
+        for cyc in new:
+            v, L = cyc[0], len(cyc)
+            for i, x in enumerate(cyc):
+                first[x], pos[x], prev[x], nxt[x] = v, i, cyc[i - 1], cyc[(i + 1) % L]
+        found = list(_later_partners(new, _kernel_rows(g, prev, nxt), cover.n))
         fresh = sum(aligned.bit_count() + anti.bit_count() for _, aligned, anti in found)
         if fresh > budget:
             return fresh, None
 
-        created = []  # the lists filed into: each holds a gained cycle
-        for cyc in new:
-            same[cyc] = crossing = []
-            created.append(crossing)
-            cross[cyc] = {}
-        locator = cover.locator
+        # each list fills from one side only: the gained cycle when the other
+        # is kept, the lower one when both are gained (partners only later)
+        filing = {}  # walked first vertex -> per side, {partner first vertex: pairs}
         for u, aligned, anti in found:
-            ci, a = locator[u]
-            cyc = cycles[ci]
-            for side, mask in ((0, aligned), (1, anti)):
-                for y in _iter_bits(mask):
-                    cj, b = locator[y]
-                    if ci == cj:
-                        if not side:  # the anti-aligned ones are parallel
-                            same[cyc].append((a, b))
-                        continue
-                    if ci < cj:
-                        lower, higher, pair = cyc, cycles[cj], (a, b)
+            cu, a = first[u], pos[u]
+            sides = filing.get(cu)
+            if sides is None:
+                sides = filing[cu] = ({}, {})
+            for partners, mask in zip(sides, (aligned, anti)):
+                # _iter_bits, inlined: this loop runs once per filed C4
+                while mask:
+                    low = mask & -mask
+                    y = low.bit_length() - 1
+                    mask ^= low
+                    cy = first[y]
+                    pairs = partners.get(cy)
+                    if pairs is None:
+                        partners[cy] = [(a, pos[y])]
                     else:
-                        lower, higher, pair = cycles[cj], cyc, (b, a)
-                    lists = cross[lower].get(higher)
-                    if lists is None:
-                        lists = cross[lower][higher] = ([], [])
-                        created += lists
-                    lists[side].append(pair)
-        for pairs in created:
-            pairs.sort()
+                        pairs.append((a, pos[y]))
+        for cu, (aligned, anti) in filing.items():
+            pairs = aligned.pop(cu, ())
+            if len(pairs) >= 2:
+                pairs.sort()
+                self.crossing.append((-len(pairs), cu, pairs))
+            anti.pop(cu, None)  # the parallel ones: case 1 finds them
+            for order, partners in ((self.aligned, aligned), (self.anti, anti)):
+                for cy, pairs in partners.items():
+                    if len(pairs) < 3:
+                        continue
+                    if cu < cy:
+                        pairs.sort()
+                        order.append((-len(pairs), cu, cy, pairs))
+                    else:
+                        order.append((-len(pairs), cy, cu, sorted((y, x) for x, y in pairs)))
+        # each key is unique, so the sorts never compare two lists of pairs
+        for order in (self.crossing, self.aligned, self.anti):
+            order.sort()
+        filed.update((cyc[0], cyc) for cyc in new)
         return fresh, index
 
 
@@ -579,17 +535,16 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
     """``(case, switches)`` for each case-2/3/4 candidate, in search order.
 
     ``switches`` is None where the new cycles would be shorter than 3.  The
-    buckets are the memo's lists (``index`` maps each tuple to its position):
-    case 2 takes the crossing pairs per cycle, cases 3 and 4 the aligned and
-    the anti-aligned pairs per cycle pair, each by decreasing size, then
-    index.  Tuples sort as their indices do (see ``_SplitMemo``), so they
-    break the ties themselves.
+    buckets are the memo's orders (``index`` maps each first vertex to its
+    cycle's position): case 2 takes the crossing pairs per cycle, cases 3 and
+    4 the aligned and the anti-aligned pairs per cycle pair, each by
+    decreasing size, then first vertex, which is index order.
     """
-    same = memo.same
+    cycles = cover.cycles
     # case 2: two interleaved crossing switches on one cycle, 8 changed edges
-    for cyc in sorted((c for c in same if same[c]), key=lambda c: (-len(same[c]), c)):
-        chords = same[cyc]
-        ci, L = index[cyc], len(cyc)
+    for _, v, chords in memo.crossing:
+        ci = index[v]
+        L = len(cycles[ci])
         for ka, kb in iter_interleaved_pairs(chords):
             h, j = chords[ka]
             i, m = chords[kb]
@@ -604,19 +559,15 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
 
     # case 3 / case 4: three cross-cycle switches, 12 changed edges; the
     # positions b on the higher cycle run up in case 3 and down in case 4
-    for case, side, sign, finder, itertriples in (
-        (3, 0, 1, find_increasing_triple, iter_increasing_triples),
-        (4, 1, -1, find_decreasing_triple, iter_decreasing_triples),
+    for case, order, sign, finder, itertriples in (
+        (3, memo.aligned, 1, find_increasing_triple, iter_increasing_triples),
+        (4, memo.anti, -1, find_decreasing_triple, iter_decreasing_triples),
     ):
-        buckets = sorted(
-            ((lower, higher, lists[side]) for lower, partners in memo.cross.items()
-             for higher, lists in partners.items() if lists[side]),
-            key=lambda b: (-len(b[2]), b[0], b[1]),
-        )
-        for lower, higher, pairs in buckets:
+        for _, lower, higher, pairs in order:
             if finder(pairs) is None:
                 continue
             ci, cj = index[lower], index[higher]
+            lx, ly = len(cycles[ci]), len(cycles[cj])
             for ta, tb, tc in itertriples(pairs):
                 a1, b1 = pairs[ta]
                 a2, b2 = pairs[tb]
@@ -624,12 +575,12 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
                 # the three new cycles have exactly these lengths
                 g2 = (a2 - a1) + sign * (b2 - b1)
                 g3 = (a3 - a2) + sign * (b3 - b2)
-                gw = (len(lower) - (a3 - a1)) + (len(higher) - sign * (b3 - b1))
+                gw = (lx - (a3 - a1)) + (ly - sign * (b3 - b1))
                 if g2 < 3 or g3 < 3 or gw < 3:
                     yield case, None
                     continue
                 yield case, [
-                    _make_c4(cover, (ci, a), (cj, b), aligned=not side)
+                    _make_c4(cover, (ci, a), (cj, b), aligned=case == 3)
                     for a, b in (pairs[ta], pairs[tb], pairs[tc])
                 ]
 
@@ -662,12 +613,16 @@ def increase_by_one_with_diag(
     """``increase_by_one`` plus the per-case counters of the search.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
-    ``memo`` is the split run's ``_SplitMemo``: case 1 skips the cycles it
-    knows to be parallel-free, the step files only the cycles it has not
-    seen, and cases 2-4 are one ``_candidates`` stream over the memo's pairs.
-    Untouched tuples keep their positions, parallel-freeness and pairs, so
-    the search, and its result, are those of a step without a memo, which
-    starts from an empty one.
+    ``memo`` is the split run's ``_SplitMemo``, which knows each cycle by its
+    first vertex and holds it known only while the cover carries that very
+    tuple object (``_toggle`` keeps untouched tuples).  Case 1 skips the
+    cycles it knows to be parallel-free, the step files only the cycles it
+    has not seen, and cases 2-4 are one ``_candidates`` stream over the
+    memo's sorted orders, which keep only the lists long enough to yield a
+    candidate (two crossing pairs, three cross-cycle pairs).  Untouched
+    tuples keep their positions, parallel-freeness and pairs, and a shorter
+    list yields nothing, so the search, and its result, are those of a step
+    without a memo, which starts from an empty one.
 
     ``params.switch_candidate_budget`` bounds the step's work: each implanted
     C4 it reads from a cycle the memo has not seen costs one unit, and so
@@ -677,7 +632,7 @@ def increase_by_one_with_diag(
     under a tight budget it can run out where a step with one goes on.
     """
     params = params or Params()
-    memo = _SplitMemo() if memo is None else memo
+    memo = _SplitMemo(cover.n) if memo is None else memo
     diag = {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "budget_exhausted": False}
     budget = params.switch_candidate_budget
 
@@ -724,11 +679,15 @@ def split_to_k(
     ``k > n/3`` (a 2-factor needs at least three vertices per cycle).  The
     input cover is validated once, and so is the result when a step ran.
 
-    The steps share one ``_SplitMemo``, which lives only for this call:
-    untouched tuples keep their positions, parallel-freeness and pairs, so
-    case 1 skips the cycles an earlier step scanned without a hit, each step
-    files the pairs of only the cycles created since the last filing, and
-    cases 2-4 read the memo's lists through one candidate stream.  The plans
+    The steps share one ``_SplitMemo``, which lives only for this call.  It
+    keys each cycle by its first vertex and counts it as known while the
+    cover holds the same tuple object there; every step's ``_toggle`` hands
+    back the untouched cycles as those objects.  Untouched tuples keep their
+    positions, parallel-freeness and pairs, so case 1 skips the cycles an
+    earlier step scanned without a hit, each step files the pairs of only
+    the cycles created since the last filing, and cases 2-4 walk the memo's
+    sorted orders of the lists that can yield (two crossing pairs, three
+    cross-cycle pairs) through one candidate stream.  The plans
     are those of steps that start from nothing, except that such a step pays
     ``params.switch_candidate_budget`` units for every implanted C4 of the
     cover, so under a tight budget it can run out where a step of the run
@@ -754,7 +713,7 @@ def _split_validated(
     steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.
     """
     params = params or Params()
-    memo = _SplitMemo()
+    memo = _SplitMemo(cover.n)
     ell = cover.num_components
     changed = set()
     plans = []

@@ -132,63 +132,14 @@ def _covers_with_cycle_counts(rng, sizes):
         yield random_factor_instance(rng, n, rng.choice((0.0, 1.0, rng.random())), lengths)
 
 
-def _builder(monkeypatch, transpose):
-    monkeypatch.setattr(switching, "_transpose_wins", lambda n, m, reads: transpose)
-
-
 class TestRowBuilders:
-    """The transpose and the per-vertex sums build the same predecessor rows."""
+    """The kernel's rows, summed per vertex, count what brute force counts."""
 
-    def test_transpose_matches_definition(self):
-        rng = random.Random(0x7A5)
-        for n in list(range(0, 41)) + [63, 64, 65, 127, 129]:
-            cols = [rng.getrandbits(n) if n else 0 for _ in range(n)]
-            want = [sum(((cols[y] >> x) & 1) << y for y in range(n)) for x in range(n)]
-            assert switching._transpose(cols) == want
-
-    def test_rows_agree_on_seeded_covers(self):
-        rng = random.Random(0x5A1)
-        sizes = [3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 31, 33, 64, 100, 129, 255, 300]
-        sizes += [rng.randint(3, 300) for _ in range(30)]
-        for g, cover in _covers_with_cycle_counts(rng, sizes):
-            prev, nxt = switching._cover_arrays(cover)
-            sums = switching._pred_rows_sums(g, prev)
-            transpose = switching._pred_rows_transpose(g, nxt)
-            assert [transpose(x) for x in range(g.n)] == [sums(x) for x in range(g.n)]
-
-    def test_rows_agree_at_n_1000(self):
-        g, cover = gen_planted(1000, 0.02, 0x3E8)
-        prev, nxt = switching._cover_arrays(cover)
-        sums = switching._pred_rows_sums(g, prev)
-        transpose = switching._pred_rows_transpose(g, nxt)
-        assert [transpose(x) for x in range(g.n)] == [sums(x) for x in range(g.n)]
-
-    @pytest.mark.parametrize("transpose", [False, True], ids=["sums", "transpose"])
-    def test_count_matches_brute_force(self, monkeypatch, transpose):
-        _builder(monkeypatch, transpose)
+    def test_count_matches_brute_force(self):
         rng = random.Random(0xB7)
         sizes = [n for n in range(3, 13) for _ in range(6)]
         for g, cover in _covers_with_cycle_counts(rng, sizes):
             assert count_h_edges(g, cover) == count_implanted_bruteforce(g, cover)
-
-    def test_implanted_pairs_identical(self, monkeypatch):
-        rng = random.Random(0x1D)
-        sizes = [rng.randint(6, 120) for _ in range(25)]
-        for g, cover in _covers_with_cycle_counts(rng, sizes):
-            got = {}
-            for transpose in (False, True):
-                _builder(monkeypatch, transpose)
-                got[transpose] = list(_implanted_pairs(g, cover))
-            assert got[True] == got[False]
-
-    def test_rule(self):
-        # oracle-sized and sparse graphs stay on the sums, dense ones transpose
-        assert not switching._transpose_wins(12, 66, 12)
-        assert not switching._transpose_wins(4000, 44_000, 4000)
-        assert switching._transpose_wins(100, 1000, 100)
-        assert switching._transpose_wins(500, 19_000, 500)
-        # a few rows of a dense graph are cheaper summed
-        assert not switching._transpose_wins(500, 19_000, 8)
 
 
 class TestEnumerate:
@@ -657,19 +608,25 @@ def _reference_file(pairs):
     return same_crossing, cross_aligned, cross_anti
 
 
+def _yielding(buckets):
+    """``_reference_file``'s buckets less the lists too short to yield a
+    candidate: two crossing pairs make case 2's least, three pairs a triple's."""
+    same_crossing, cross_aligned, cross_anti = buckets
+    return (
+        {ci: pairs for ci, pairs in same_crossing.items() if len(pairs) >= 2},
+        {key: pairs for key, pairs in cross_aligned.items() if len(pairs) >= 3},
+        {key: pairs for key, pairs in cross_anti.items() if len(pairs) >= 3},
+    )
+
+
 def _memo_lists(memo, index):
-    """The memo's non-empty lists keyed by cycle index, as ``_reference_file``
-    keys its buckets."""
-    assert set(memo.same) == set(memo.cross) == set(index)
-    same_crossing = {index[cyc]: pairs for cyc, pairs in memo.same.items() if pairs}
-    cross_aligned, cross_anti = {}, {}
-    for lower, partners in memo.cross.items():
-        for higher, (al, an) in partners.items():
-            key = (index[lower], index[higher])
-            for bucket, pairs in ((cross_aligned, al), (cross_anti, an)):
-                if pairs:
-                    bucket[key] = pairs
-    return same_crossing, cross_aligned, cross_anti
+    """The memo's kept lists keyed by cycle index, as ``_reference_file`` keys
+    its buckets."""
+    return (
+        {index[v]: pairs for _, v, pairs in memo.crossing},
+        {(index[lower], index[higher]): pairs for _, lower, higher, pairs in memo.aligned},
+        {(index[lower], index[higher]): pairs for _, lower, higher, pairs in memo.anti},
+    )
 
 
 def _reference_candidates(cover, buckets):
@@ -744,11 +701,14 @@ class TestSplitMemo:
         buckets, find_parallel = switching._SplitMemo.buckets, switching._find_parallel
 
         def checked_buckets(memo, g, cover, budget):
-            unseen = {ci for ci, cyc in enumerate(cover.cycles) if cyc not in memo.same}
+            unseen = {
+                ci for ci, cyc in enumerate(cover.cycles) if memo.cycles.get(cyc[0]) is not cyc
+            }
             fresh, index = buckets(memo, g, cover, budget)
             pairs = list(_implanted_pairs(g, cover))
-            assert index == {cyc: ci for ci, cyc in enumerate(cover.cycles)}
-            assert _memo_lists(memo, index) == _reference_file(pairs)
+            assert index == {cyc[0]: ci for ci, cyc in enumerate(cover.cycles)}
+            assert memo.cycles == {cyc[0]: cyc for cyc in cover.cycles}
+            assert _memo_lists(memo, index) == _yielding(_reference_file(pairs))
             # the step pays for the C4's with an edge on a cycle it had not seen
             assert fresh == sum(ea[0] in unseen or eb[0] in unseen for ea, eb, _ in pairs)
             checked["buckets"] += 1
@@ -756,7 +716,7 @@ class TestSplitMemo:
 
         def checked_parallel(g, cover, parallel_free):
             got = find_parallel(g, cover, parallel_free)
-            assert got == find_parallel(g, cover, set())
+            assert got == find_parallel(g, cover, {})
             checked["parallel"] += 1
             return got
 
@@ -783,6 +743,58 @@ class TestSplitMemo:
         assert failures == len(_MEMO_RUNS)
         assert checked["buckets"] > 2 * len(_MEMO_RUNS) and checked["parallel"] > 100
 
+    def test_orders_match_sorted_buckets(self, monkeypatch):
+        """At every filing the three orders are the reference buckets sorted
+        from scratch, though most filings gain a cycle under the first vertex
+        of a cycle they lose."""
+        seen = Counter()
+        buckets = switching._SplitMemo.buckets
+
+        def checked(memo, g, cover, budget):
+            cycles = cover.cycles
+            ids = set(map(id, cycles))
+            lost = {v for v, cyc in memo.cycles.items() if id(cyc) not in ids}
+            gained = {cyc[0] for cyc in cycles if memo.cycles.get(cyc[0]) is not cyc}
+            fresh, index = buckets(memo, g, cover, budget)
+            same, aligned, anti = _yielding(_reference_file(_implanted_pairs(g, cover)))
+            assert memo.crossing == sorted((-len(p), cycles[ci][0], p) for ci, p in same.items())
+            for order, bucket in ((memo.aligned, aligned), (memo.anti, anti)):
+                assert order == sorted(
+                    (-len(p), cycles[ci][0], cycles[cj][0], p) for (ci, cj), p in bucket.items()
+                )
+            seen["filings"] += 1
+            seen["reused"] += bool(lost & gained)
+            seen["kept"] += len(memo.crossing) + len(memo.aligned) + len(memo.anti)
+            return fresh, index
+
+        monkeypatch.setattr(switching._SplitMemo, "buckets", checked)
+        for n, degree, seed in _MEMO_RUNS:
+            g, cover = _planted(n, degree, seed)
+            split_to_k(g, cover, n // 3)
+        assert seen["reused"] > seen["filings"] // 2 and seen["kept"] > 100, seen
+
+    def test_toggle_keeps_untouched_tuples(self, monkeypatch):
+        """A switch batch hands back every cycle it leaves untouched as the same
+        tuple object, which the memo's first-vertex keys rely on."""
+        cases = Counter()
+        try_plan = switching._try_plan
+
+        def checked(cover, switches, case):
+            new = _toggle(cover, switches)
+            if new is not None:
+                touched = {ci for c4 in switches for ci in (c4.edge_a[0], c4.edge_b[0])}
+                ids = set(map(id, new.cycles))
+                for ci, cyc in enumerate(cover.cycles):
+                    assert ci in touched or id(cyc) in ids
+                cases[case] += 1
+            return try_plan(cover, switches, case)
+
+        monkeypatch.setattr(switching, "_try_plan", checked)
+        for n, degree, seed in _MEMO_RUNS:
+            g, cover = _planted(n, degree, seed)
+            split_to_k(g, cover, n // 3)
+        assert set(cases) == {1, 2, 3, 4}, cases
+
     def test_success_matches_fresh_steps(self):
         g, cover = _planted(100, 20, 0)
         out = split_to_k(g, cover, 20)
@@ -806,8 +818,8 @@ class TestSplitMemo:
                 scans[cyc] += 1
             return hit
 
-        def counted_rows(g, prev, nxt, reads=None):
-            rows = kernel_rows(g, prev, nxt, reads)
+        def counted_rows(g, prev, nxt):
+            rows = kernel_rows(g, prev, nxt)
 
             def built(x):
                 cyc, y = [x], nxt[x]
@@ -837,7 +849,7 @@ def _stream_covers():
         g, cover = _planted(n, degree, seed)
         current = cover
         while True:
-            if switching._find_parallel(g, current, set()) is None:
+            if switching._find_parallel(g, current, {}) is None:
                 yield g, current
             step, _ = switching.increase_by_one_with_diag(g, current)
             if step is None:
