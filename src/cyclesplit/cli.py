@@ -14,6 +14,7 @@ import csv
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .graphs import (
@@ -131,7 +132,7 @@ def cmd_solve(args) -> int:
     params = Params(seed=args.seed)
     if args.params:
         params = parse_params(Path(args.params).read_text(), params)
-        params = params.with_updates(seed=args.seed)
+        params = replace(params, seed=args.seed)
     t0 = time.perf_counter()
     result = solve(g, cover, args.k, params, random.Random(args.seed), strict=args.strict)
     elapsed = time.perf_counter() - t0

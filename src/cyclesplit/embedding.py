@@ -246,11 +246,11 @@ def close_graph(
     params: Optional[Params] = None,
     mcache: Optional[MSetCache] = None,
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
-    """Edges forming C4's with many of the given disjoint edge sets.
+    """Edges forming C4's with the given disjoint edge sets.
 
     Returns the helper edges and the bad set B of vertices landing outside
     the M-set of at least half of the edge sets.  Every helper edge forms a
-    C4 with at least the compatibility floor of distinct listed edges.
+    C4 with at least one listed edge.
     """
     params = params or Params()
     sets = [frozenset(edge_key(*e) for e in el) for el in e_lists]
@@ -267,28 +267,25 @@ def close_graph(
         for v in s_sorted
         if 2 * sum(1 for mb in member if not (mb >> v) & 1) >= t
     )
-    floor = params.h_yield
+    listed = [e for es in sets for e in es]
     edges = set()
     for v in s_sorted:
         if v in bad:
             continue
-        counts: dict[int, int] = {}
-        nv = g.neighbor_bits(v)
-        for es in sets:
-            acc = 0
-            for x, y in es:
-                if v == x or v == y:
-                    continue
-                acc |= _witness_bits(g, x, y, v) & nv
-            for u in _iter_bits(acc):
-                counts[u] = counts.get(u, 0) + 1
-        for u, c in counts.items():
-            if c >= floor:
-                edges.add(edge_key(v, u))
+        acc = 0
+        for x, y in listed:
+            if v != x and v != y:
+                acc |= _witness_bits(g, x, y, v)
+        edges.update(edge_key(v, u) for u in _iter_bits(acc & g.neighbor_bits(v)))
     return frozenset(edges), bad
 
 
 # -- good-set ledger ---------------------------------------------------------
+
+# edges per full/unsaturated set (stands for n^(2eta'))
+LEDGER_SET_CAP = 16
+# saturated-part overflow size (stands for n^(1-6eta'))
+OVERFLOW_CAP = 16
 
 
 @dataclass
@@ -314,7 +311,10 @@ class GoodSetLedger:
     Each part carries up to ``ledger_t_cap`` promoted full sets (each covering
     the part up to the slack through M-sets) plus one growing overflow set.
     Parts born smaller than the slack are saturated from the start with all
-    sets empty.
+    sets empty.  An overflow set may grow while its M-sets cover at least as
+    many part vertices as it has edges; in a saturated part, while the part's
+    edges induce at least that many H-edges.  These per-edge rates stand for
+    n^(1-2eta') and n^(1-4eta'), and are 1 at desk scale.
     """
 
     def __init__(self, g: Graph, partition: Partition, params: Params):
@@ -370,17 +370,17 @@ class GoodSetLedger:
             return False
         grown = part.overflow | {edge}
         if self.saturated(part):
-            if len(grown) > p.overflow_cap:
+            if len(grown) > OVERFLOW_CAP:
                 return False
             pool = part.all_edges() | {edge}
-            if induced_h_edges(self.g, cycle, pool) < len(grown) * p.h_yield:
+            if induced_h_edges(self.g, cycle, pool) < len(grown):
                 return False
             part.overflow = grown
             return True
-        if len(grown) > p.ledger_set_cap:
+        if len(grown) > LEDGER_SET_CAP:
             return False
         covered = (part.bits & mcache.union_bits(grown)).bit_count()
-        if covered < len(grown) * p.partial_growth:
+        if covered < len(grown):
             return False
         part.overflow = grown
         if self.residue(part, grown, mcache) <= p.coverage_slack:
@@ -403,23 +403,23 @@ class GoodSetLedger:
             if len(part.full_sets) > p.ledger_t_cap:
                 raise AssertionError("too many full sets")
             for es in part.full_sets:
-                if len(es) > p.ledger_set_cap:
+                if len(es) > LEDGER_SET_CAP:
                     raise AssertionError("full set over the size cap")
                 if es and self.residue(part, es, mcache) > p.coverage_slack:
                     raise AssertionError("full set does not cover its part")
             if self.saturated(part):
-                if len(part.overflow) > p.overflow_cap:
+                if len(part.overflow) > OVERFLOW_CAP:
                     raise AssertionError("overflow over the saturated cap")
                 if part.overflow:
-                    need = len(part.overflow) * p.h_yield
-                    if induced_h_edges(self.g, cycle, part.all_edges()) < need:
+                    yielded = induced_h_edges(self.g, cycle, part.all_edges())
+                    if yielded < len(part.overflow):
                         raise AssertionError("saturated overflow below H yield")
             else:
-                if len(part.overflow) > p.ledger_set_cap:
+                if len(part.overflow) > LEDGER_SET_CAP:
                     raise AssertionError("overflow over the size cap")
                 if part.overflow:
                     covered = (part.bits & mcache.union_bits(part.overflow)).bit_count()
-                    if covered < len(part.overflow) * p.partial_growth:
+                    if covered < len(part.overflow):
                         raise AssertionError("overflow below partial coverage growth")
                     if self.residue(part, part.overflow, mcache) <= p.coverage_slack:
                         raise AssertionError("coverable overflow left unpromoted")

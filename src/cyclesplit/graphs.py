@@ -380,12 +380,14 @@ def bits_of(vertices: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Desk-scale tuning knobs.
+    """Desk-scale tuning knobs that a caller sets.
 
     The asymptotic hierarchy constants have no valid instantiation at sizes a
     machine can touch, so every threshold here is an absolute value; each
     field documents the asymptotic quantity it stands in for, in the
-    hierarchy zeta = eta'/6, eta = 10 eta'.
+    hierarchy zeta = eta'/6, eta = 10 eta'.  The fixed stand-ins that no
+    caller sets live beside the code that reads them: the ledger caps and
+    growth rates in ``embedding.py``, the rewire budgets in ``rewire.py``.
     """
 
     # partition: pairwise common-neighbourhood floor (stands for n^(1-zeta)+1)
@@ -396,15 +398,6 @@ class Params:
     coverage_slack: int = 2
     # ledger: number of full sets per part (stands for n^(1-3eta'))
     ledger_t_cap: int = 8
-    # ledger: edges per full/unsaturated set (stands for n^(2eta'))
-    ledger_set_cap: int = 16
-    # ledger: saturated-part overflow size (stands for n^(1-6eta'))
-    overflow_cap: int = 16
-    # ledger: per-edge M-coverage gain required to grow an overflow set
-    # (stands for n^(1-2eta'))
-    partial_growth: int = 1
-    # ledger: per-edge induced-H gain for saturated parts (stands for n^(1-4eta'))
-    h_yield: int = 1
     # enrichment goal (stands for n^(2-eta))
     h_edge_target: int = 50
     # protected-set ceiling for enrichment (stands for n^(1-eta))
@@ -414,10 +407,7 @@ class Params:
     # None keeps the rewire degree check (sqrt(n) log^2 n + 3|B'| + 2); any
     # integer, whatever its value, turns it off and warns (desk scale)
     thomassen_degree_floor: Optional[int] = None
-    # budgets
-    sample_retries: int = 32
-    rewire_node_budget: int = 200_000
-    exhaustive_cutoff: int = 14
+    # enrichment rounds, one rewire call each
     enrich_rounds: int = 64
     # work per split step: each implanted C4 filed from a cycle the step has
     # not seen, and each pair or triple it tries, costs one unit
@@ -430,15 +420,8 @@ class Params:
             "m_set_threshold",
             "coverage_slack",
             "ledger_t_cap",
-            "ledger_set_cap",
-            "overflow_cap",
-            "partial_growth",
-            "h_yield",
             "h_edge_target",
             "protected_cap",
-            "sample_retries",
-            "rewire_node_budget",
-            "exhaustive_cutoff",
             "enrich_rounds",
             "switch_candidate_budget",
         )
@@ -461,9 +444,6 @@ class Params:
         if n < 3:
             return 1.0
         return min(1.0, 1.0 / math.sqrt(n * math.log(n)))
-
-    def with_updates(self, **kw) -> "Params":
-        return replace(self, **kw)
 
 
 _PARAM_TYPES = get_type_hints(Params)
@@ -488,8 +468,7 @@ def parse_params(text: str, base: Optional[Params] = None) -> Params:
         if key not in _PARAM_TYPES:
             raise GraphFormatError(f"unknown params key '{key}'", lineno)
         values[key] = _parse_param_value(key, val, lineno)
-    base = base or Params()
-    return base.with_updates(**values)
+    return replace(base or Params(), **values)
 
 
 def _parse_param_value(key: str, val: str, lineno: int):

@@ -16,9 +16,8 @@ what depends on them are redone per call.  The request derives, once, every
 fact that neither the random stream nor ``Params`` can change: the blocked
 set, the desirable edges of the graph, the allowed and off-cycle neighbour
 bitsets, the clear candidates, the sampler's targets and its verdict that
-some target can never be dominated, and the sorted usable edges; the
-desk-scale seed pairs depend on ``Params`` only through ``sample_retries``,
-which keys their cache.  The relink search carries its end vertex and the
+some target can never be dominated, the sorted usable edges and the
+desk-scale seed pairs.  The relink search carries its end vertex and the
 pieces placed so far, builds a cycle only when it closes one that differs
 from the original; a request never repeats a failed desk-scale search.
 """
@@ -33,6 +32,14 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
+
+
+# switch-set draws per sampler call, and desk-scale rounds per rewire call
+SAMPLE_RETRIES = 32
+# node budget of each relink and exhaustive search
+REWIRE_NODE_BUDGET = 200_000
+# the exhaustive Hamilton search stands in only up to this many vertices
+EXHAUSTIVE_CUTOFF = 14
 
 
 class RewireError(ValueError):
@@ -50,12 +57,11 @@ class RewireRequest:
 
     ``enrich`` passes one request to every call until a rewire lands, so the
     request derives these facts once, on first use: the blocked set B'
-    (``blocked()``), ``desirable_edges``, ``allowed_bits``,
-    ``off_cycle_bits``, the clear candidates (``clear``), the sampler's
-    ``targets`` and its ``undominable`` verdict, the sorted ``usable_edges``
-    and the desk-scale phase's seed pairs (``seed_rotation``).  None of them
-    reads the random stream, and none depends on ``Params`` except the seed
-    pairs, which are cached per ``sample_retries``.
+    (``blocked``), ``desirable_edges``, ``allowed_bits``, ``off_cycle_bits``,
+    the clear candidates (``clear``), the sampler's ``targets`` and its
+    ``undominable`` verdict, the sorted ``usable_edges`` and the desk-scale
+    phase's seed pairs (``seed_rotation``).  None of them reads the random
+    stream or ``Params``.
     """
 
     graph: Graph
@@ -64,12 +70,9 @@ class RewireRequest:
     desirable: frozenset[tuple[int, int]]
     bad: frozenset[int] = frozenset()
 
+    @cached_property
     def blocked(self) -> frozenset[int]:
         """B' = bad vertices plus endpoints of protected edges."""
-        return self._blocked
-
-    @cached_property
-    def _blocked(self) -> frozenset[int]:
         return self.bad.union(*self.protected)
 
     @cached_property
@@ -96,14 +99,14 @@ class RewireRequest:
     @cached_property
     def clear(self) -> tuple[int, ...]:
         """Vertices outside the blocked set and its cycle neighbourhood, sorted."""
-        blocked = self.blocked()
+        blocked = self.blocked
         near = blocked.union(*map(self.cycle.cycle_neighbors, blocked))
         return tuple(v for v in range(self.cycle.n) if v not in near)
 
     @cached_property
     def targets(self) -> tuple[int, ...]:
         """The vertices a sampled switch set must dominate: all but B', sorted."""
-        blocked = self.blocked()
+        blocked = self.blocked
         return tuple(v for v in range(self.graph.n) if v not in blocked)
 
     @cached_property
@@ -120,48 +123,40 @@ class RewireRequest:
         return tuple(sorted(self.desirable_edges - self.cycle.edge_set()))
 
     @cached_property
-    def _seed_rotations(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return {}
-
-    @cached_property
-    def _failed_relinks(self) -> set[tuple[frozenset[int], int]]:
-        """The (S, node budget) pairs of desk-scale relinks that found no
-        cycle; the relink draws nothing, so each would fail again."""
+    def _failed_relinks(self) -> set[frozenset[int]]:
+        """The switch sets of desk-scale relinks that found no cycle; the
+        relink draws nothing, so each would fail again."""
         return set()
 
-    def seed_rotation(self, retries: int) -> tuple[tuple[int, int], ...]:
-        """The seed pairs of desk-scale rounds 0 .. retries - 1, in order.
+    @cached_property
+    def seed_rotation(self) -> tuple[tuple[int, int], ...]:
+        """The seed pairs of desk-scale rounds 0 .. SAMPLE_RETRIES - 1, in order.
 
         Round r tries usable edge r mod len(usable_edges).  The seed pair
         (a, x) of the edge (u, w) is u itself and a cycle neighbour of w,
         both clear, distinct and not cycle neighbours of each other, so the
         relink can route the edge; a round whose edge has no seed pair draws
         nothing and is left out.  Only the first min(len(usable_edges),
-        retries) edges are read, so only their pairs are computed, once per
-        retry count.
+        SAMPLE_RETRIES) edges are read, so only their pairs are computed.
         """
-        rotation = self._seed_rotations.get(retries)
-        if rotation is None:
-            usable = self.usable_edges
-            clear = set(self.clear)
-            nbrs = self.cycle.cycle_neighbors
+        usable = self.usable_edges
+        clear = set(self.clear)
+        nbrs = self.cycle.cycle_neighbors
 
-            def seed(edge):
-                for a, b in (edge, edge[::-1]):
-                    if a in clear:
-                        for x in nbrs(b):
-                            if x in clear and x != a and x not in nbrs(a):
-                                return a, x
-                return None
+        def seed(edge):
+            for a, b in (edge, edge[::-1]):
+                if a in clear:
+                    for x in nbrs(b):
+                        if x in clear and x != a and x not in nbrs(a):
+                            return a, x
+            return None
 
-            pairs = [seed(e) for e in usable[:retries]]
-            rotation = tuple(
-                pair
-                for r in range(retries if usable else 0)
-                if (pair := pairs[r % len(usable)]) is not None
-            )
-            self._seed_rotations[retries] = rotation
-        return rotation
+        pairs = [seed(e) for e in usable[:SAMPLE_RETRIES]]
+        return tuple(
+            pair
+            for r in range(SAMPLE_RETRIES if usable else 0)
+            if (pair := pairs[r % len(usable)]) is not None
+        )
 
 
 @dataclass
@@ -208,7 +203,7 @@ def sample_switch_set(
 ) -> Optional[frozenset[int]]:
     """Draw a switch set from the vertices clear of the blocked region.
 
-    Candidates A are the vertices outside B' = ``req.blocked()`` and its
+    Candidates A are the vertices outside B' = ``req.blocked`` and its
     cycle neighbourhood; each lands in S independently with the sampling
     probability.  A draw is returned only if it is cycle-independent and
     dominates everything outside B' in the desirable graph minus the cycle.
@@ -216,7 +211,7 @@ def sample_switch_set(
     """
     params = params or Params()
     n = req.graph.n
-    if len(req.blocked()) >= n:
+    if len(req.blocked) >= n:
         raise RewireError("blocked set covers every vertex")
     candidates = req.clear
     if not candidates:
@@ -226,7 +221,7 @@ def sample_switch_set(
     targets = req.targets
     off_bits = req.off_cycle_bits
     p = params.sampling_probability(n)
-    for _ in range(params.sample_retries):
+    for _ in range(SAMPLE_RETRIES):
         s = [v for v in candidates if rng.random() < p]
         if not s:
             continue
@@ -426,7 +421,7 @@ def second_hamilton_cycle(
     cyc_edges = cycle.edge_set()
     if not req.protected <= cyc_edges:
         raise RewireError("protected edges must lie on the cycle")
-    blocked = req.blocked()
+    blocked = req.blocked
     if len(blocked) >= n:
         raise RewireError("blocked set covers every vertex")
     # degree precondition on the desirable graph
@@ -450,11 +445,11 @@ def second_hamilton_cycle(
     if not req.usable_edges:
         return None
 
-    for _ in range(params.sample_retries):
+    for _ in range(SAMPLE_RETRIES):
         s = sample_switch_set(req, rng, params)
         if s is None:
             break
-        found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
+        found = _relink(cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
 
@@ -463,19 +458,18 @@ def second_hamilton_cycle(
     # usable edge into the switch set and pad with random extras.  The relink
     # search and the post-hoc checks carry correctness either way.
     p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
-    for seed in req.seed_rotation(params.sample_retries):
-        s = _seeded_switch_set(cycle, seed, req.clear, p_relax, rng)
-        tried = (frozenset(s), params.rewire_node_budget)
-        if tried in req._failed_relinks:
+    for seed in req.seed_rotation:
+        s = frozenset(_seeded_switch_set(cycle, seed, req.clear, p_relax, rng))
+        if s in req._failed_relinks:
             continue
-        found = _relink(cycle, s, req.allowed_bits, params.rewire_node_budget)
+        found = _relink(cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
-        req._failed_relinks.add(tried)
+        req._failed_relinks.add(s)
 
-    if n <= params.exhaustive_cutoff:
+    if n <= EXHAUSTIVE_CUTOFF:
         found = _exhaustive_second_cycle(
-            n, req.allowed_bits, req.protected, cycle, params.rewire_node_budget
+            n, req.allowed_bits, req.protected, cycle, REWIRE_NODE_BUDGET
         )
         if found is not None:
             changed = found.edge_set() ^ cyc_edges

@@ -212,7 +212,8 @@ class TestReaders:
             ({"cover": b"0 1 2 3 4 100000000000\n"}, 1),
             ({"params": b"enrich_rounds\n"}, 1),
             ({"params": b"sample_prob = 2\n"}, 1),
-            ({"params": b"sample_retries = many\n"}, 1),
+            ({"params": b"enrich_rounds = many\n"}, 1),
+            ({"params": b"sample_retries = 5\n"}, 1),
             ({name: text.replace("\n", "\r\n").encode() for name, text in READER_FILES.items()}, 0),
             ({"params": b"enrich_rounds 2\n"}, 0),
         ],
@@ -220,7 +221,8 @@ class TestReaders:
             "empty-graph", "non-integer-header", "negative-n", "three-token-edge",
             "non-integer-endpoint", "5000-digit-integer", "non-utf8", "non-integer-cover",
             "negative-cover-vertex", "huge-graph-n", "huge-cover-vertex", "params-without-value",
-            "sample-prob-2", "params-non-integer-value", "crlf", "params-key-space-value",
+            "sample-prob-2", "params-non-integer-value", "params-removed-key", "crlf",
+            "params-key-space-value",
         ],
     )
     def test_exit_code(self, tmp_path, capsys, overrides, code):

@@ -148,10 +148,10 @@ class TestCloseGraph:
 
     def test_block_coverage(self):
         g = complete_graph(8)
-        params = Params(m_set_threshold=1, h_yield=1)
+        params = Params(m_set_threshold=1)
         h, bad = close_graph(g, range(8), [frozenset({(0, 1), (2, 3)})], params)
         assert bad == frozenset()
-        # every reported edge forms a C4 with at least h_yield listed edges
+        # every reported edge forms a C4 with at least one listed edge
         for u, v in h:
             partners = 0
             for x, y in [(0, 1), (2, 3)]:
@@ -170,7 +170,6 @@ def desk_params(**kw):
         common_nbr_threshold=2,
         m_set_threshold=1,
         coverage_slack=4,
-        partial_growth=1,
         enrich_rounds=40,
         h_edge_target=50,
         seed=0,
@@ -273,7 +272,6 @@ class TestLedger:
             common_nbr_threshold=2,
             m_set_threshold=1,
             coverage_slack=9,
-            partial_growth=1,
             ledger_t_cap=2,
         )
         partition = partition_vertices(g, params)

@@ -248,12 +248,19 @@ class TestParams:
         with pytest.raises(GraphFormatError, match=f"line 2: '{key}' cannot be none"):
             parse_params(f"# header\n{key} = none\n")
 
-    @pytest.mark.parametrize("key, value", [("sample_retries", "many"), ("sample_prob", "half")])
+    @pytest.mark.parametrize("key, value", [("enrich_rounds", "many"), ("sample_prob", "half")])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(GraphFormatError, match=f"^line 2: bad value for '{key}': '{value}'$"):
             parse_params(f"seed = 1\n{key} = {value}\n")
 
-    @pytest.mark.parametrize("key", ["cover_common_floor", "zeta", "min_degree_floor", "enum_cap"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "cover_common_floor", "zeta", "min_degree_floor", "enum_cap", "ledger_set_cap",
+            "overflow_cap", "partial_growth", "h_yield", "sample_retries",
+            "rewire_node_budget", "exhaustive_cutoff",
+        ],
+    )
     def test_removed_key_rejected(self, key):
         with pytest.raises(GraphFormatError, match=f"unknown params key '{key}'"):
             parse_params(f"{key} = 1\n")

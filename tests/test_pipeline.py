@@ -491,6 +491,24 @@ class TestSolve:
         assert seen_rec == rec and cycle != merged
         assert unmerge(cycle, rec) == _reference_unmerge(cycle, rec) != cover
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_hamiltonian_host(self, seed):
+        """The paper's second result: the host needs only a 2-factor with at
+        most k cycles.  Two disjoint planted graphs, with their two cycles as
+        the cover, have no Hamilton cycle; the strict solve merges them
+        through 2 bridges, rewires the merged cycle and unmerges it."""
+        g1, c1 = gen_planted(30, 0.3, seed)
+        n = g1.n
+        g = Graph(2 * n, [*g1.edge_set(), *((u + n, v + n) for u, v in g1.edge_set())])
+        cover = CycleCover([c1.cycles[0], [v + n for v in c1.cycles[0]]], 2 * n)
+        before = cover.cycles
+        params = Params(seed=seed, thomassen_degree_floor=1, h_edge_target=2000)
+        res = solve(g, cover, 4, params, random.Random(seed), strict=True)
+        assert res.cover is not None and validate_cover(g, res.cover) == 4
+        assert res.stats.merge_bridges == 2
+        assert res.stats.ledger_summary["protected_edges"] > 0
+        assert cover.cycles == before
+
     def test_rewire_precondition_failure(self):
         # default Params: the rewire degree precondition raises on the first call
         g, cover = gen_planted(30, 0.15, 1)

@@ -381,10 +381,9 @@ def _result_key(res):
 
 class TestRequestReuse:
     def test_reused_request_draws_like_a_fresh_one(self, rng):
-        """One request passed to every call, as ``enrich`` does, under two
-        retry counts: each call returns what a fresh request returns and
-        leaves the random stream in the same state."""
-        short = Params(thomassen_degree_floor=1, sample_retries=5)
+        """One request passed to every call, as ``enrich`` does: each call
+        returns what a fresh request returns and leaves the random stream in
+        the same state."""
         results = {"found": 0, "none": 0}
         for seed in range(24):
             n = rng.randint(8, 40)
@@ -400,22 +399,21 @@ class TestRequestReuse:
             reused = fresh()
             ours, theirs = random.Random(seed), random.Random(seed)
             for call in range(8):
-                params = DESK if call % 3 else short
-                assert sample_switch_set(reused, ours, params) == sample_switch_set(
-                    fresh(), theirs, params
+                assert sample_switch_set(reused, ours, DESK) == sample_switch_set(
+                    fresh(), theirs, DESK
                 )
                 assert ours.getstate() == theirs.getstate()
-                got = second_hamilton_cycle(reused, ours, params)
+                got = second_hamilton_cycle(reused, ours, DESK)
                 assert _result_key(got) == _result_key(
-                    second_hamilton_cycle(fresh(), theirs, params)
+                    second_hamilton_cycle(fresh(), theirs, DESK)
                 )
                 assert ours.getstate() == theirs.getstate()
                 results["none" if got is None else "found"] += 1
         assert min(results.values()) >= 10, results
 
     def test_reused_request_relinks_each_switch_set_once(self, monkeypatch, rng):
-        """A request passed to every call never searches again an (S, budget)
-        pair whose search failed, and its results and random stream equal
+        """A request passed to every call never searches again a switch set
+        whose search failed, and its results and random stream equal
         those of a fresh request per call, which searches again.  All but an
         arc of 8 cycle vertices are bad, so few vertices are clear and the
         desk-scale switch sets repeat."""
@@ -424,11 +422,10 @@ class TestRequestReuse:
 
         def counted(cycle, s, allowed_bits, budget):
             found = relink(cycle, s, allowed_bits, budget)
-            searched.append(((frozenset(s), budget), found is None))
+            searched.append((frozenset(s), found is None))
             return found
 
         monkeypatch.setattr(rewire, "_relink", counted)
-        tight = Params(thomassen_degree_floor=1, rewire_node_budget=40)
         saved = 0
         for seed in range(24):
             n = rng.randint(20, 40)
@@ -445,7 +442,7 @@ class TestRequestReuse:
                 searched.clear()
                 ours = random.Random(seed)
                 got = [
-                    _result_key(second_hamilton_cycle(make(), ours, DESK if call % 2 else tight))
+                    _result_key(second_hamilton_cycle(make(), ours, DESK))
                     for call in range(8)
                 ]
                 runs.append((got, ours.getstate(), list(searched)))
@@ -461,8 +458,9 @@ class TestRequestReuse:
         assert saved > 50, saved
 
     def test_seed_rotation_matches_every_edge_seeded(self, rng):
-        """The rotation equals the one read from the seed pairs of all usable
-        edges, with the rounds whose edge has none left out."""
+        """The rotation over the 32 desk-scale rounds equals the one read
+        from the seed pairs of all usable edges, with the rounds whose edge
+        has none left out."""
         for seed in range(30):
             n = rng.randint(8, 40)
             g, cover = gen_planted(n, rng.uniform(0.2, 0.7), seed)
@@ -480,11 +478,9 @@ class TestRequestReuse:
                 return None
 
             pairs = [seed_pair(e) for e in req.usable_edges]
-            for retries in (1, 5, 32, len(pairs) + 7):
-                expected = tuple(
-                    pairs[r % len(pairs)]
-                    for r in range(retries)
-                    if pairs[r % len(pairs)] is not None
-                )
-                assert req.seed_rotation(retries) == expected
-                assert req.seed_rotation(retries) is req.seed_rotation(retries)
+            expected = tuple(
+                pairs[r % len(pairs)] for r in range(32) if pairs[r % len(pairs)] is not None
+            )
+            assert rewire.SAMPLE_RETRIES == 32
+            assert req.seed_rotation == expected
+            assert req.seed_rotation is req.seed_rotation
