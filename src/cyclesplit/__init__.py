@@ -26,6 +26,7 @@ from .instances import (
     count_implanted_bruteforce,
     gen_cliques_hamilton,
     gen_cliques_matching,
+    gen_implant_free,
     gen_planted,
     gen_triangles_biclique,
     oracle_component_counts,
@@ -68,6 +69,7 @@ __all__ = [
     "find_interleaved_pair",
     "gen_cliques_hamilton",
     "gen_cliques_matching",
+    "gen_implant_free",
     "gen_planted",
     "gen_triangles_biclique",
     "load_cover",

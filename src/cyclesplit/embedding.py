@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
@@ -96,29 +95,46 @@ class Partition:
         return len(self.parts)
 
 
-def _pair_ok(g: Graph, u: int, v: int, threshold: int) -> bool:
-    return (g.neighbor_bits(u) & g.neighbor_bits(v)).bit_count() >= threshold
-
-
-def _pairs_ok(g: Graph, vertices: Iterable[int], threshold: int) -> bool:
-    pairs = combinations(sorted(vertices), 2)
-    return all(_pair_ok(g, u, v, threshold) for u, v in pairs)
-
-
 def verify_partition(g: Graph, partition: Partition, threshold: int) -> bool:
-    """Exhaustively check the intra-part common-neighbourhood invariant."""
-    covered = set()
+    """Exhaustively check the intra-part common-neighbourhood invariant.
+
+    Every pair inside a part is tested on the graph's own neighbour bitsets,
+    independently of how the partition was built.
+    """
+    n = g.n
+    bits = g._bits
+    count = int.bit_count
+    covered = 0
     for part in partition.parts:
-        if covered & part:
+        vs = sorted(part)
+        if vs and (vs[0] < 0 or vs[-1] >= n):
             return False
-        covered |= part
-        if not _pairs_ok(g, part, threshold):
+        mask = bits_of(vs)
+        if covered & mask:
             return False
-    return covered == set(range(g.n))
+        covered |= mask
+        rows = [bits[v] for v in vs]
+        for i in range(len(rows) - 1):
+            if min(map(count, map(rows[i].__and__, rows[i + 1 :]))) < threshold:
+                return False
+    return covered == (1 << n) - 1
 
 
-def _admissible(g: Graph, part: list[int], v: int, threshold: int) -> bool:
-    return all(_pair_ok(g, u, v, threshold) for u in part)
+def _compatible_rows(g: Graph, threshold: int) -> list[int]:
+    """C(u) = {v != u : |N(u) ∩ N(v)| >= threshold} as a bitset per vertex."""
+    bits = g._bits
+    n = g.n
+    rows = [0] * n
+    for u in range(n):
+        bu = bits[u]
+        ubit = 1 << u
+        acc = 0
+        for v in range(u + 1, n):
+            if (bu & bits[v]).bit_count() >= threshold:
+                acc |= 1 << v
+                rows[v] |= ubit
+        rows[u] |= acc
+    return rows
 
 
 def partition_vertices(
@@ -130,10 +146,17 @@ def partition_vertices(
 
     First pass mirrors the randomized recipe (random half split, random
     witness set M, colouring by M-neighbourhood prefixes); every candidate
-    part is then verified directly and failures fall back to greedy
+    part is then checked directly and failures fall back to greedy
     agglomeration, so the output invariant is exact, not probabilistic.
     A final coalescing pass merges parts whenever the merged part still
-    verifies, keeping the part count small.
+    satisfies it, keeping the part count small.
+
+    Each vertex's compatible row C(u), the vertices sharing at least the
+    threshold of common neighbours with u, is computed once.  A part keeps
+    its member mask and the AND of its members' rows, the vertices
+    compatible with all of them, so admitting a vertex and merging two
+    parts are each one mask test.  The result is then checked pair by pair
+    on the graph by ``verify_partition``.
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
@@ -155,7 +178,6 @@ def partition_vertices(
             witness_pool = sorted(other)
             msize = min(len(witness_pool), max(ell, round(n ** 0.5)))
             witness = sorted(rng.sample(witness_pool, msize)) if msize else []
-            wbits = bits_of(witness)
             groups: dict[tuple, list[int]] = {}
             for v in sorted(side):
                 nb = [u for u in witness if (g.neighbor_bits(v) >> u) & 1]
@@ -167,42 +189,52 @@ def partition_vertices(
     else:
         pool.extend(range(n))
 
-    parts: list[list[int]] = []
+    rows = _compatible_rows(g, threshold)
+    # a part is [members, member mask, AND of the members' rows]; the
+    # members keep their admission order, which the coalescing order reads
+    parts: list[list] = []
     for cand in candidates:
-        if _pairs_ok(g, cand, threshold):
-            parts.append(sorted(cand))
+        mask, common = 0, -1
+        for v in cand:
+            if not (common >> v) & 1:
+                pool.extend(cand)
+                break
+            mask |= 1 << v
+            common &= rows[v]
         else:
-            pool.extend(cand)
+            parts.append([sorted(cand), mask, common])
 
     # greedy agglomeration: admit each vertex into the first part that keeps
     # the invariant, else open a new one (singletons satisfy it vacuously)
     for v in sorted(pool):
         for part in parts:
-            if _admissible(g, part, v, threshold):
-                part.append(v)
+            if (part[2] >> v) & 1:
+                part[0].append(v)
+                part[1] |= 1 << v
+                part[2] &= rows[v]
                 break
         else:
-            parts.append([v])
+            parts.append([[v], 1 << v, rows[v]])
 
     # coalesce while any merge preserves the invariant
     merged = True
     while merged:
         merged = False
-        parts.sort(key=lambda p: (-len(p), p[0]))
+        parts.sort(key=lambda p: (-len(p[0]), p[0][0]))
         for i in range(len(parts)):
+            members, mask, common = parts[i]
             for j in range(i + 1, len(parts)):
-                if all(
-                    _pair_ok(g, u, v, threshold) for u in parts[i] for v in parts[j]
-                ):
-                    parts[i] = sorted(parts[i] + parts[j])
+                other = parts[j]
+                if not other[1] & ~common:
+                    parts[i] = [sorted(members + other[0]), mask | other[1], common & other[2]]
                     del parts[j]
                     merged = True
                     break
             if merged:
                 break
 
-    parts.sort(key=lambda p: p[0])
-    partition = Partition(tuple(frozenset(p) for p in parts))
+    parts.sort(key=lambda p: p[0][0])
+    partition = Partition(tuple(frozenset(p[0]) for p in parts))
     if not verify_partition(g, partition, threshold):
         raise PartitionError("partition invariant failed verification")
     return partition
@@ -210,17 +242,18 @@ def partition_vertices(
 
 # -- helper graphs -----------------------------------------------------------
 
-
 def cover_graph(
     g: Graph,
     s_vertices: Iterable[int],
     t_vertices: Iterable[int],
     params: Optional[Params] = None,
-) -> frozenset[tuple[int, int]]:
+) -> dict[int, int]:
     """Edges at S whose far endpoint sees much of T; C4-rich towards T.
 
-    For each v in S it keeps the neighbours u with |N(u) ∩ T| at or above
-    the derived floor, and returns those edges.
+    It keeps, for each v in S, the edges to the neighbours u with
+    |N(u) ∩ T| at or above the derived floor.  A helper graph is returned
+    as neighbour rows: vertex -> bitset of its helper neighbours, for the
+    vertices that have one.
     """
     params = params or Params()
     s_sorted = sorted(set(s_vertices))
@@ -231,12 +264,20 @@ def cover_graph(
         raise ValueError("T must be non-empty")
     floor = params.cover_floor(len(t_sorted))
     tbits = bits_of(t_sorted)
-    edges = set()
+    bits = g._bits
+    sbits = bits_of(s_sorted)
+    # the far endpoints, neighbours of S that see enough of T, are tested
+    # once per vertex, not once per edge
+    far = 0
+    rows = {}
+    for u, nbrs in enumerate(bits):
+        if (nbrs & tbits).bit_count() >= floor and (row := nbrs & sbits):
+            far |= 1 << u
+            rows[u] = row
     for v in s_sorted:
-        for u in g.adjacency(v):
-            if (g.neighbor_bits(u) & tbits).bit_count() >= floor:
-                edges.add(edge_key(u, v))
-    return frozenset(edges)
+        if row := bits[v] & far:
+            rows[v] = rows.get(v, 0) | row
+    return rows
 
 
 def close_graph(
@@ -245,12 +286,13 @@ def close_graph(
     e_lists: Sequence[Iterable[tuple[int, int]]],
     params: Optional[Params] = None,
     mcache: Optional[MSetCache] = None,
-) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+) -> tuple[dict[int, int], frozenset[int]]:
     """Edges forming C4's with the given disjoint edge sets.
 
-    Returns the helper edges and the bad set B of vertices landing outside
-    the M-set of at least half of the edge sets.  Every helper edge forms a
-    C4 with at least one listed edge.
+    Returns the helper edges, as neighbour rows like ``cover_graph``, and
+    the bad set B of vertices landing outside the M-set of at least half of
+    the edge sets.  Every helper edge forms a C4 with at least one listed
+    edge.
     """
     params = params or Params()
     sets = [frozenset(edge_key(*e) for e in el) for el in e_lists]
@@ -268,7 +310,7 @@ def close_graph(
         if 2 * sum(1 for mb in member if not (mb >> v) & 1) >= t
     )
     listed = [e for es in sets for e in es]
-    edges = set()
+    rows: dict[int, int] = {}
     for v in s_sorted:
         if v in bad:
             continue
@@ -276,8 +318,11 @@ def close_graph(
         for x, y in listed:
             if v != x and v != y:
                 acc |= _witness_bits(g, x, y, v)
-        edges.update(edge_key(v, u) for u in _iter_bits(acc & g.neighbor_bits(v)))
-    return frozenset(edges), bad
+        if row := acc & g.neighbor_bits(v):
+            rows[v] = rows.get(v, 0) | row
+            for u in _iter_bits(row):
+                rows[u] = rows.get(u, 0) | (1 << v)
+    return rows, bad
 
 
 # -- good-set ledger ---------------------------------------------------------
@@ -492,12 +537,12 @@ def enrich(
         if h >= target:
             break
         if req is None:
-            helper_edges: list[frozenset] = []
+            helper_rows: list[dict[int, int]] = []
             bad_union: set[int] = set()
-            all_edges: set[tuple[int, int]] = set()
+            all_rows = [0] * g.n
             for part in ledger.parts:
                 if len(part.vertices) < 2:
-                    helper_edges.append(frozenset())
+                    helper_rows.append({})
                     continue
                 if ledger.saturated(part):
                     helper, bad = close_graph(
@@ -508,26 +553,23 @@ def enrich(
                     tbits = part.bits & ~mcache.union_bits(part.overflow)
                     t_vertices = list(_iter_bits(tbits))
                     helper = cover_graph(g, part.vertices, t_vertices, params)
-                helper_edges.append(helper)
-                all_edges |= helper
-            prot = e0 | ledger.protected_edges()
-            usable = all_edges - cycle.edge_set()
-            if not usable:
+                helper_rows.append(helper)
+                for v, row in helper.items():
+                    all_rows[v] |= row
+            prot = frozenset(e0 | ledger.protected_edges())
+            desirable = tuple(all_rows)
+            # the helper edges are graph edges, so the request's off-cycle
+            # rows are the usable edges
+            off_bits = RewireRequest(g, cycle, prot, desirable).off_cycle_bits
+            if not any(off_bits):
                 diagnostics.append("helper graph empty")
                 break
             # vertices the helpers cannot serve play the role of bad vertices
-            usable_deg = [0] * g.n
-            for u, v in usable:
-                usable_deg[u] += 1
-                usable_deg[v] += 1
-            bad_union |= {v for v in range(g.n) if not usable_deg[v]}
-            prot_vertices = {v for e in prot for v in e}
-            if len(bad_union | prot_vertices) >= g.n:
+            bad_union.update(v for v, row in enumerate(off_bits) if not row)
+            if len(bad_union.union(*prot)) >= g.n:
                 diagnostics.append("every vertex is bad or protected")
                 break
-            req = RewireRequest(
-                g, cycle, frozenset(prot), frozenset(all_edges), frozenset(bad_union)
-            )
+            req = RewireRequest(g, cycle, prot, desirable, frozenset(bad_union))
         try:
             res = second_hamilton_cycle(req, rng, params)
         except RewireError as exc:
@@ -540,8 +582,9 @@ def enrich(
         new_cycle = res.cycle
         trial = ledger.copy()
         for e in sorted(res.absorbed):
-            for part, edges in zip(trial.parts, helper_edges):
-                if e in edges and trial.try_absorb(part, e, mcache, new_cycle):
+            u, v = e
+            for part, rows in zip(trial.parts, helper_rows):
+                if (rows.get(u, 0) >> v) & 1 and trial.try_absorb(part, e, mcache, new_cycle):
                     break
         new_h = count_h_edges(g, new_cycle)
         if (trial.t_sum, trial.m_sum, new_h) <= (ledger.t_sum, ledger.m_sum, h):

@@ -97,11 +97,37 @@ class Graph:
         return sorted(self.edge_set())
 
     def with_extra_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with ``extra`` edges added (duplicates ignored)."""
-        es = set(self.edge_set())
+        """New graph with ``extra`` edges added (duplicates ignored).
+
+        Only the rows of vertices that gain a neighbour are rebuilt; a loop
+        or an out-of-range vertex raises the constructor's error.
+        """
+        n = self.n
+        m = self._m
+        bits = list(self._bits)
+        gained: dict[int, list[int]] = {}
         for u, v in extra:
-            es.add(edge_key(u, v))
-        return Graph(self.n, es)
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex out of range in edge ({u}, {v})")
+            if not (bits[u] >> v) & 1:
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+                gained.setdefault(u, []).append(v)
+                gained.setdefault(v, []).append(u)
+                m += 1
+        adj = list(self._adj)
+        for v, new in gained.items():
+            adj[v] = tuple(sorted(adj[v] + tuple(new)))
+        out = Graph.__new__(Graph)
+        out.n = n
+        out._m = m
+        out._adj = tuple(adj)
+        out._bits = tuple(bits)
+        out._min_degree = min(map(len, adj), default=0)
+        out._edges = None
+        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,11 +1,13 @@
 """Instance generators and exhaustive small-n oracles.
 
 The planted model supplies the solver's hypothesis (a known 2-factor) by
-construction.  The two counterexample families are the ones with explicit
-recipes: disjoint triangles feeding a complete bipartite block (no 2-factor
-has fewer cycles), and two cliques joined by a matching of size two.  The
-oracles enumerate 2-regular spanning subgraphs exactly, so they are capped at
-14 vertices.
+construction.  The implant-free model does too, with a Hamilton cycle that
+hosts no implanted C4, so only enrichment can start a split.  The two
+counterexample families are the ones with explicit recipes: disjoint
+triangles feeding a complete bipartite block (no 2-factor has fewer
+cycles), and two cliques joined by a matching of size two.  The oracles
+enumerate 2-regular spanning subgraphs exactly, so they are capped at 14
+vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .graphs import CycleCover, Graph, edge_key
+from .graphs import CycleCover, Graph, _iter_bits, edge_key
 
 ORACLE_CAP = 14  # exhaustive enumeration stays under a minute up to here
 BRUTE_CAP = 12
@@ -61,6 +63,31 @@ def gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
             if (u, v) not in cycle_edges and rng.random() < p:
                 edges.add((u, v))
     return Graph(n, edges), CycleCover([perm])
+
+
+def gen_implant_free(n: int, seed: int) -> tuple[Graph, CycleCover]:
+    """The cycle 0..n-1 plus every chord that implants no C4 in it.
+
+    The non-cycle pairs are visited in a seeded random order, and u-v is
+    added unless one of the four pairs {u±1, v±1} is already a chord, so
+    the returned Hamilton cycle hosts no implanted C4 while the minimum
+    degree grows as about n^0.8.  The pair loop is O(n^2) Python.
+    """
+    if n < 4:
+        raise ValueError("implant-free instances need n >= 4")
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 2, n) if v - u != n - 1]
+    rng.shuffle(pairs)
+    chord = [0] * n  # chord[u] bit v: u-v is a chord
+    for u, v in pairs:
+        up, um = chord[(u + 1) % n], chord[u - 1]
+        vp, vm = (v + 1) % n, v - 1
+        if not ((up >> vp) & 1 or (up >> vm) & 1 or (um >> vp) & 1 or (um >> vm) & 1):
+            chord[u] |= 1 << v
+            chord[v] |= 1 << u
+    edges = [(u, u + 1) for u in range(n - 1)] + [(0, n - 1)]
+    edges += [(u, v) for u in range(n) for v in _iter_bits(chord[u]) if u < v]
+    return Graph(n, edges), CycleCover([list(range(n))])
 
 
 def gen_cliques_matching(q: int, seed: int, allow_even: bool = False) -> Graph:

@@ -14,12 +14,13 @@ excluded) stands in when sampling fails.
 A failed call is retried with the same request, so only the random draws and
 what depends on them are redone per call.  The request derives, once, every
 fact that neither the random stream nor ``Params`` can change: the blocked
-set, the desirable edges of the graph, the allowed and off-cycle neighbour
-bitsets, the clear candidates, the sampler's targets and its verdict that
-some target can never be dominated, the sorted usable edges and the
-desk-scale seed pairs.  The relink search carries its end vertex and the
-pieces placed so far, builds a cycle only when it closes one that differs
-from the original; a request never repeats a failed desk-scale search.
+set, the desirable and cycle neighbour rows and from them the allowed and
+off-cycle neighbour bitsets, the clear candidates, the sampler's targets and
+its verdict that some target can never be dominated, the usable-edge count
+and the desk-scale seed pairs.  The relink search carries its end vertex
+and the pieces placed so far, builds a cycle only when it closes one that
+differs from the original; a request never repeats a failed desk-scale
+search.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 
@@ -50,24 +52,28 @@ class RewireError(ValueError):
 class RewireRequest:
     """Inputs for one rewiring attempt.
 
-    ``graph`` hosts the cycle; ``desirable`` is a subgraph (edge set on the
-    same vertices) whose edges we want to pull into the new cycle;
+    ``graph`` hosts the cycle; ``desirable`` is a subgraph on the same
+    vertices whose edges we want to pull into the new cycle, given as an
+    edge set or, as ``enrich`` gives it, as a tuple of symmetric per-vertex
+    neighbour rows;
     ``protected`` lists cycle edges that must survive; ``bad`` holds vertices
     exempt from the degree requirement.
 
     ``enrich`` passes one request to every call until a rewire lands, so the
     request derives these facts once, on first use: the blocked set B'
-    (``blocked``), ``desirable_edges``, ``allowed_bits``, ``off_cycle_bits``,
-    the clear candidates (``clear``), the sampler's ``targets`` and its
-    ``undominable`` verdict, the sorted ``usable_edges`` and the desk-scale
-    phase's seed pairs (``seed_rotation``).  None of them reads the random
-    stream or ``Params``.
+    (``blocked``), the per-vertex rows ``desirable_bits`` and ``cycle_bits``
+    and from them ``allowed_bits`` and ``off_cycle_bits``, the clear
+    candidates (``clear``), the sampler's ``targets`` and its ``undominable``
+    verdict, ``usable_count`` and the desk-scale phase's seed pairs
+    (``seed_rotation``).  None of them reads the random stream or
+    ``Params``.  ``usable_edges`` generates the usable edges from the rows
+    in sorted order, so a caller reads only as many as it needs.
     """
 
     graph: Graph
     cycle: CycleCover
     protected: frozenset[tuple[int, int]]
-    desirable: frozenset[tuple[int, int]]
+    desirable: Union[frozenset[tuple[int, int]], tuple[int, ...]]
     bad: frozenset[int] = frozenset()
 
     @cached_property
@@ -76,25 +82,34 @@ class RewireRequest:
         return self.bad.union(*self.protected)
 
     @cached_property
-    def desirable_edges(self) -> frozenset[tuple[int, int]]:
-        """The desirable pairs that are edges of ``graph``, as edge keys."""
-        has_edge = self.graph.has_edge
-        return frozenset(edge_key(u, v) for u, v in self.desirable if has_edge(u, v))
+    def desirable_bits(self) -> list[int]:
+        """Per vertex, its desirable neighbours that are graph neighbours."""
+        rows = self.desirable
+        if not isinstance(rows, tuple):
+            rows = [0] * self.graph.n
+            for u, v in self.desirable:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        return [row & nbrs for row, nbrs in zip(rows, self.graph._bits)]
+
+    @cached_property
+    def cycle_bits(self) -> list[int]:
+        """Per vertex, its two cycle neighbours."""
+        rows = [0] * self.cycle.n
+        for cyc in self.cycle.cycles:
+            for prev, v, nxt in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
+                rows[v] = (1 << prev) | (1 << nxt)
+        return rows
 
     @cached_property
     def allowed_bits(self) -> list[int]:
         """Neighbour bitsets of the desirable edges plus the cycle."""
-        bits = [0] * self.graph.n
-        for u, v in self.desirable_edges | self.cycle.edge_set():
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        return bits
+        return [d | c for d, c in zip(self.desirable_bits, self.cycle_bits)]
 
     @cached_property
     def off_cycle_bits(self) -> list[int]:
         """Desirable neighbours of each vertex, its two cycle neighbours removed."""
-        nbrs = self.cycle.cycle_neighbors
-        return [b & ~bits_of(nbrs(v)) for v, b in enumerate(self.allowed_bits)]
+        return [d & ~c for d, c in zip(self.desirable_bits, self.cycle_bits)]
 
     @cached_property
     def clear(self) -> tuple[int, ...]:
@@ -118,9 +133,15 @@ class RewireRequest:
         return any(not (off_bits[t] & cand_bits) for t in self.targets)
 
     @cached_property
-    def usable_edges(self) -> tuple[tuple[int, int], ...]:
-        """The desirable edges off the cycle, sorted."""
-        return tuple(sorted(self.desirable_edges - self.cycle.edge_set()))
+    def usable_count(self) -> int:
+        """The number of desirable edges off the cycle."""
+        return sum(map(int.bit_count, self.off_cycle_bits)) // 2
+
+    def usable_edges(self) -> Iterator[tuple[int, int]]:
+        """The desirable edges off the cycle, generated in sorted order."""
+        for u, row in enumerate(self.off_cycle_bits):
+            for v in _iter_bits(row >> (u + 1)):
+                yield u, u + 1 + v
 
     @cached_property
     def _failed_relinks(self) -> set[frozenset[int]]:
@@ -132,14 +153,14 @@ class RewireRequest:
     def seed_rotation(self) -> tuple[tuple[int, int], ...]:
         """The seed pairs of desk-scale rounds 0 .. SAMPLE_RETRIES - 1, in order.
 
-        Round r tries usable edge r mod len(usable_edges).  The seed pair
+        Round r tries usable edge r mod ``usable_count``.  The seed pair
         (a, x) of the edge (u, w) is u itself and a cycle neighbour of w,
         both clear, distinct and not cycle neighbours of each other, so the
         relink can route the edge; a round whose edge has no seed pair draws
-        nothing and is left out.  Only the first min(len(usable_edges),
-        SAMPLE_RETRIES) edges are read, so only their pairs are computed.
+        nothing and is left out.  Only the first min(``usable_count``,
+        SAMPLE_RETRIES) edges are read, so only they are generated.
         """
-        usable = self.usable_edges
+        count = self.usable_count
         clear = set(self.clear)
         nbrs = self.cycle.cycle_neighbors
 
@@ -151,11 +172,11 @@ class RewireRequest:
                             return a, x
             return None
 
-        pairs = [seed(e) for e in usable[:SAMPLE_RETRIES]]
+        pairs = [seed(e) for e in islice(self.usable_edges(), SAMPLE_RETRIES)]
         return tuple(
             pair
-            for r in range(SAMPLE_RETRIES if usable else 0)
-            if (pair := pairs[r % len(usable)]) is not None
+            for r in range(SAMPLE_RETRIES if count else 0)
+            if (pair := pairs[r % count]) is not None
         )
 
 
@@ -427,10 +448,7 @@ def second_hamilton_cycle(
     # degree precondition on the desirable graph
     if params.thomassen_degree_floor is None:
         floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
-        deg = [0] * n
-        for u, v in req.desirable_edges:
-            deg[u] += 1
-            deg[v] += 1
+        deg = [row.bit_count() for row in req.desirable_bits]
         short = [v for v in range(n) if v not in blocked and deg[v] < floor]
         if short:
             raise RewireError(
@@ -442,7 +460,7 @@ def second_hamilton_cycle(
             stacklevel=2,
         )
 
-    if not req.usable_edges:
+    if not req.usable_count:
         return None
 
     for _ in range(SAMPLE_RETRIES):

@@ -1,5 +1,6 @@
 import random
 import warnings
+from types import SimpleNamespace
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from cyclesplit import embedding
 from cyclesplit.embedding import (
     GoodSetLedger,
     MSetCache,
+    Partition,
     close_graph,
     cover_graph,
     enrich,
@@ -15,7 +17,7 @@ from cyclesplit.embedding import (
     partition_vertices,
     verify_partition,
 )
-from cyclesplit.graphs import Graph, Params
+from cyclesplit.graphs import Graph, Params, _iter_bits, edge_key
 from cyclesplit.instances import gen_planted
 from cyclesplit.pipeline import solve
 from cyclesplit.switching import count_h_edges, induced_h_edges
@@ -108,10 +110,196 @@ class TestPartition:
         assert a.parts == b.parts
 
 
+def _reference_pair_ok(g, u, v, threshold):
+    return (g.neighbor_bits(u) & g.neighbor_bits(v)).bit_count() >= threshold
+
+
+def _reference_partition(g, params, rng):
+    """The pair-by-pair partition: every candidate, admission and merge test
+    checks each pair on the graph, without compatible rows."""
+    n = g.n
+    threshold = params.common_nbr_threshold
+    if n == 0:
+        return Partition(())
+
+    def pairs_ok(vertices):
+        return all(
+            _reference_pair_ok(g, u, v, threshold)
+            for u, v in combinations(sorted(vertices), 2)
+        )
+
+    candidates, pool = [], []
+    if n >= 4:
+        side_a = set(sorted(rng.sample(range(n), n // 2)))
+        side_b = set(range(n)) - side_a
+        ell = 2
+        for side, other in ((side_a, side_b), (side_b, side_a)):
+            witness_pool = sorted(other)
+            msize = min(len(witness_pool), max(ell, round(n ** 0.5)))
+            witness = sorted(rng.sample(witness_pool, msize)) if msize else []
+            groups = {}
+            for v in sorted(side):
+                nb = [u for u in witness if (g.neighbor_bits(v) >> u) & 1]
+                if len(nb) < ell:
+                    pool.append(v)
+                else:
+                    groups.setdefault(tuple(nb[:ell]), []).append(v)
+            candidates.extend(groups[k] for k in sorted(groups))
+    else:
+        pool.extend(range(n))
+    parts = []
+    for cand in candidates:
+        if pairs_ok(cand):
+            parts.append(sorted(cand))
+        else:
+            pool.extend(cand)
+    for v in sorted(pool):
+        for part in parts:
+            if all(_reference_pair_ok(g, u, v, threshold) for u in part):
+                part.append(v)
+                break
+        else:
+            parts.append([v])
+    merged = True
+    while merged:
+        merged = False
+        parts.sort(key=lambda p: (-len(p), p[0]))
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                if all(
+                    _reference_pair_ok(g, u, v, threshold)
+                    for u in parts[i]
+                    for v in parts[j]
+                ):
+                    parts[i] = sorted(parts[i] + parts[j])
+                    del parts[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    parts.sort(key=lambda p: p[0])
+    return Partition(tuple(frozenset(p) for p in parts))
+
+
+class TestPartitionMatchesReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 12, 40, 60, 80])
+    def test_same_parts_and_rng_state(self, n):
+        for case, p in enumerate((0.2, 0.5, 0.8, 0.35)):
+            g = gnp(random.Random(1000 * n + case), n, p)
+            top = max((g.degree(v) for v in range(n)), default=0)
+            for threshold in (0, 1, 3, 8, top + 1):
+                # Params refuses a threshold of 0, the partition does not
+                params = SimpleNamespace(common_nbr_threshold=threshold)
+                want_rng = random.Random(7 * n + case)
+                got_rng = random.Random(7 * n + case)
+                want = _reference_partition(g, params, want_rng)
+                got = partition_vertices(g, params, got_rng)
+                assert got.parts == want.parts, (n, case, threshold)
+                assert got_rng.getstate() == want_rng.getstate()
+                assert verify_partition(g, got, threshold)
+
+    def test_verify_rejects_tampered_partitions(self):
+        g = gnp(random.Random(4), 30, 0.4)
+        threshold = 4
+        good = partition_vertices(g, Params(common_nbr_threshold=threshold), random.Random(1))
+        assert verify_partition(g, good, threshold)
+        parts = list(good.parts)
+        # a pair below the threshold: join a part with a vertex it rejects
+        low = next(
+            (i, j, u, v)
+            for i, a in enumerate(parts)
+            for j, b in enumerate(parts)
+            if i != j
+            for u in a
+            for v in b
+            if not _reference_pair_ok(g, u, v, threshold)
+        )
+        i, j, u, v = low
+        below = [set(p) for p in parts]
+        below[j].discard(v)
+        below[i].add(v)
+        below = Partition(tuple(frozenset(p) for p in below if p))
+        assert not verify_partition(g, below, threshold)
+        # an overlap: one vertex in two parts
+        overlap = Partition(tuple(parts) + (frozenset({next(iter(parts[0]))}),))
+        assert not verify_partition(g, overlap, threshold)
+        # a missing vertex
+        missing = set(parts[0])
+        missing.discard(next(iter(missing)))
+        missing = Partition((frozenset(missing),) + tuple(parts[1:]))
+        assert not verify_partition(g, missing, threshold)
+
+
+def edges_of(rows):
+    """The edge set of a helper graph's neighbour rows, which must be
+    symmetric, loop-free and listed only for vertices with an edge."""
+    assert all(rows.values())
+    pairs = {(u, v) for u, row in rows.items() for v in _iter_bits(row)}
+    assert all((v, u) in pairs and u != v for u, v in pairs)
+    return {(u, v) for u, v in pairs if u < v}
+
+
+class TestHelperRows:
+    """The row-built helper graphs hold exactly the edges of their
+    edge-by-edge definitions."""
+
+    def test_cover_graph_matches_definition(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            g = gnp(rng, n, rng.uniform(0.1, 0.9))
+            s_vertices = rng.sample(range(n), rng.randint(1, n))
+            t_vertices = rng.sample(s_vertices, rng.randint(1, len(s_vertices)))
+            params = Params()
+            floor = params.cover_floor(len(t_vertices))
+            tset = set(t_vertices)
+            want = {
+                edge_key(u, v)
+                for v in s_vertices
+                for u in g.adjacency(v)
+                if len(set(g.adjacency(u)) & tset) >= floor
+            }
+            assert edges_of(cover_graph(g, s_vertices, t_vertices, params)) == want
+
+    def test_close_graph_matches_definition(self):
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(30):
+            n = rng.randint(6, 30)
+            g = gnp(rng, n, rng.uniform(0.3, 0.9))
+            edges = sorted(g.edge_set())
+            if len(edges) < 4:
+                continue
+            picked = rng.sample(edges, rng.randint(2, min(8, len(edges))))
+            half = len(picked) // 2
+            e_lists = [picked[:half], picked[half:]]
+            s_vertices = rng.sample(range(n), rng.randint(2, n))
+            params = Params(m_set_threshold=rng.randint(1, 2))
+            rows, bad = close_graph(g, s_vertices, e_lists, params)
+            want = set()
+            for v in s_vertices:
+                if v in bad:
+                    continue
+                for x, y in picked:
+                    if v in (x, y):
+                        continue
+                    for u in g.adjacency(v):
+                        if u in (x, y):
+                            continue
+                        # uv closes a C4 with xy through yv, ux or xv, uy
+                        if (g.has_edge(y, v) and g.has_edge(u, x)) or (
+                            g.has_edge(x, v) and g.has_edge(u, y)
+                        ):
+                            want.add(edge_key(u, v))
+            assert edges_of(rows) == want
+            checked += bool(want)
+        assert checked >= 10, checked
+
+
 class TestCoverGraph:
     def test_complete_graph_full(self):
         h = cover_graph(complete_graph(10), range(10), range(10))
-        assert len(h) == 45
+        assert len(edges_of(h)) == 45
 
     def test_empty_t_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -129,7 +317,7 @@ class TestCoverGraph:
         part = max(partition_vertices(g, params, random.Random(1)).parts, key=len)
         h = cover_graph(g, sorted(part), sorted(part), params)
         tbits = bits_of(part)
-        for e in sorted(h)[:16]:
+        for e in sorted(edges_of(h))[:16]:
             hits = len(m_set(g, e, params.m_set_threshold).members & part)
             assert hits == (
                 MSetCache(g, params.m_set_threshold).member_bits(e) & tbits
@@ -139,7 +327,7 @@ class TestCoverGraph:
 class TestCloseGraph:
     def test_all_empty_sets(self):
         h, bad = close_graph(complete_graph(8), range(8), [frozenset(), frozenset()])
-        assert h == frozenset() and bad == frozenset(range(8))
+        assert h == {} and bad == frozenset(range(8))
 
     def test_overlap_rejected(self):
         eset = frozenset({(0, 1)})
@@ -152,7 +340,7 @@ class TestCloseGraph:
         h, bad = close_graph(g, range(8), [frozenset({(0, 1), (2, 3)})], params)
         assert bad == frozenset()
         # every reported edge forms a C4 with at least one listed edge
-        for u, v in h:
+        for u, v in edges_of(h):
             partners = 0
             for x, y in [(0, 1), (2, 3)]:
                 if len({u, v, x, y}) < 4:

@@ -12,6 +12,7 @@ from cyclesplit.graphs import (
     Params,
     dump_cover,
     dump_graph,
+    edge_key,
     load_cover,
     load_graph,
     parse_params,
@@ -99,6 +100,54 @@ def test_min_degree_matches_degrees():
         assert g.min_degree() == min(g.degree(v) for v in range(n))
         extra = g.with_extra_edges([(0, v) for v in range(1, n)])
         assert extra.min_degree() == min(extra.degree(v) for v in range(n))
+
+
+def _same_graph(a, b):
+    """Field-by-field equality of two graphs."""
+    assert a.n == b.n and a.m == b.m
+    assert [a.adjacency(v) for v in range(a.n)] == [b.adjacency(v) for v in range(b.n)]
+    assert [a.neighbor_bits(v) for v in range(a.n)] == [b.neighbor_bits(v) for v in range(b.n)]
+    assert a.min_degree() == b.min_degree()
+    assert a.edges() == b.edges()
+    assert a == b and hash(a) == hash(b)
+
+
+class TestWithExtraEdges:
+    def test_matches_rebuilt_graph(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(0, 25)
+            g = gnp(rng, n, rng.random())
+            before = ([g.adjacency(v) for v in range(n)], g.edges(), g.m)
+            extra = []
+            if n >= 2:
+                for _ in range(rng.randint(0, 3 * n)):
+                    u, v = rng.sample(range(n), 2)
+                    extra.append((u, v))
+                # repeats among the extras, both orientations, and edges of g
+                extra += extra[: len(extra) // 3] + [(v, u) for u, v in extra[:2]]
+                extra += g.edges()[:3]
+            rng.shuffle(extra)
+            want = Graph(n, g.edge_set() | {edge_key(u, v) for u, v in extra})
+            got = g.with_extra_edges(iter(extra))
+            _same_graph(got, want)
+            assert ([g.adjacency(v) for v in range(n)], g.edges(), g.m) == before
+
+    def test_empty_extra(self):
+        g = gnp(random.Random(3), 12, 0.4)
+        _same_graph(g.with_extra_edges([]), g)
+        _same_graph(Graph(0, []).with_extra_edges([]), Graph(0, []))
+
+    @pytest.mark.parametrize("bad", [(2, 2), (0, 6), (6, 0), (-1, 3), (3, -2)])
+    def test_bad_edge_raises_constructor_message(self, bad):
+        g = cycle_graph(6)
+        edges = g.edges()
+        with pytest.raises(ValueError) as built:
+            Graph(6, [bad])
+        with pytest.raises(ValueError) as patched:
+            g.with_extra_edges([(0, 2), bad])
+        assert str(patched.value) == str(built.value)
+        assert g.edges() == edges and g.m == 6
 
 
 class TestValidateCover:

@@ -8,6 +8,7 @@ from cyclesplit.instances import (
     count_implanted_bruteforce,
     gen_cliques_hamilton,
     gen_cliques_matching,
+    gen_implant_free,
     gen_planted,
     gen_triangles_biclique,
     oracle_component_counts,
@@ -16,6 +17,43 @@ from cyclesplit.instances import (
 from cyclesplit.switching import count_h_edges
 
 from conftest import complete_graph, cycle_graph, ham_cover
+
+
+class TestGenImplantFree:
+    @pytest.mark.parametrize("n", range(9, 61))
+    def test_given_cycle_hosts_no_implanted_c4(self, n):
+        g, cover = gen_implant_free(n, n)
+        assert cover.cycles == (tuple(range(n)),)
+        assert validate_cover(g, cover) == 1
+        assert count_h_edges(g, cover) == 0
+        assert g.m > n  # the chords are there
+
+    def test_small_cycle_checked_by_brute_force(self):
+        for n in range(5, 13):
+            for seed in range(3):
+                g, cover = gen_implant_free(n, seed)
+                assert count_implanted_bruteforce(g, cover) == 0
+
+    def test_maximal_and_deterministic(self):
+        n = 30
+        g, cover = gen_implant_free(n, 4)
+        assert gen_implant_free(n, 4)[0] == g
+        chords = g.edge_set() - cover.edge_set()
+        # every left-out pair is blocked by a chord among its four neighbours
+        for u in range(n):
+            for v in range(u + 2, n):
+                if v - u == n - 1 or (u, v) in chords:
+                    continue
+                near = {
+                    (min(a, b), max(a, b))
+                    for a in ((u + 1) % n, (u - 1) % n)
+                    for b in ((v + 1) % n, (v - 1) % n)
+                }
+                assert near & chords, (u, v)
+
+    def test_rejects_tiny_n(self):
+        with pytest.raises(ValueError):
+            gen_implant_free(3, 0)
 
 
 class TestGenPlanted:

@@ -6,7 +6,7 @@ from typing import Optional
 import pytest
 
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
-from cyclesplit.instances import gen_planted, gen_triangles_biclique
+from cyclesplit.instances import gen_implant_free, gen_planted, gen_triangles_biclique
 from cyclesplit import embedding, pipeline, switching
 from cyclesplit.pipeline import MergeRecord, merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
@@ -508,6 +508,21 @@ class TestSolve:
         assert res.stats.merge_bridges == 2
         assert res.stats.ledger_summary["protected_edges"] > 0
         assert cover.cycles == before
+
+    @pytest.mark.parametrize("n", [24, 30, 40, 60])
+    def test_implant_free_host_needs_the_rewire(self, n):
+        """The given Hamilton cycle hosts no implanted C4, so the direct
+        split cannot move; with the desk floor, enrichment rewires the
+        cycle and the split then reaches k.  The outcome under the default
+        Params is left to the benchmark."""
+        for k in (2, 4):
+            for seed in range(6):
+                g, cover = gen_implant_free(n, seed)
+                params = Params(seed=seed, thomassen_degree_floor=1)
+                res = solve(g, cover, k, params, random.Random(seed))
+                assert res.cover is not None, (n, k, seed, res.stats.diagnostics)
+                assert validate_cover(g, res.cover) == k
+                assert res.stats.used_enrichment and res.stats.thomassen_calls >= 1
 
     def test_rewire_precondition_failure(self):
         # default Params: the rewire degree precondition raises on the first call

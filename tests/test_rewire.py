@@ -477,10 +477,101 @@ class TestRequestReuse:
                                 return a, x
                 return None
 
-            pairs = [seed_pair(e) for e in req.usable_edges]
+            pairs = [seed_pair(e) for e in sorted(g.edge_set() - cover.edge_set())]
             expected = tuple(
                 pairs[r % len(pairs)] for r in range(32) if pairs[r % len(pairs)] is not None
             )
             assert rewire.SAMPLE_RETRIES == 32
             assert req.seed_rotation == expected
             assert req.seed_rotation is req.seed_rotation
+
+
+class TestRequestFacts:
+    """Each row-built fact of a request equals its definition over edge sets."""
+
+    @staticmethod
+    def _random_request(rng, seed):
+        n = rng.randint(5, 40)
+        g, cover = gen_planted(n, rng.uniform(0.1, 0.7), seed)
+        pairs = list(combinations(range(n), 2))
+        # graph edges, non-edges of g and cycle edges, in either orientation
+        desirable = {e for e in pairs if rng.random() < rng.choice((0.1, 0.5, 0.9))}
+        if seed % 6 == 0:
+            # nothing usable: only non-edges, plus the cycle edges below
+            desirable = {e for e in desirable if not g.has_edge(*e)}
+        desirable |= set(rng.sample(sorted(cover.edge_set()), rng.randint(0, n)))
+        desirable = frozenset((v, u) if rng.random() < 0.5 else (u, v) for u, v in desirable)
+        edges = sorted(cover.edge_set())
+        protected = frozenset(rng.sample(edges, rng.randint(0, 2)))
+        bad = frozenset(rng.sample(range(n), rng.randint(0, 3)))
+        return g, cover, RewireRequest(g, cover, protected, desirable, bad)
+
+    def test_facts_match_set_definitions(self, rng):
+        seen = {"undominable": 0, "dominable": 0, "no usable": 0}
+        for seed in range(60):
+            g, cover, req = self._random_request(rng, seed)
+            n = g.n
+            cyc = cover.edge_set()
+            desirable = {edge_key(u, v) for u, v in req.desirable if g.has_edge(u, v)}
+            allowed = [0] * n
+            for u, v in desirable | cyc:
+                allowed[u] |= 1 << v
+                allowed[v] |= 1 << u
+            assert req.allowed_bits == allowed
+            off = [0] * n
+            for u, v in desirable - cyc:
+                off[u] |= 1 << v
+                off[v] |= 1 << u
+            assert req.off_cycle_bits == off
+            usable = sorted(desirable - cyc)
+            assert list(req.usable_edges()) == usable
+            assert req.usable_count == len(usable)
+            clear = set(req.clear)
+
+            def seed_pair(edge):
+                for a, b in (edge, edge[::-1]):
+                    if a in clear:
+                        for x in cover.cycle_neighbors(b):
+                            if x in clear and x != a and x not in cover.cycle_neighbors(a):
+                                return a, x
+                return None
+
+            pairs = [seed_pair(e) for e in usable]
+            assert req.seed_rotation == tuple(
+                pairs[r % len(pairs)]
+                for r in range(rewire.SAMPLE_RETRIES if pairs else 0)
+                if pairs[r % len(pairs)] is not None
+            )
+            targets = [v for v in range(n) if v not in req.blocked]
+            undominable = any(
+                not any(
+                    edge_key(t, c) in desirable and edge_key(t, c) not in cyc for c in clear
+                )
+                for t in targets
+            )
+            assert req.undominable == undominable
+            seen["undominable" if undominable else "dominable"] += 1
+            seen["no usable"] += not usable
+        assert min(seen.values()) >= 3, seen
+
+    def test_rows_input_derives_the_same_facts(self, rng):
+        """A request given its desirable graph as neighbour rows, as enrich
+        gives it, derives what the same graph given as an edge set does."""
+        for seed in range(20):
+            g, cover, req = self._random_request(rng, seed)
+            rows = [0] * g.n
+            for u, v in req.desirable:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            by_rows = RewireRequest(g, cover, req.protected, tuple(rows), req.bad)
+            for name in (
+                "desirable_bits", "allowed_bits", "off_cycle_bits", "usable_count",
+                "blocked", "clear", "targets", "undominable", "seed_rotation",
+            ):
+                assert getattr(by_rows, name) == getattr(req, name), name
+            assert list(by_rows.usable_edges()) == list(req.usable_edges())
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _result_key(second_hamilton_cycle(by_rows, ours, DESK)) == _result_key(
+                second_hamilton_cycle(req, theirs, DESK)
+            )
+            assert ours.getstate() == theirs.getstate()
