@@ -507,6 +507,13 @@ def enrich(
     target-reaching cycle, or the best cycle found at budget exhaustion with
     diagnostics.  The (t_sum, m_sum, h_count) potential never decreases.
     ``h_edges`` is ``count_h_edges(g, cycle)`` where the caller has it.
+
+    ``thomassen_calls`` counts the rounds that asked for a rewire.  Once a
+    call returns None on an idle request (``RewireRequest.idle``: a call
+    draws nothing and returns None), every later call would do the same
+    until the request changes, which happens only after a rewire lands.  So
+    the later rounds skip the call; each still counts as a call and records
+    "rewire attempt exhausted its budget".
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
@@ -533,6 +540,7 @@ def enrich(
     # the helper graphs and the request change only with the ledger and the
     # cycle, so they are rebuilt only after an accepted rewire
     req = None
+    idle = False
     for _ in range(params.enrich_rounds):
         if h >= target:
             break
@@ -570,6 +578,10 @@ def enrich(
                 diagnostics.append("every vertex is bad or protected")
                 break
             req = RewireRequest(g, cycle, prot, desirable, frozenset(bad_union))
+        if idle:
+            calls += 1
+            diagnostics.append("rewire attempt exhausted its budget")
+            continue
         try:
             res = second_hamilton_cycle(req, rng, params)
         except RewireError as exc:
@@ -577,6 +589,7 @@ def enrich(
             break
         calls += 1
         if res is None:
+            idle = req.idle
             diagnostics.append("rewire attempt exhausted its budget")
             continue
         new_cycle = res.cycle

@@ -16,11 +16,12 @@ what depends on them are redone per call.  The request derives, once, every
 fact that neither the random stream nor ``Params`` can change: the blocked
 set, the desirable and cycle neighbour rows and from them the allowed and
 off-cycle neighbour bitsets, the clear candidates, the sampler's targets and
-its verdict that some target can never be dominated, the usable-edge count
-and the desk-scale seed pairs.  The relink search carries its end vertex
-and the pieces placed so far, builds a cycle only when it closes one that
-differs from the original; a request never repeats a failed desk-scale
-search.
+its verdict that some target can never be dominated, the usable-edge count,
+the desk-scale seed pairs, the exhaustive search's answer and, from these,
+whether a call can do anything at all (``idle``).  The relink search carries
+its end vertex and the pieces placed so far, builds a cycle only when it
+closes one that differs from the original; a request never repeats a failed
+desk-scale search.
 """
 
 from __future__ import annotations
@@ -64,10 +65,14 @@ class RewireRequest:
     (``blocked``), the per-vertex rows ``desirable_bits`` and ``cycle_bits``
     and from them ``allowed_bits`` and ``off_cycle_bits``, the clear
     candidates (``clear``), the sampler's ``targets`` and its ``undominable``
-    verdict, ``usable_count`` and the desk-scale phase's seed pairs
-    (``seed_rotation``).  None of them reads the random stream or
-    ``Params``.  ``usable_edges`` generates the usable edges from the rows
-    in sorted order, so a caller reads only as many as it needs.
+    verdict, ``usable_count``, the desk-scale phase's seed pairs
+    (``seed_rotation``), the exhaustive fallback's cycle
+    (``exhaustive_cycle``) and the ``idle`` verdict: a call on the request
+    draws nothing and returns None, as every later call on it would, so
+    ``enrich`` counts those later rounds as calls without making them.
+    None of them reads the random stream or ``Params``.  ``usable_edges``
+    generates the usable edges from the rows in sorted order, so a caller
+    reads only as many as it needs.
     """
 
     graph: Graph
@@ -142,6 +147,29 @@ class RewireRequest:
         for u, row in enumerate(self.off_cycle_bits):
             for v in _iter_bits(row >> (u + 1)):
                 yield u, u + 1 + v
+
+    @cached_property
+    def exhaustive_cycle(self) -> Optional[CycleCover]:
+        """The exhaustive search's second Hamilton cycle (protected edges
+        forced, the original excluded), or None; it draws nothing, so a
+        request runs it once.  Only read up to ``EXHAUSTIVE_CUTOFF``
+        vertices."""
+        return _exhaustive_second_cycle(
+            self.graph.n, self.allowed_bits, self.protected, self.cycle, REWIRE_NODE_BUDGET
+        )
+
+    @cached_property
+    def idle(self) -> bool:
+        """True iff a rewire call on this request draws nothing and returns
+        None: it has no usable edge, or its sampler cannot draw (no clear
+        candidate, or an undominable target), it has no desk-scale seed
+        pair, and it has no exhaustive fallback (more than
+        ``EXHAUSTIVE_CUTOFF`` vertices, or the search finds nothing)."""
+        if not self.usable_count:
+            return True
+        if (self.clear and not self.undominable) or self.seed_rotation:
+            return False
+        return self.graph.n > EXHAUSTIVE_CUTOFF or self.exhaustive_cycle is None
 
     @cached_property
     def _failed_relinks(self) -> set[frozenset[int]]:
@@ -486,9 +514,7 @@ def second_hamilton_cycle(
         req._failed_relinks.add(s)
 
     if n <= EXHAUSTIVE_CUTOFF:
-        found = _exhaustive_second_cycle(
-            n, req.allowed_bits, req.protected, cycle, REWIRE_NODE_BUDGET
-        )
+        found = req.exhaustive_cycle
         if found is not None:
             changed = found.edge_set() ^ cyc_edges
             s_post = frozenset(v for e in changed for v in e)

@@ -19,7 +19,8 @@ from cyclesplit.embedding import (
 )
 from cyclesplit.graphs import Graph, Params, _iter_bits, edge_key
 from cyclesplit.instances import gen_planted
-from cyclesplit.pipeline import solve
+from cyclesplit.pipeline import merge_cover, protected_for_merge, solve
+from cyclesplit.rewire import RewireRequest
 from cyclesplit.switching import count_h_edges, induced_h_edges
 
 from conftest import complete_graph, cycle_graph, gnp, ham_cover, planted_cover
@@ -404,6 +405,44 @@ class TestEnrich:
         res = enrich(g, cov, [], params, random.Random(5))
         assert res.thomassen_calls == 16 and res.iterations < 15
         assert 0 < calls[0] <= (res.iterations + 1) * res.ledger_summary["parts"]
+
+    def test_idle_rounds_skip_the_call(self, monkeypatch):
+        """On enrich-strict instances, rounds after a call on an idle request
+        are counted without calling: the result (thomassen_calls and
+        diagnostics included) and the random stream equal those of a run
+        that calls every round, and the desk-scale warning fires once per
+        call made."""
+        made = [0]
+        real = embedding.second_hamilton_cycle
+
+        def counted(*args):
+            made[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(embedding, "second_hamilton_cycle", counted)
+        calls = {True: 0, False: 0}
+        for seed in range(8):
+            g, cover = planted_cover(60, 0.15, seed, ell=4)
+            aug, merged, rec = merge_cover(g, cover)
+            protected = protected_for_merge(merged, rec)
+            params = Params(seed=seed, thomassen_degree_floor=1, h_edge_target=2000)
+            runs = []
+            for verdict in (True, False):
+                with monkeypatch.context() as m:
+                    if not verdict:
+                        m.setattr(RewireRequest, "idle", property(lambda req: False))
+                    made[0] = 0
+                    rng = random.Random(seed)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        res = enrich(aug, merged, protected, params, rng)
+                    desk = [w for w in caught if "desk scale" in str(w.message)]
+                    assert len(desk) == made[0]
+                    calls[verdict] += made[0]
+                    runs.append((res, rng.getstate()))
+            assert runs[0] == runs[1], seed
+            assert runs[0][0].thomassen_calls == params.enrich_rounds
+        assert calls[True] < calls[False] / 2, calls
 
     def test_protected_not_on_cycle_rejected(self):
         with pytest.raises(ValueError, match="protected"):

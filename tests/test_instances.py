@@ -1,10 +1,14 @@
 import math
+import random
+import warnings
 
 import pytest
 
-from cyclesplit.graphs import CycleCover, validate_cover
+from cyclesplit.graphs import CycleCover, Graph, Params, validate_cover
 from cyclesplit.instances import (
+    ORACLE_CAP,
     InstanceSpec,
+    _cycle_masks,
     count_implanted_bruteforce,
     gen_cliques_hamilton,
     gen_cliques_matching,
@@ -14,6 +18,7 @@ from cyclesplit.instances import (
     oracle_component_counts,
     oracle_exists_k_factor,
 )
+from cyclesplit.pipeline import solve
 from cyclesplit.switching import count_h_edges
 
 from conftest import complete_graph, cycle_graph, ham_cover
@@ -189,6 +194,166 @@ class TestOracle:
         for n in (6, 9, 12):
             counts = oracle_component_counts(complete_graph(n))
             assert counts == set(range(1, n // 3 + 1))
+
+
+# -- the textbook subset DPs the oracle replaced, kept as references ---------
+
+
+def _reference_cycle_masks(g: Graph) -> bytearray:
+    """cyc[mask] == 1 iff the vertices of mask carry a spanning cycle."""
+    n = g.n
+    adj = [g.neighbor_bits(v) for v in range(n)]
+    full = 1 << n
+    paths = [0] * full  # endpoint bitmask of paths from lowbit(mask) over mask
+    cyc = bytearray(full)
+    for v in range(n):
+        paths[1 << v] = 1 << v
+    for mask in range(1, full):
+        ends = paths[mask]
+        if not ends:
+            continue
+        low = mask & -mask
+        start = low.bit_length() - 1
+        if mask.bit_count() >= 3 and ends & adj[start]:
+            cyc[mask] = 1
+        above_start = ~((low << 1) - 1)
+        e = ends
+        while e:
+            vb = e & -e
+            e ^= vb
+            v = vb.bit_length() - 1
+            ext = adj[v] & ~mask & above_start
+            while ext:
+                ub = ext & -ext
+                ext ^= ub
+                paths[mask | ub] |= ub
+    return cyc
+
+
+def _reference_component_counts(g: Graph) -> frozenset[int]:
+    """All component counts realized by 2-factors of g (exact, n <= 14)."""
+    if g.n > ORACLE_CAP:
+        raise ValueError(f"exhaustive oracle capped at n <= {ORACLE_CAP}")
+    if g.n == 0:
+        return frozenset({0})
+    cyc = _reference_cycle_masks(g)
+    full = 1 << g.n
+    counts = [0] * full  # bit c set: mask partitions into c cycles
+    counts[0] = 1
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        acc = 0
+        sub = rest
+        while True:
+            piece = sub | low
+            if cyc[piece]:
+                prev = counts[mask ^ piece]
+                if prev:
+                    acc |= prev << 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        counts[mask] = acc
+    final = counts[full - 1]
+    return frozenset(c for c in range(g.n + 1) if (final >> c) & 1)
+
+
+def _disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def _planted_corpus():
+    return [
+        gen_planted(n, p, 100 * n + i)[0]
+        for n in range(3, 13)
+        for i, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9))
+    ]
+
+
+def _union_corpus():
+    sizes = ((3, 3), (3, 6), (4, 4), (4, 8), (5, 5), (5, 7), (6, 6))
+    return [
+        _disjoint_union(gen_planted(a, p, a)[0], gen_planted(b, p, b)[0])
+        for a, b in sizes
+        for p in (0.3, 0.9)
+    ]
+
+
+def _low_degree_corpus():
+    graphs = []
+    for n in range(3, 13):
+        clique = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
+        graphs.append(Graph(n, clique))  # vertex n - 1 isolated
+        graphs.append(Graph(n, clique + [(0, n - 1)]))  # vertex n - 1 pendant
+    graphs.append(Graph(1, []))
+    graphs.append(Graph(2, [(0, 1)]))
+    return graphs
+
+
+def _large_corpus():
+    rng = random.Random(1314)
+    return [
+        gen_planted(n, rng.uniform(0.15, 0.9), rng.randrange(1 << 20))[0]
+        for n in (13, 14)
+        for _ in range(4)
+    ]
+
+
+ORACLE_CORPORA = {
+    "planted": _planted_corpus,
+    "implant_free": lambda: [gen_implant_free(n, n)[0] for n in range(5, 13)],
+    "union": _union_corpus,
+    "low_degree": _low_degree_corpus,
+    "complete": lambda: [complete_graph(n) for n in range(13)],
+    "cycle": lambda: [cycle_graph(n) for n in range(3, 13)],
+    "n13_n14": _large_corpus,
+}
+
+
+class TestOracleMatchesReference:
+    @pytest.mark.parametrize("family", sorted(ORACLE_CORPORA))
+    def test_same_cycle_masks_and_counts(self, family):
+        for g in ORACLE_CORPORA[family]():
+            assert _cycle_masks(g) == _reference_cycle_masks(g), (family, g)
+            counts = oracle_component_counts(g)
+            assert counts == _reference_component_counts(g), (family, g)
+            if family == "union":
+                assert 1 not in counts and counts, g
+            elif family == "low_degree":
+                assert counts == frozenset(), g
+            elif family == "cycle":
+                assert counts == {1}, g
+
+
+# answers of the reference DP for gen_implant_free(n, seed), seeds 0..3
+IMPLANT_FREE_COUNTS = {
+    12: ({1, 2, 3}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3}),
+    13: ({1, 2, 3, 4}, {1, 2, 3}, {1, 2}, {1, 2, 3, 4}),
+    14: ({1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4}),
+}
+
+
+class TestImplantFreeAtTheCap:
+    @pytest.mark.parametrize("n", sorted(IMPLANT_FREE_COUNTS))
+    def test_oracle_counts_and_desk_floor_soundness(self, n):
+        """Every desk-floor success has a k the oracle allows; whether the
+        solver finds every allowed k is a benchmark number, not checked
+        here."""
+        solved = 0
+        for seed, want in enumerate(IMPLANT_FREE_COUNTS[n]):
+            g, cover = gen_implant_free(n, seed)
+            counts = oracle_component_counts(g)
+            assert counts == want, (n, seed)
+            for k in range(1, n // 3 + 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    res = solve(g, cover, k, Params(thomassen_degree_floor=1))
+                if res.cover is not None:
+                    assert validate_cover(g, res.cover) == k
+                    assert k in counts, (n, seed, k)
+                    solved += k > 1
+        assert solved >= 2, solved
 
 
 class TestBruteCount:

@@ -554,6 +554,40 @@ class TestRequestFacts:
             seen["no usable"] += not usable
         assert min(seen.values()) >= 3, seen
 
+    def test_idle_requests_draw_nothing_and_find_nothing(self, monkeypatch, rng):
+        """A call on an idle request returns None and leaves the random
+        stream as it was, and so does the next call; at most
+        ``EXHAUSTIVE_CUTOFF`` vertices a request runs the exhaustive search
+        at most once.  Every other request has all but a few vertices bad,
+        as enrich's requests have them, so that few are clear."""
+        searches = [0]
+        search = rewire._exhaustive_second_cycle
+
+        def counted(*args):
+            searches[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(rewire, "_exhaustive_second_cycle", counted)
+        seen = {"no usable": 0, "idle, usable": 0, "busy": 0}
+        for seed in range(80):
+            g, cover, req = self._random_request(rng, seed)
+            if seed % 2:
+                bad = frozenset(rng.sample(range(g.n), g.n - rng.randint(1, min(6, g.n))))
+                req = RewireRequest(g, cover, frozenset(), req.desirable, bad)
+            searches[0] = 0
+            ours = random.Random(seed)
+            for call in range(3):
+                state = ours.getstate()
+                got = second_hamilton_cycle(req, ours, DESK)
+                if req.idle:
+                    assert got is None and ours.getstate() == state, (seed, call)
+            assert searches[0] <= (g.n <= rewire.EXHAUSTIVE_CUTOFF)
+            if req.idle:
+                seen["idle, usable" if req.usable_count else "no usable"] += 1
+            else:
+                seen["busy"] += 1
+        assert min(seen.values()) >= 5, seen
+
     def test_rows_input_derives_the_same_facts(self, rng):
         """A request given its desirable graph as neighbour rows, as enrich
         gives it, derives what the same graph given as an edge set does."""
