@@ -11,6 +11,7 @@ accepted rewire, so the loop terminates.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -26,15 +27,6 @@ class PartitionError(RuntimeError):
 # -- M-sets -----------------------------------------------------------------
 
 
-@dataclass
-class MSet:
-    """Vertices forming many C4's through a fixed edge, with witness counts."""
-
-    edge: tuple[int, int]
-    members: frozenset[int]
-    witness_counts: dict[int, int]
-
-
 def _witness_bits(g: Graph, x: int, y: int, z: int) -> int:
     """Vertices w with zw an edge such that xy and zw form a C4."""
     wits = 0
@@ -45,19 +37,20 @@ def _witness_bits(g: Graph, x: int, y: int, z: int) -> int:
     return wits & ~((1 << x) | (1 << y))
 
 
-def m_set(g: Graph, edge: tuple[int, int], threshold: int) -> MSet:
-    """Exact M-set of an edge: members need >= threshold C4 witnesses."""
+def m_set(g: Graph, edge: tuple[int, int], threshold: int) -> int:
+    """Exact M-set of an edge as a vertex bitset: the vertices z with at
+    least ``threshold`` C4 witnesses.  A vertex with a witness is adjacent
+    to an end of the edge, so only those neighbours are scanned."""
     x, y = edge
     if not g.has_edge(x, y):
         raise ValueError(f"edge ({x}, {y}) not in the graph")
-    members = {}
-    for z in range(g.n):
-        if z == x or z == y:
-            continue
-        c = _witness_bits(g, x, y, z).bit_count()
-        if c >= threshold:
-            members[z] = c
-    return MSet(edge_key(x, y), frozenset(members), members)
+    if threshold < 1:
+        raise ValueError("M-set threshold must be positive")
+    members = 0
+    for z in _iter_bits((g.neighbor_bits(x) | g.neighbor_bits(y)) & ~((1 << x) | (1 << y))):
+        if _witness_bits(g, x, y, z).bit_count() >= threshold:
+            members |= 1 << z
+    return members
 
 
 class MSetCache:
@@ -72,7 +65,7 @@ class MSetCache:
         edge = edge_key(*edge)
         got = self._bits.get(edge)
         if got is None:
-            got = bits_of(m_set(self.g, edge, self.threshold).members)
+            got = m_set(self.g, edge, self.threshold)
             self._bits[edge] = got
         return got
 
@@ -242,27 +235,34 @@ def partition_vertices(
 
 # -- helper graphs -----------------------------------------------------------
 
+
+def cover_floor(t_size: int) -> int:
+    """Floor on |N(u) ∩ T| used when building the covering helper graph.
+
+    Stands for |T|^(1-2*zeta), with zeta = 1/4 at desk scale.
+    """
+    return max(1, math.ceil(t_size ** 0.5))
+
+
 def cover_graph(
     g: Graph,
     s_vertices: Iterable[int],
     t_vertices: Iterable[int],
-    params: Optional[Params] = None,
 ) -> dict[int, int]:
     """Edges at S whose far endpoint sees much of T; C4-rich towards T.
 
     It keeps, for each v in S, the edges to the neighbours u with
-    |N(u) ∩ T| at or above the derived floor.  A helper graph is returned
+    |N(u) ∩ T| at or above ``cover_floor(|T|)``.  A helper graph is returned
     as neighbour rows: vertex -> bitset of its helper neighbours, for the
     vertices that have one.
     """
-    params = params or Params()
     s_sorted = sorted(set(s_vertices))
     t_sorted = sorted(set(t_vertices))
     if not set(t_sorted) <= set(s_sorted):
         raise ValueError("T must be a subset of S")
     if len(t_sorted) < 1:
         raise ValueError("T must be non-empty")
-    floor = params.cover_floor(len(t_sorted))
+    floor = cover_floor(len(t_sorted))
     tbits = bits_of(t_sorted)
     bits = g._bits
     sbits = bits_of(s_sorted)
@@ -508,12 +508,11 @@ def enrich(
     diagnostics.  The (t_sum, m_sum, h_count) potential never decreases.
     ``h_edges`` is ``count_h_edges(g, cycle)`` where the caller has it.
 
-    ``thomassen_calls`` counts the rounds that asked for a rewire.  Once a
-    call returns None on an idle request (``RewireRequest.idle``: a call
-    draws nothing and returns None), every later call would do the same
-    until the request changes, which happens only after a rewire lands.  So
-    the later rounds skip the call; each still counts as a call and records
-    "rewire attempt exhausted its budget".
+    The helper graphs and the one ``RewireRequest`` built from them change
+    only with the ledger and the cycle, so they are rebuilt only after an
+    accepted rewire.  Every round calls the rewire; a call on an idle
+    request returns None without drawing (``RewireRequest.idle``).
+    ``thomassen_calls`` counts the calls that did not raise.
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
@@ -537,10 +536,7 @@ def enrich(
     iterations = 0
     calls = 0
 
-    # the helper graphs and the request change only with the ledger and the
-    # cycle, so they are rebuilt only after an accepted rewire
     req = None
-    idle = False
     for _ in range(params.enrich_rounds):
         if h >= target:
             break
@@ -560,28 +556,28 @@ def enrich(
                 else:
                     tbits = part.bits & ~mcache.union_bits(part.overflow)
                     t_vertices = list(_iter_bits(tbits))
-                    helper = cover_graph(g, part.vertices, t_vertices, params)
+                    helper = cover_graph(g, part.vertices, t_vertices)
                 helper_rows.append(helper)
                 for v, row in helper.items():
                     all_rows[v] |= row
-            prot = frozenset(e0 | ledger.protected_edges())
-            desirable = tuple(all_rows)
-            # the helper edges are graph edges, so the request's off-cycle
-            # rows are the usable edges
-            off_bits = RewireRequest(g, cycle, prot, desirable).off_cycle_bits
-            if not any(off_bits):
+            # the helper edges are graph edges, so these off-cycle rows are
+            # the request's usable edges
+            prev, nxt = cycle.prev_next
+            off_rows = [
+                row & ~((1 << prev[v]) | (1 << nxt[v])) for v, row in enumerate(all_rows)
+            ]
+            if not any(off_rows):
                 diagnostics.append("helper graph empty")
                 break
             # vertices the helpers cannot serve play the role of bad vertices
-            bad_union.update(v for v, row in enumerate(off_bits) if not row)
-            if len(bad_union.union(*prot)) >= g.n:
+            bad_union.update(v for v, row in enumerate(off_rows) if not row)
+            # the rewire's degree check counts desirable cycle edges too, so
+            # the request takes the whole rows
+            prot = frozenset(e0 | ledger.protected_edges())
+            req = RewireRequest(g, cycle, prot, tuple(all_rows), frozenset(bad_union))
+            if len(req.blocked) >= g.n:
                 diagnostics.append("every vertex is bad or protected")
                 break
-            req = RewireRequest(g, cycle, prot, desirable, frozenset(bad_union))
-        if idle:
-            calls += 1
-            diagnostics.append("rewire attempt exhausted its budget")
-            continue
         try:
             res = second_hamilton_cycle(req, rng, params)
         except RewireError as exc:
@@ -589,7 +585,6 @@ def enrich(
             break
         calls += 1
         if res is None:
-            idle = req.idle
             diagnostics.append("rewire attempt exhausted its budget")
             continue
         new_cycle = res.cycle

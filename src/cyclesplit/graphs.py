@@ -224,10 +224,11 @@ class CycleCover:
     are sorted by their starting vertex.  A Hamilton cycle is the 1-cycle case.
     ``locator`` maps each vertex to its (cycle index, position).  The public
     constructor builds it while it checks the partition; a cover made by
-    ``_from_canonical`` builds it on first use.
+    ``_from_canonical`` builds it on first use.  ``prev_next`` holds each
+    vertex's two cycle neighbours, built on first use.
     """
 
-    __slots__ = ("cycles", "n", "_locator", "_edge_set")
+    __slots__ = ("cycles", "n", "_locator", "_prev_next", "_edge_set")
 
     def __init__(self, cycles: Sequence[Sequence[int]], n: Optional[int] = None):
         canon = []
@@ -259,6 +260,7 @@ class CycleCover:
         self.cycles = tuple(canon)
         self._locator = locator
         self.n = n
+        self._prev_next = None
         self._edge_set = None
 
     @classmethod
@@ -271,6 +273,7 @@ class CycleCover:
         self.cycles = cycles
         self.n = n
         self._locator = None
+        self._prev_next = None
         self._edge_set = None
         return self
 
@@ -314,6 +317,21 @@ class CycleCover:
         return self._locator
 
     @property
+    def prev_next(self) -> tuple[list[int], list[int]]:
+        """Per-vertex arrays ``(prev, nxt)``: each vertex's predecessor and
+        successor in its cycle's canonical orientation, built on first use.
+        Every caller gets the same two lists, so none may modify them."""
+        if self._prev_next is None:
+            prev = [0] * self.n
+            nxt = [0] * self.n
+            for cyc in self.cycles:
+                for p, v, q in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
+                    prev[v] = p
+                    nxt[v] = q
+            self._prev_next = prev, nxt
+        return self._prev_next
+
+    @property
     def num_components(self) -> int:
         return len(self.cycles)
 
@@ -334,10 +352,8 @@ class CycleCover:
         return self._edge_set
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
-        ci, pos = self.locator[v]
-        cyc = self.cycles[ci]
-        L = len(cyc)
-        return cyc[(pos - 1) % L], cyc[(pos + 1) % L]
+        prev, nxt = self.prev_next
+        return prev[v], nxt[v]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycleCover) and self.cycles == other.cycles
@@ -412,8 +428,9 @@ class Params:
     machine can touch, so every threshold here is an absolute value; each
     field documents the asymptotic quantity it stands in for, in the
     hierarchy zeta = eta'/6, eta = 10 eta'.  The fixed stand-ins that no
-    caller sets live beside the code that reads them: the ledger caps and
-    growth rates in ``embedding.py``, the rewire budgets in ``rewire.py``.
+    caller sets live beside the code that reads them: the ledger caps,
+    growth rates and cover floor in ``embedding.py``, the rewire budgets in
+    ``rewire.py``.
     """
 
     # partition: pairwise common-neighbourhood floor (stands for n^(1-zeta)+1)
@@ -456,13 +473,6 @@ class Params:
                 raise ValueError(f"params.{name} must be positive")
         if self.sample_prob is not None and not (0.0 < self.sample_prob <= 1.0):
             raise ValueError("params.sample_prob must lie in (0, 1]")
-
-    def cover_floor(self, t_size: int) -> int:
-        """Floor on |N(u) ∩ T| used when building the covering helper graph.
-
-        Stands for |T|^(1-2*zeta), with zeta = 1/4 at desk scale.
-        """
-        return max(1, math.ceil(t_size ** 0.5))
 
     def sampling_probability(self, n: int) -> float:
         if self.sample_prob is not None:

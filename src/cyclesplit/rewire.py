@@ -18,7 +18,8 @@ set, the desirable and cycle neighbour rows and from them the allowed and
 off-cycle neighbour bitsets, the clear candidates, the sampler's targets and
 its verdict that some target can never be dominated, the usable-edge count,
 the desk-scale seed pairs, the exhaustive search's answer and, from these,
-whether a call can do anything at all (``idle``).  The relink search carries
+whether a call can do anything at all (``idle``); a call on an idle request
+returns None once its checks pass, drawing nothing.  The relink search carries
 its end vertex and the pieces placed so far, builds a cycle only when it
 closes one that differs from the original; a request never repeats a failed
 desk-scale search.
@@ -67,9 +68,8 @@ class RewireRequest:
     candidates (``clear``), the sampler's ``targets`` and its ``undominable``
     verdict, ``usable_count``, the desk-scale phase's seed pairs
     (``seed_rotation``), the exhaustive fallback's cycle
-    (``exhaustive_cycle``) and the ``idle`` verdict: a call on the request
-    draws nothing and returns None, as every later call on it would, so
-    ``enrich`` counts those later rounds as calls without making them.
+    (``exhaustive_cycle``) and the ``idle`` verdict, which
+    ``second_hamilton_cycle`` reads to return None without drawing.
     None of them reads the random stream or ``Params``.  ``usable_edges``
     generates the usable edges from the rows in sorted order, so a caller
     reads only as many as it needs.
@@ -100,11 +100,8 @@ class RewireRequest:
     @cached_property
     def cycle_bits(self) -> list[int]:
         """Per vertex, its two cycle neighbours."""
-        rows = [0] * self.cycle.n
-        for cyc in self.cycle.cycles:
-            for prev, v, nxt in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
-                rows[v] = (1 << prev) | (1 << nxt)
-        return rows
+        prev, nxt = self.cycle.prev_next
+        return [(1 << p) | (1 << q) for p, q in zip(prev, nxt)]
 
     @cached_property
     def allowed_bits(self) -> list[int]:
@@ -160,11 +157,17 @@ class RewireRequest:
 
     @cached_property
     def idle(self) -> bool:
-        """True iff a rewire call on this request draws nothing and returns
-        None: it has no usable edge, or its sampler cannot draw (no clear
-        candidate, or an undominable target), it has no desk-scale seed
-        pair, and it has no exhaustive fallback (more than
-        ``EXHAUSTIVE_CUTOFF`` vertices, or the search finds nothing)."""
+        """True iff a rewire call on this request could only return None,
+        drawing nothing: it has no usable edge, or its sampler cannot draw
+        (no clear candidate, or an undominable target), it has no
+        desk-scale seed pair, and it has no exhaustive fallback (more than
+        ``EXHAUSTIVE_CUTOFF`` vertices, or the search finds nothing).
+
+        ``second_hamilton_cycle`` reads it after its checks and returns None
+        when it holds.  That runs no search a call would not run: the call
+        reads ``seed_rotation`` in its desk-scale phase anyway, and
+        ``exhaustive_cycle`` is read here only when neither the sampler nor
+        a seed pair can draw, where the call's last phase reads it."""
         if not self.usable_count:
             return True
         if (self.clear and not self.undominable) or self.seed_rotation:
@@ -460,7 +463,9 @@ def second_hamilton_cycle(
 
     On success the result also absorbs at least one desirable off-cycle edge
     and only touches edges incident to its switch set.  None when every
-    sampled switch set fails and the instance is above the exhaustive cutoff.
+    sampled switch set fails and the instance is above the exhaustive cutoff,
+    and at once, after the request checks and the degree precondition (or
+    its desk-scale warning), when the request is idle (``RewireRequest.idle``).
     """
     params = params or Params()
     cycle = req.cycle
@@ -488,7 +493,7 @@ def second_hamilton_cycle(
             stacklevel=2,
         )
 
-    if not req.usable_count:
+    if req.idle:
         return None
 
     for _ in range(SAMPLE_RETRIES):

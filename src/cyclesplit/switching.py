@@ -100,18 +100,6 @@ def _make_c4(cover: CycleCover, ea, eb, aligned: bool) -> ImplantedC4:
     return ImplantedC4(ea, eb, tuple(sorted(chords)), kind, aligned)
 
 
-def _cover_arrays(cover: CycleCover):
-    """Per-vertex cyclic predecessor/successor arrays."""
-    prev = [0] * cover.n
-    nxt = [0] * cover.n
-    for cyc in cover.cycles:
-        L = len(cyc)
-        for pos, v in enumerate(cyc):
-            nxt[v] = cyc[(pos + 1) % L]
-            prev[v] = cyc[(pos - 1) % L]
-    return prev, nxt
-
-
 # -- the implanted-C4 kernel ------------------------------------------------
 #
 # Take the cover edge u -> v (v = nxt[u]).  An implanted C4 through it has a
@@ -177,7 +165,7 @@ def _implanted_pairs(g: Graph, cover: CycleCover):
     found lazily, edge by edge, so a caller that stops early stops the walk.
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
     """
-    prev, nxt = _cover_arrays(cover)
+    prev, nxt = cover.prev_next
     locator = cover.locator
     rows = _kernel_rows(g, prev, nxt)
     for u, aligned, anti in _later_partners(cover.cycles, rows, cover.n):
@@ -205,7 +193,7 @@ def enumerate_implanted(
 
 def count_h_edges(g: Graph, cover: CycleCover) -> int:
     """Number of C4's implanted in the cover (one per chord orientation)."""
-    prev, nxt = _cover_arrays(cover)
+    prev, nxt = cover.prev_next
     rows = _kernel_rows(g, prev, nxt)
     seen = 0
     # _later_partners' walk, inlined: solve's merge -> enrich -> unmerge
@@ -234,7 +222,7 @@ def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]
     ``count_h_edges`` counts it twice.  Each edge may be given in either
     orientation; an edge off the cover raises ``CoverError``.
     """
-    prev, nxt = _cover_arrays(cover)
+    prev, nxt = cover.prev_next
     mask = 0
     for u, v in edges:
         if nxt[u] == v:
@@ -414,7 +402,9 @@ class _SplitMemo:
     a parallel C4, and ``cycles`` to the cycle filed there.  The vertex
     arrays ``first`` (the first vertex of each vertex's cycle), ``pos`` (its
     position on that cycle), ``prev`` and ``nxt`` (its cover neighbours) are
-    rewritten only for the vertices of gained cycles.
+    rewritten only for the vertices of gained cycles.  The memo keeps its
+    own ``prev`` and ``nxt`` rather than reading ``CycleCover.prev_next``,
+    because it carries them from one cover of the run to the next.
 
     Three orders hold the filed pairs, each order sorted and each list of
     pairs (a, b) sorted:
@@ -436,7 +426,9 @@ class _SplitMemo:
     tuples.  So untouched tuples keep their positions, their
     parallel-freeness and their pairs, and a step reads only the cycles its
     cover gained.  Every list holds a gained cycle when it is filed, so its
-    pairs are complete then and never change.
+    pairs are complete then and never change, and a list left out could
+    never yield.  So a step that reads the memo searches, and finds, what a step
+    that starts from an empty memo does.
     """
 
     __slots__ = (
@@ -613,16 +605,11 @@ def increase_by_one_with_diag(
     """``increase_by_one`` plus the per-case counters of the search.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
-    ``memo`` is the split run's ``_SplitMemo``, which knows each cycle by its
-    first vertex and holds it known only while the cover carries that very
-    tuple object (``_toggle`` keeps untouched tuples).  Case 1 skips the
-    cycles it knows to be parallel-free, the step files only the cycles it
-    has not seen, and cases 2-4 are one ``_candidates`` stream over the
-    memo's sorted orders, which keep only the lists long enough to yield a
-    candidate (two crossing pairs, three cross-cycle pairs).  Untouched
-    tuples keep their positions, parallel-freeness and pairs, and a shorter
-    list yields nothing, so the search, and its result, are those of a step
-    without a memo, which starts from an empty one.
+    ``memo`` is the split run's ``_SplitMemo``.  Case 1 skips the cycles it
+    knows to be parallel-free, the step files only the cycles it has not
+    seen, and cases 2-4 are one ``_candidates`` stream over the memo's
+    sorted orders.  By the memo's invariant, the search and its result are
+    those of a step without a memo, which starts from an empty one.
 
     ``params.switch_candidate_budget`` bounds the step's work: each implanted
     C4 it reads from a cycle the memo has not seen costs one unit, and so
@@ -679,19 +666,11 @@ def split_to_k(
     ``k > n/3`` (a 2-factor needs at least three vertices per cycle).  The
     input cover is validated once, and so is the result when a step ran.
 
-    The steps share one ``_SplitMemo``, which lives only for this call.  It
-    keys each cycle by its first vertex and counts it as known while the
-    cover holds the same tuple object there; every step's ``_toggle`` hands
-    back the untouched cycles as those objects.  Untouched tuples keep their
-    positions, parallel-freeness and pairs, so case 1 skips the cycles an
-    earlier step scanned without a hit, each step files the pairs of only
-    the cycles created since the last filing, and cases 2-4 walk the memo's
-    sorted orders of the lists that can yield (two crossing pairs, three
-    cross-cycle pairs) through one candidate stream.  The plans
-    are those of steps that start from nothing, except that such a step pays
-    ``params.switch_candidate_budget`` units for every implanted C4 of the
-    cover, so under a tight budget it can run out where a step of the run
-    goes on.
+    The steps share one ``_SplitMemo``, which lives only for this call.  By
+    the memo's invariant the plans are those of steps that start from
+    nothing, except that such a step pays ``params.switch_candidate_budget``
+    units for every implanted C4 of the cover, so under a tight budget it
+    can run out where a step of the run goes on.
     """
     ell = cover.num_components
     if k < ell:

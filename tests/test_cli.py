@@ -36,6 +36,24 @@ class TestGen:
         g = load_graph((tmp_path / "tri.graph").read_text())
         assert g.n == 14
 
+    def test_cliques_model(self, tmp_path, capsys):
+        prefix = tmp_path / "cl"
+        assert run("gen", "--model", "cliques", "--q", "5", "--seed", "2",
+                   "--out", str(prefix)) == 0
+        g = load_graph((tmp_path / "cl.graph").read_text())
+        assert g.n == 10 and g.m == 2 * 10 + 2
+        assert not (tmp_path / "cl.cover").exists()
+        assert json.loads((tmp_path / "cl.json").read_text())["model"] == "cliques"
+        # the family has odd clique order; an even one needs --allow-even
+        capsys.readouterr()
+        even = tmp_path / "even"
+        assert run("gen", "--model", "cliques", "--q", "6", "--out", str(even)) == 1
+        assert "allow_even" in capsys.readouterr().err
+        assert not (tmp_path / "even.graph").exists()
+        assert run("gen", "--model", "cliques", "--q", "6", "--allow-even",
+                   "--out", str(even)) == 0
+        assert load_graph((tmp_path / "even.graph").read_text()).n == 12
+
     def test_missing_model_args(self, tmp_path):
         assert run("gen", "--model", "planted", "--out", str(tmp_path / "x")) == 1
 

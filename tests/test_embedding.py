@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from types import SimpleNamespace
 from itertools import combinations
@@ -11,13 +12,14 @@ from cyclesplit.embedding import (
     MSetCache,
     Partition,
     close_graph,
+    cover_floor,
     cover_graph,
     enrich,
     m_set,
     partition_vertices,
     verify_partition,
 )
-from cyclesplit.graphs import Graph, Params, _iter_bits, edge_key
+from cyclesplit.graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 from cyclesplit.instances import gen_planted
 from cyclesplit.pipeline import merge_cover, protected_for_merge, solve
 from cyclesplit.rewire import RewireRequest
@@ -43,21 +45,25 @@ def two_cliques(q, threshold_edge=True):
 
 class TestMSet:
     def test_c6_no_c4(self):
-        assert m_set(cycle_graph(6), (0, 1), 1).members == frozenset()
+        assert m_set(cycle_graph(6), (0, 1), 1) == 0
 
     def test_k5_two_witnesses(self):
-        got = m_set(complete_graph(5), (0, 1), 2)
-        assert got.members == {2, 3, 4}
-        assert all(got.witness_counts[z] == 2 for z in (2, 3, 4))
+        assert m_set(complete_graph(5), (0, 1), 2) == bits_of({2, 3, 4})
 
     def test_k5_threshold_three_empty(self):
-        assert m_set(complete_graph(5), (0, 1), 3).members == frozenset()
+        assert m_set(complete_graph(5), (0, 1), 3) == 0
 
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             m_set(cycle_graph(6), (0, 2), 1)
 
+    def test_threshold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            m_set(complete_graph(5), (0, 1), 0)
+
     def test_matches_brute_force(self, rng):
+        """At every threshold from 1 to 3, the members are the vertices with
+        at least that many witnesses, counted pair by pair over all of V."""
         for _ in range(25):
             n = rng.randint(5, 30)
             g = gnp(rng, n, 0.5)
@@ -65,8 +71,7 @@ class TestMSet:
             if not edges:
                 continue
             x, y = edges[rng.randrange(len(edges))]
-            t = rng.randint(1, 3)
-            got = m_set(g, (x, y), t)
+            counts = {}
             for z in range(n):
                 if z in (x, y):
                     continue
@@ -78,9 +83,10 @@ class TestMSet:
                         g.has_edge(y, w) and g.has_edge(z, x)
                     ):
                         wits.add(w)
-                assert (z in got.members) == (len(wits) >= t)
-                if z in got.members:
-                    assert got.witness_counts[z] == len(wits)
+                counts[z] = len(wits)
+            for t in (1, 2, 3):
+                want = bits_of(z for z, c in counts.items() if c >= t)
+                assert m_set(g, (x, y), t) == want == m_set(g, (y, x), t), (x, y, t)
 
 
 class TestPartition:
@@ -199,6 +205,13 @@ class TestPartitionMatchesReference:
                 assert got_rng.getstate() == want_rng.getstate()
                 assert verify_partition(g, got, threshold)
 
+    def test_verify_rejects_out_of_range_vertices(self):
+        g = complete_graph(4)
+        assert verify_partition(g, Partition((frozenset(range(4)),)), 2)
+        for stray in (4, -1):
+            assert not verify_partition(g, Partition((frozenset({0, 1, 2, 3, stray}),)), 2)
+            assert not verify_partition(g, Partition((frozenset(range(4)), frozenset({stray}))), 2)
+
     def test_verify_rejects_tampered_partitions(self):
         g = gnp(random.Random(4), 30, 0.4)
         threshold = 4
@@ -251,8 +264,7 @@ class TestHelperRows:
             g = gnp(rng, n, rng.uniform(0.1, 0.9))
             s_vertices = rng.sample(range(n), rng.randint(1, n))
             t_vertices = rng.sample(s_vertices, rng.randint(1, len(s_vertices)))
-            params = Params()
-            floor = params.cover_floor(len(t_vertices))
+            floor = cover_floor(len(t_vertices))
             tset = set(t_vertices)
             want = {
                 edge_key(u, v)
@@ -260,7 +272,7 @@ class TestHelperRows:
                 for u in g.adjacency(v)
                 if len(set(g.adjacency(u)) & tset) >= floor
             }
-            assert edges_of(cover_graph(g, s_vertices, t_vertices, params)) == want
+            assert edges_of(cover_graph(g, s_vertices, t_vertices)) == want
 
     def test_close_graph_matches_definition(self):
         rng = random.Random(23)
@@ -311,15 +323,13 @@ class TestCoverGraph:
             cover_graph(complete_graph(10), range(5), range(10))
 
     def test_m_stats_consistent_on_partition_part(self):
-        from cyclesplit.graphs import bits_of
-
         g = gnp(random.Random(30), 300, 0.4)
         params = Params(m_set_threshold=2, common_nbr_threshold=20)
         part = max(partition_vertices(g, params, random.Random(1)).parts, key=len)
-        h = cover_graph(g, sorted(part), sorted(part), params)
+        h = cover_graph(g, sorted(part), sorted(part))
         tbits = bits_of(part)
         for e in sorted(edges_of(h))[:16]:
-            hits = len(m_set(g, e, params.m_set_threshold).members & part)
+            hits = (m_set(g, e, params.m_set_threshold) & tbits).bit_count()
             assert hits == (
                 MSetCache(g, params.m_set_threshold).member_bits(e) & tbits
             ).bit_count()
@@ -406,12 +416,59 @@ class TestEnrich:
         assert res.thomassen_calls == 16 and res.iterations < 15
         assert 0 < calls[0] <= (res.iterations + 1) * res.ledger_summary["parts"]
 
-    def test_idle_rounds_skip_the_call(self, monkeypatch):
-        """On enrich-strict instances, rounds after a call on an idle request
-        are counted without calling: the result (thomassen_calls and
+    def test_one_request_per_helper_rebuild(self, monkeypatch):
+        """Each rebuild of the helper graphs builds exactly one rewire
+        request, and every later round until the next rebuild calls the
+        rewire with it."""
+        log = []
+
+        def helper(fn):
+            def wrapper(*args, **kw):
+                log.append("h")
+                return fn(*args, **kw)
+            return wrapper
+
+        built = []
+
+        def request(*args):
+            built.append(RewireRequest(*args))
+            log.append("R")
+            return built[-1]
+
+        real = embedding.second_hamilton_cycle
+
+        def call(req, *args):
+            assert req is built[-1]
+            return real(req, *args)
+
+        monkeypatch.setattr(embedding, "cover_graph", helper(embedding.cover_graph))
+        monkeypatch.setattr(embedding, "close_graph", helper(embedding.close_graph))
+        monkeypatch.setattr(embedding, "RewireRequest", request)
+        monkeypatch.setattr(embedding, "second_hamilton_cycle", call)
+        rebuilt = 0
+        for seed in range(4):
+            g, cov = gen_planted(40, 0.18, seed)
+            log.clear()
+            res = enrich(g, cov, [], desk_params(h_edge_target=10**6, enrich_rounds=16), random.Random(seed))
+            trace = "".join(log)
+            assert re.fullmatch(r"(h+R)+", trace), trace
+            assert 1 <= trace.count("R") <= res.iterations + 1
+            rebuilt += trace.count("R") - 1
+        assert rebuilt >= 2, rebuilt
+
+    def test_cover_not_a_hamilton_cycle_rejected(self):
+        g = complete_graph(6)
+        with pytest.raises(ValueError, match="Hamilton cycle"):
+            enrich(g, CycleCover([[0, 1, 2], [3, 4, 5]]), [], desk_params())
+        with pytest.raises(ValueError, match="Hamilton cycle"):
+            enrich(g, ham_cover(5), [], desk_params())
+
+    def test_idle_verdict_changes_nothing(self, monkeypatch):
+        """On enrich-strict instances, every round calls the rewire, and the
+        idle verdict only cuts a call short: the result (thomassen_calls and
         diagnostics included) and the random stream equal those of a run
-        that calls every round, and the desk-scale warning fires once per
-        call made."""
+        whose requests are never idle, and the desk-scale warning fires once
+        per call made."""
         made = [0]
         real = embedding.second_hamilton_cycle
 
@@ -442,7 +499,7 @@ class TestEnrich:
                     runs.append((res, rng.getstate()))
             assert runs[0] == runs[1], seed
             assert runs[0][0].thomassen_calls == params.enrich_rounds
-        assert calls[True] < calls[False] / 2, calls
+        assert calls[True] == calls[False] == 8 * params.enrich_rounds, calls
 
     def test_protected_not_on_cycle_rejected(self):
         with pytest.raises(ValueError, match="protected"):

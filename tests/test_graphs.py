@@ -27,6 +27,12 @@ class TestLoadGraph:
         g = load_graph("3 3\n0 1\n1 2\n0 2\n")
         assert g.n == 3 and g.m == 3 and g.min_degree() == 2
 
+    def test_blank_lines_skipped(self):
+        g = load_graph("3 3\n\n0 1\n  \n1 2\r\n\n0 2\n\n")
+        assert g == load_graph("3 3\n0 1\n1 2\n0 2\n")
+        cover = load_cover("\n0 1 2\n \n3 4 5\n\n", 6)
+        assert cover.cycles == ((0, 1, 2), (3, 4, 5))
+
     def test_duplicate_edge(self):
         with pytest.raises(GraphFormatError, match="line 3.*duplicate"):
             load_graph("2 2\n0 1\n0 1\n")
@@ -173,6 +179,11 @@ class TestValidateCover:
         with pytest.raises(CoverError):
             validate_cover(complete_graph(6), [[0, 1, 2]])
 
+    def test_cover_of_another_vertex_count(self):
+        cover = CycleCover([[0, 1, 2], [3, 4, 5]])
+        with pytest.raises(CoverError, match="cover spans 6 vertices, graph has 7"):
+            validate_cover(complete_graph(7), cover)
+
     def test_reports_first_missing_edge(self, rng):
         # the first cover edge absent from the graph, in iter_edges order
         for _ in range(40):
@@ -242,13 +253,15 @@ class TestCycleCover:
         "cycles, n, message",
         [
             ([[-1, 0, 1]], None, "negative vertex -1"),
+            ([[0, 1, 0, 2]], None, r"repeated vertex within cycle \[0, 1, 0, 2\]"),
             ([[0, 1, 2], [2, 3, 4]], None, "repeated vertex 2 across cycles"),
             ([[0, 1, 2]], 4, r"does not partition \[0, 4\): vertex 3"),
             ([[0, 1, 2, 3]], 3, r"does not partition \[0, 3\): vertex 3"),
             ([[0, 1, 2, 3, 4, 10**11]], None, r"\[0, 100000000001\): vertex 5"),
             ([[0, 1, 2]], 10**11, r"\[0, 100000000000\): vertex 3"),
         ],
-        ids=["negative", "repeated-across", "missing", "n-below-max", "huge-vertex", "huge-n"],
+        ids=["negative", "repeated-within", "repeated-across", "missing", "n-below-max",
+             "huge-vertex", "huge-n"],
     )
     def test_constructor_errors(self, cycles, n, message):
         with pytest.raises(CoverError, match=message):
@@ -269,6 +282,53 @@ class TestCycleCover:
     def test_degree_one_rejected(self):
         with pytest.raises(CoverError, match="degree"):
             CycleCover.from_edge_set(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def _walked_neighbors(cover):
+    """Each vertex's (predecessor, successor) on its cycle tuple."""
+    out = {}
+    for cyc in cover.cycles:
+        for i, v in enumerate(cyc):
+            out[v] = (cyc[i - 1], cyc[(i + 1) % len(cyc)])
+    return out
+
+
+class TestCoverArrays:
+    """``prev_next`` equals a walk over the cycle tuples, in the orientation
+    ``cycle_neighbors`` reports, however the cover was made."""
+
+    @staticmethod
+    def _check(cover):
+        prev, nxt = cover.prev_next
+        walked = _walked_neighbors(cover)
+        assert len(prev) == len(nxt) == cover.n == len(walked)
+        for v in range(cover.n):
+            assert (prev[v], nxt[v]) == walked[v] == cover.cycle_neighbors(v)
+
+    def test_constructor_and_from_edge_set(self, rng):
+        from conftest import random_factor_instance
+
+        for _ in range(30):
+            _, cover = random_factor_instance(rng, rng.randint(3, 40), 0.2)
+            self._check(cover)
+            self._check(CycleCover.from_edge_set(cover.n, cover.edge_set()))
+        self._check(CycleCover([[2, 0, 1]]))
+
+    def test_toggled_covers(self):
+        from cyclesplit.instances import gen_planted
+        from cyclesplit.switching import apply_switch, enumerate_implanted, split_to_k
+
+        toggled = 0
+        for seed in range(6):
+            g, cover = gen_planted(30, 0.25, seed)
+            for c4 in enumerate_implanted(g, cover)[:20]:
+                self._check(apply_switch(cover, c4))
+                toggled += 1
+            out = split_to_k(g, cover, 5)
+            if out.cover is not None:
+                self._check(out.cover)
+                toggled += 1
+        assert toggled >= 60, toggled
 
 
 class TestParams:

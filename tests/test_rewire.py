@@ -147,6 +147,17 @@ class TestSecondHamiltonCycle:
         )
         assert second_hamilton_cycle(req, random.Random(1), DESK) is None
 
+    def test_exhaustive_search_refuses_three_forced_edges(self):
+        """A vertex with three forced edges lies on no Hamilton cycle, so the
+        exhaustive search answers None."""
+        g = complete_graph(6)
+        allowed = [g.neighbor_bits(v) for v in range(6)]
+        forced = frozenset({(0, 1), (0, 2), (0, 3)})
+        assert rewire._exhaustive_second_cycle(6, allowed, forced, ham_cover(6), 10**6) is None
+        # two forced edges at the vertex leave a cycle to find
+        found = rewire._exhaustive_second_cycle(6, allowed, forced - {(0, 3)}, ham_cover(6), 10**6)
+        assert found is not None and {(0, 1), (0, 2)} <= found.edge_set()
+
     def test_blocked_everything_rejected(self):
         g = complete_graph(4)
         req = RewireRequest(
