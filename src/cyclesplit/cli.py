@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or input error,
 2 honest solver failure (stats are still written).  All randomness flows
-from --seed; identical invocations produce byte-identical files.  The stats
-JSON deliberately omits wall time so reruns diff clean; timing goes to
-stdout and to the bench CSV instead.
+from --seed, which a params file may not set; identical invocations
+produce byte-identical files.  The stats JSON deliberately omits wall time
+so reruns diff clean; timing goes to the status line (on stderr when
+``solve`` prints the cover to stdout) and to the bench CSV instead.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ import csv
 import random
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .graphs import (
     CoverError,
     GraphFormatError,
     Params,
+    _param_values,
     dump_cover,
     dump_graph,
     load_cover,
     load_graph,
-    parse_params,
     validate_cover,
 )
 from .instances import (
@@ -129,10 +129,10 @@ def _load_instance(args):
 
 def cmd_solve(args) -> int:
     g, cover = _load_instance(args)
-    params = Params(seed=args.seed)
-    if args.params:
-        params = parse_params(Path(args.params).read_text(), params)
-        params = replace(params, seed=args.seed)
+    values = _param_values(Path(args.params).read_text()) if args.params else {}
+    if "seed" in values:
+        raise ValueError("set the seed with --seed")
+    params = Params(**values, seed=args.seed)
     t0 = time.perf_counter()
     result = solve(g, cover, args.k, params, random.Random(args.seed), strict=args.strict)
     elapsed = time.perf_counter() - t0
@@ -142,11 +142,14 @@ def cmd_solve(args) -> int:
         print(f"failure: no {args.k}-cycle 2-factor found ({elapsed:.2f}s)")
         return EXIT_FAILURE
     out_text = dump_cover(result.cover)
+    status = sys.stdout
     if args.out:
         Path(args.out).write_text(out_text)
     else:
+        # the cover alone goes to stdout, so that it loads back as a cover file
         sys.stdout.write(out_text)
-    print(f"success: {args.k} cycles ({elapsed:.2f}s)")
+        status = sys.stderr
+    print(f"success: {args.k} cycles ({elapsed:.2f}s)", file=status)
     return EXIT_OK
 
 

@@ -131,11 +131,9 @@ def _compatible_rows(g: Graph, threshold: int) -> list[int]:
 
 
 def partition_vertices(
-    g: Graph,
-    params: Optional[Params] = None,
-    rng: Optional[random.Random] = None,
+    g: Graph, threshold: int, rng: Optional[random.Random] = None
 ) -> Partition:
-    """Partition V(G) so pairs in a part share many common neighbours.
+    """Partition V(G) so pairs in a part share ``threshold`` common neighbours.
 
     First pass mirrors the randomized recipe (random half split, random
     witness set M, colouring by M-neighbourhood prefixes); every candidate
@@ -149,12 +147,11 @@ def partition_vertices(
     its member mask and the AND of its members' rows, the vertices
     compatible with all of them, so admitting a vertex and merging two
     parts are each one mask test.  The result is then checked pair by pair
-    on the graph by ``verify_partition``.
+    on the graph by ``verify_partition``.  Without ``rng`` the draws come
+    from ``Random(0)``.
     """
-    params = params or Params()
-    rng = rng or random.Random(params.seed)
+    rng = rng or random.Random(0)
     n = g.n
-    threshold = params.common_nbr_threshold
     if n == 0:
         return Partition(())
 
@@ -284,7 +281,6 @@ def close_graph(
     g: Graph,
     s_vertices: Iterable[int],
     e_lists: Sequence[Iterable[tuple[int, int]]],
-    params: Optional[Params] = None,
     mcache: Optional[MSetCache] = None,
 ) -> tuple[dict[int, int], frozenset[int]]:
     """Edges forming C4's with the given disjoint edge sets.
@@ -294,14 +290,13 @@ def close_graph(
     the edge sets.  Every helper edge forms a C4 with at least one listed
     edge.
     """
-    params = params or Params()
     sets = [frozenset(edge_key(*e) for e in el) for el in e_lists]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if sets[i] & sets[j]:
                 raise ValueError(f"edge sets {i} and {j} overlap")
     s_sorted = sorted(set(s_vertices))
-    mcache = mcache or MSetCache(g, params.m_set_threshold)
+    mcache = mcache or MSetCache(g, M_SET_THRESHOLD)
     member = [mcache.union_bits(es) for es in sets]
     t = len(sets)
     bad = frozenset(
@@ -327,10 +322,20 @@ def close_graph(
 
 # -- good-set ledger ---------------------------------------------------------
 
+# partition: pairwise common-neighbourhood floor (stands for n^(1-zeta)+1)
+COMMON_NBR_THRESHOLD = 3
+# M-set membership: witness floor (stands for n^(1-zeta))
+M_SET_THRESHOLD = 2
+# tolerated uncovered residue |V_i \ M(E_ij)| (stands for n^(1-eta'))
+COVERAGE_SLACK = 2
+# number of full sets per part (stands for n^(1-3eta'))
+LEDGER_T_CAP = 8
 # edges per full/unsaturated set (stands for n^(2eta'))
 LEDGER_SET_CAP = 16
 # saturated-part overflow size (stands for n^(1-6eta'))
 OVERFLOW_CAP = 16
+# protected-set ceiling for enrichment (stands for n^(1-eta))
+PROTECTED_CAP = 200
 
 
 @dataclass
@@ -353,7 +358,7 @@ class PartLedger:
 class GoodSetLedger:
     """Per-part bookkeeping for the enrichment loop.
 
-    Each part carries up to ``ledger_t_cap`` promoted full sets (each covering
+    Each part carries up to ``LEDGER_T_CAP`` promoted full sets (each covering
     the part up to the slack through M-sets) plus one growing overflow set.
     Parts born smaller than the slack are saturated from the start with all
     sets empty.  An overflow set may grow while its M-sets cover at least as
@@ -362,25 +367,23 @@ class GoodSetLedger:
     n^(1-2eta') and n^(1-4eta'), and are 1 at desk scale.
     """
 
-    def __init__(self, g: Graph, partition: Partition, params: Params):
+    def __init__(self, g: Graph, partition: Partition):
         self.g = g
-        self.params = params
         self.parts: list[PartLedger] = []
         for vs in partition.parts:
             part = PartLedger(vs, bits_of(vs))
-            if len(vs) <= params.coverage_slack:
-                part.full_sets = [frozenset() for _ in range(params.ledger_t_cap)]
+            if len(vs) <= COVERAGE_SLACK:
+                part.full_sets = [frozenset() for _ in range(LEDGER_T_CAP)]
             self.parts.append(part)
 
     def copy(self) -> "GoodSetLedger":
         dup = object.__new__(GoodSetLedger)
         dup.g = self.g
-        dup.params = self.params
         dup.parts = [p.copy() for p in self.parts]
         return dup
 
     def saturated(self, part: PartLedger) -> bool:
-        return len(part.full_sets) >= self.params.ledger_t_cap
+        return len(part.full_sets) >= LEDGER_T_CAP
 
     @property
     def t_sum(self) -> int:
@@ -409,7 +412,6 @@ class GoodSetLedger:
     ) -> bool:
         """Grow the part's overflow with one absorbed edge of ``cycle`` if
         the ledger growth condition holds; promote on full coverage."""
-        p = self.params
         edge = edge_key(*edge)
         if edge in part.overflow or any(edge in es for es in part.full_sets):
             return False
@@ -428,14 +430,13 @@ class GoodSetLedger:
         if covered < len(grown):
             return False
         part.overflow = grown
-        if self.residue(part, grown, mcache) <= p.coverage_slack:
+        if self.residue(part, grown, mcache) <= COVERAGE_SLACK:
             part.full_sets.append(grown)
             part.overflow = frozenset()
         return True
 
     def verify(self, cycle: CycleCover, mcache: MSetCache) -> None:
         """Assert the ledger invariants against the current cycle."""
-        p = self.params
         cyc_edges = cycle.edge_set()
         for part in self.parts:
             seen: set[tuple[int, int]] = set()
@@ -445,12 +446,12 @@ class GoodSetLedger:
                 if es & seen:
                     raise AssertionError("ledger sets are not disjoint")
                 seen |= es
-            if len(part.full_sets) > p.ledger_t_cap:
+            if len(part.full_sets) > LEDGER_T_CAP:
                 raise AssertionError("too many full sets")
             for es in part.full_sets:
                 if len(es) > LEDGER_SET_CAP:
                     raise AssertionError("full set over the size cap")
-                if es and self.residue(part, es, mcache) > p.coverage_slack:
+                if es and self.residue(part, es, mcache) > COVERAGE_SLACK:
                     raise AssertionError("full set does not cover its part")
             if self.saturated(part):
                 if len(part.overflow) > OVERFLOW_CAP:
@@ -466,7 +467,7 @@ class GoodSetLedger:
                     covered = (part.bits & mcache.union_bits(part.overflow)).bit_count()
                     if covered < len(part.overflow):
                         raise AssertionError("overflow below partial coverage growth")
-                    if self.residue(part, part.overflow, mcache) <= p.coverage_slack:
+                    if self.residue(part, part.overflow, mcache) <= COVERAGE_SLACK:
                         raise AssertionError("coverable overflow left unpromoted")
 
     def summary(self) -> dict:
@@ -521,8 +522,8 @@ def enrich(
         raise ValueError("enrichment requires a Hamilton cycle of the graph")
     if not e0 <= cycle.edge_set():
         raise ValueError("protected edges must lie on the cycle")
-    if len(e0) > params.protected_cap:
-        raise ValueError(f"protected set exceeds cap {params.protected_cap}")
+    if len(e0) > PROTECTED_CAP:
+        raise ValueError(f"protected set exceeds cap {PROTECTED_CAP}")
 
     h = count_h_edges(g, cycle) if h_edges is None else h_edges
     target = params.h_edge_target
@@ -530,9 +531,9 @@ def enrich(
     if h >= target:
         return EnrichResult(cycle, h, True, 0, 0, {}, ["target already met"])
 
-    partition = partition_vertices(g, params, rng)
-    mcache = MSetCache(g, params.m_set_threshold)
-    ledger = GoodSetLedger(g, partition, params)
+    partition = partition_vertices(g, COMMON_NBR_THRESHOLD, rng)
+    mcache = MSetCache(g, M_SET_THRESHOLD)
+    ledger = GoodSetLedger(g, partition)
     iterations = 0
     calls = 0
 
@@ -549,9 +550,7 @@ def enrich(
                     helper_rows.append({})
                     continue
                 if ledger.saturated(part):
-                    helper, bad = close_graph(
-                        g, part.vertices, part.full_sets, params, mcache
-                    )
+                    helper, bad = close_graph(g, part.vertices, part.full_sets, mcache)
                     bad_union |= bad
                 else:
                     tbits = part.bits & ~mcache.union_bits(part.overflow)

@@ -7,8 +7,7 @@ integer bitsets (fast intersections / membership in the hot loops).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
 
@@ -422,71 +421,42 @@ def bits_of(vertices: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Desk-scale tuning knobs that a caller sets.
+    """The knobs a workload sets.
 
     The asymptotic hierarchy constants have no valid instantiation at sizes a
-    machine can touch, so every threshold here is an absolute value; each
-    field documents the asymptotic quantity it stands in for, in the
-    hierarchy zeta = eta'/6, eta = 10 eta'.  The fixed stand-ins that no
-    caller sets live beside the code that reads them: the ledger caps,
-    growth rates and cover floor in ``embedding.py``, the rewire budgets in
-    ``rewire.py``.
+    machine can touch, so every threshold is an absolute stand-in, in the
+    hierarchy zeta = eta'/6, eta = 10 eta'.  Those no caller sets are module
+    constants beside their only reader: the split's work budget in
+    ``switching.py``; the partition and M-set floors, the ledger's slack and
+    caps and the protected-set ceiling in ``embedding.py``; the sampling
+    probability and the rewire budgets in ``rewire.py``.
     """
 
-    # partition: pairwise common-neighbourhood floor (stands for n^(1-zeta)+1)
-    common_nbr_threshold: int = 3
-    # M-set membership: witness floor (stands for n^(1-zeta))
-    m_set_threshold: int = 2
-    # ledger: tolerated uncovered residue |V_i \ M(E_ij)| (stands for n^(1-eta'))
-    coverage_slack: int = 2
-    # ledger: number of full sets per part (stands for n^(1-3eta'))
-    ledger_t_cap: int = 8
     # enrichment goal (stands for n^(2-eta))
     h_edge_target: int = 50
-    # protected-set ceiling for enrichment (stands for n^(1-eta))
-    protected_cap: int = 200
-    # switch-set sampling probability; None derives 1/sqrt(n ln n)
-    sample_prob: Optional[float] = None
     # None keeps the rewire degree check (sqrt(n) log^2 n + 3|B'| + 2); any
     # integer, whatever its value, turns it off and warns (desk scale)
     thomassen_degree_floor: Optional[int] = None
     # enrichment rounds, one rewire call each
     enrich_rounds: int = 64
-    # work per split step: each implanted C4 filed from a cycle the step has
-    # not seen, and each pair or triple it tries, costs one unit
-    switch_candidate_budget: int = 500_000
     seed: int = 0
 
     def __post_init__(self):
-        positive = (
-            "common_nbr_threshold",
-            "m_set_threshold",
-            "coverage_slack",
-            "ledger_t_cap",
-            "h_edge_target",
-            "protected_cap",
-            "enrich_rounds",
-            "switch_candidate_budget",
-        )
-        for name in positive:
+        for name in ("h_edge_target", "enrich_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"params.{name} must be positive")
-        if self.sample_prob is not None and not (0.0 < self.sample_prob <= 1.0):
-            raise ValueError("params.sample_prob must lie in (0, 1]")
-
-    def sampling_probability(self, n: int) -> float:
-        if self.sample_prob is not None:
-            return self.sample_prob
-        if n < 3:
-            return 1.0
-        return min(1.0, 1.0 / math.sqrt(n * math.log(n)))
 
 
 _PARAM_TYPES = get_type_hints(Params)
 
 
-def parse_params(text: str, base: Optional[Params] = None) -> Params:
+def parse_params(text: str) -> Params:
     """Parse the flat ``key = value`` params format; unknown keys are errors."""
+    return Params(**_param_values(text))
+
+
+def _param_values(text: str) -> dict:
+    """The values a params file sets, by key, each parsed and checked."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -504,7 +474,7 @@ def parse_params(text: str, base: Optional[Params] = None) -> Params:
         if key not in _PARAM_TYPES:
             raise GraphFormatError(f"unknown params key '{key}'", lineno)
         values[key] = _parse_param_value(key, val, lineno)
-    return replace(base or Params(), **values)
+    return values
 
 
 def _parse_param_value(key: str, val: str, lineno: int):
@@ -514,8 +484,6 @@ def _parse_param_value(key: str, val: str, lineno: int):
             raise GraphFormatError(f"'{key}' cannot be {val}", lineno)
         return None
     try:
-        if kind == Optional[float]:
-            return float(val)
         return int(val)
     except ValueError:
         raise GraphFormatError(f"bad value for '{key}': {val!r}", lineno) from None

@@ -228,11 +228,12 @@ def solve(
     Strategy: try splitting directly; if that stalls, merge everything into
     one Hamilton cycle of the augmented graph, enrich it with implanted C4's
     while protecting the bridges, undo the merge, and split again.  The
-    strict flag skips the opportunistic first step.  ``split_to_k`` draws no
-    randomness, so when the restored cover equals the input the direct
-    split's outcome is reused, not recomputed.  Every cover the split gets
-    was validated just before (the input here, the restored cover in
-    ``_merge_enrich_unmerge``), so the split does not check it again.
+    strict flag skips the opportunistic first step.  The split's outcome
+    depends on its cover alone (``split_to_k``), so when the restored cover
+    equals the input the direct split's outcome is reused, not recomputed.
+    Every cover the split gets was validated just before (the input here,
+    the restored cover in ``_merge_enrich_unmerge``), so the split does not
+    check it again.
     Honest failure returns ``cover=None`` with diagnostics; the input is
     never modified.
     """
@@ -260,7 +261,7 @@ def solve(
     outcome = None
     if not strict:
         stats.ell_presplit = ell
-        outcome = _split_validated(g, cover, k, params)
+        outcome = _split_validated(g, cover, k)
         if outcome.cover is None:
             stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
     if outcome is None or outcome.cover is None:
@@ -268,7 +269,7 @@ def solve(
         restored = _merge_enrich_unmerge(g, cover, params, rng, stats)
         stats.ell_presplit = restored.num_components
         if outcome is None or restored != cover:
-            outcome = _split_validated(g, restored, k, params)
+            outcome = _split_validated(g, restored, k)
         if outcome.cover is None:
             stats.diagnostics.append({"final_split": outcome.diagnostics})
     if outcome.cover is not None:

@@ -248,11 +248,14 @@ def check_independent_dominating(g: Graph, cycle: CycleCover, s: Iterable[int]) 
     return True
 
 
-def sample_switch_set(
-    req: RewireRequest,
-    rng: random.Random,
-    params: Optional[Params] = None,
-) -> Optional[frozenset[int]]:
+def sampling_probability(n: int) -> float:
+    """Each clear vertex's chance of joining a switch set: 1/sqrt(n ln n)."""
+    if n < 3:
+        return 1.0
+    return min(1.0, 1.0 / math.sqrt(n * math.log(n)))
+
+
+def sample_switch_set(req: RewireRequest, rng: random.Random) -> Optional[frozenset[int]]:
     """Draw a switch set from the vertices clear of the blocked region.
 
     Candidates A are the vertices outside B' = ``req.blocked`` and its
@@ -261,7 +264,6 @@ def sample_switch_set(
     dominates everything outside B' in the desirable graph minus the cycle.
     None after the retry budget.
     """
-    params = params or Params()
     n = req.graph.n
     if len(req.blocked) >= n:
         raise RewireError("blocked set covers every vertex")
@@ -272,7 +274,7 @@ def sample_switch_set(
         return None
     targets = req.targets
     off_bits = req.off_cycle_bits
-    p = params.sampling_probability(n)
+    p = sampling_probability(n)
     for _ in range(SAMPLE_RETRIES):
         s = [v for v in candidates if rng.random() < p]
         if not s:
@@ -497,7 +499,7 @@ def second_hamilton_cycle(
         return None
 
     for _ in range(SAMPLE_RETRIES):
-        s = sample_switch_set(req, rng, params)
+        s = sample_switch_set(req, rng)
         if s is None:
             break
         found = _relink(cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
@@ -508,7 +510,7 @@ def second_hamilton_cycle(
     # sqrt(n) log^2 n to succeed, so at reachable sizes we instead seed one
     # usable edge into the switch set and pad with random extras.  The relink
     # search and the post-hoc checks carry correctness either way.
-    p_relax = min(0.3, max(params.sampling_probability(n), 6.0 / max(1, len(req.clear))))
+    p_relax = min(0.3, max(sampling_probability(n), 6.0 / max(1, len(req.clear))))
     for seed in req.seed_rotation:
         s = frozenset(_seeded_switch_set(cycle, seed, req.clear, p_relax, rng))
         if s in req._failed_relinks:

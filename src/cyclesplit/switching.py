@@ -26,7 +26,6 @@ from .graphs import (
     CoverError,
     CycleCover,
     Graph,
-    Params,
     _canonical_cycle,
     _iter_bits,
     edge_key,
@@ -587,21 +586,19 @@ def _try_plan(cover, switches, case):
     return new, SwitchPlan(tuple(switches), 1, 4 * len(switches), case)
 
 
-def increase_by_one(
-    g: Graph, cover: CycleCover, params: Optional[Params] = None
-) -> Optional[tuple[CycleCover, SwitchPlan]]:
+# work per split step: each implanted C4 filed from a cycle the step has not
+# seen, and each pair or triple it tries, costs one unit
+SWITCH_CANDIDATE_BUDGET = 500_000
+
+
+def increase_by_one(g: Graph, cover: CycleCover) -> Optional[tuple[CycleCover, SwitchPlan]]:
     """One induction step: a cover with one more component, |delta| <= 12."""
     validate_cover(g, cover)
-    result, _ = increase_by_one_with_diag(g, cover, params)
+    result, _ = increase_by_one_with_diag(g, cover)
     return result
 
 
-def increase_by_one_with_diag(
-    g: Graph,
-    cover: CycleCover,
-    params: Optional[Params] = None,
-    memo: Optional[_SplitMemo] = None,
-):
+def increase_by_one_with_diag(g: Graph, cover: CycleCover, memo: Optional[_SplitMemo] = None):
     """``increase_by_one`` plus the per-case counters of the search.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
@@ -611,17 +608,16 @@ def increase_by_one_with_diag(
     sorted orders.  By the memo's invariant, the search and its result are
     those of a step without a memo, which starts from an empty one.
 
-    ``params.switch_candidate_budget`` bounds the step's work: each implanted
+    ``SWITCH_CANDIDATE_BUDGET`` bounds the step's work: each implanted
     C4 it reads from a cycle the memo has not seen costs one unit, and so
     does each candidate the stream yields, one too short to try included.  A
     step that runs out stops with ``budget_exhausted``, before filing if its
     new C4's alone overrun it.  A step without a memo reads every cycle, so
     under a tight budget it can run out where a step with one goes on.
     """
-    params = params or Params()
     memo = _SplitMemo(cover.n) if memo is None else memo
     diag = {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "budget_exhausted": False}
-    budget = params.switch_candidate_budget
+    budget = SWITCH_CANDIDATE_BUDGET
 
     # case 1: single parallel switch, 4 changed edges
     c4 = _find_parallel(g, cover, memo.parallel_free)
@@ -657,18 +653,18 @@ class SplitOutcome:
     diagnostics: dict
 
 
-def split_to_k(
-    g: Graph, cover: CycleCover, k: int, params: Optional[Params] = None
-) -> SplitOutcome:
+def split_to_k(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     """Raise the component count to exactly k, <= 12 changed edges per step.
 
     Never merges: ``k`` below the current count is an error, as is
     ``k > n/3`` (a 2-factor needs at least three vertices per cycle).  The
     input cover is validated once, and so is the result when a step ran.
+    The split draws no randomness and reads no config: its outcome is a
+    function of ``g``, ``cover`` and ``k`` alone.
 
     The steps share one ``_SplitMemo``, which lives only for this call.  By
     the memo's invariant the plans are those of steps that start from
-    nothing, except that such a step pays ``params.switch_candidate_budget``
+    nothing, except that such a step pays ``SWITCH_CANDIDATE_BUDGET``
     units for every implanted C4 of the cover, so under a tight budget it
     can run out where a step of the run goes on.
     """
@@ -678,12 +674,10 @@ def split_to_k(
     if 3 * k > g.n:
         raise ValueError(f"k={k} infeasible: a 2-factor of {g.n} vertices has at most {g.n // 3} cycles")
     validate_cover(g, cover)
-    return _split_validated(g, cover, k, params)
+    return _split_validated(g, cover, k)
 
 
-def _split_validated(
-    g: Graph, cover: CycleCover, k: int, params: Optional[Params] = None
-) -> SplitOutcome:
+def _split_validated(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     """``split_to_k`` for a cover the caller has just validated, ell <= k <= n/3.
 
     Each step removes cover edges and adds chords that are off the cover
@@ -691,14 +685,13 @@ def _split_validated(
     those edges, and the final cover differs from the input by the xor of the
     steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.
     """
-    params = params or Params()
     memo = _SplitMemo(cover.n)
     ell = cover.num_components
     changed = set()
     plans = []
     current = cover
     while current.num_components < k:
-        step, diag = increase_by_one_with_diag(g, current, params, memo)
+        step, diag = increase_by_one_with_diag(g, current, memo)
         if step is None:
             return SplitOutcome(
                 None,

@@ -231,7 +231,7 @@ def test_criterion_07_thomassen_contract():
         if len(blocked) >= n:
             continue
         req = RewireRequest(g, cover, protected, frozenset(g.edge_set()))
-        s = sample_switch_set(req, rng, DESK)
+        s = sample_switch_set(req, rng)
         if s is None:
             continue
         assert check_independent_dominating(g, cover, s)
@@ -295,8 +295,7 @@ def test_criterion_09_partition_invariant():
     t0 = time.monotonic()
     rng = random.Random(909)
     g = Graph(200, [e for e in combinations(range(200), 2) if rng.random() < 0.5])
-    params = Params(common_nbr_threshold=30)
-    part = partition_vertices(g, params, random.Random(1))
+    part = partition_vertices(g, 30, random.Random(1))
     assert verify_partition(g, part, 30)
     for block in part.parts:
         for u, v in combinations(sorted(block), 2):
@@ -306,7 +305,7 @@ def test_criterion_09_partition_invariant():
     edges += [(u + 20, v + 20) for u, v in combinations(range(20), 2)]
     edges.append((0, 20))
     g2 = Graph(40, edges)
-    part2 = partition_vertices(g2, Params(common_nbr_threshold=10), random.Random(2))
+    part2 = partition_vertices(g2, 10, random.Random(2))
     assert part2.s == 2 and verify_partition(g2, part2, 10)
     elapsed = time.monotonic() - t0
     assert elapsed < 30

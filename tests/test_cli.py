@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,15 @@ class TestSolve:
         assert payload["success"] is True and payload["k_target"] == 3
         assert "wall_time" not in payload
 
+    def test_cover_alone_on_stdout(self, planted_instance, capsys):
+        # without --out, stdout is a cover file and the status line goes to stderr
+        assert run("solve", "--graph", f"{planted_instance}.graph",
+                   "--cover", f"{planted_instance}.cover", "--k", "3") == 0
+        printed = capsys.readouterr()
+        g = load_graph(Path(f"{planted_instance}.graph").read_text())
+        assert validate_cover(g, load_cover(printed.out, g.n)) == 3
+        assert printed.err.startswith("success: 3 cycles")
+
     def test_deterministic_bytes(self, planted_instance, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -146,6 +156,17 @@ class TestSolve:
         assert run("solve", "--graph", f"{planted_instance}.graph",
                    "--cover", f"{planted_instance}.cover", "--k", "2",
                    "--params", str(pfile)) == 1
+
+    def test_seed_in_params_file_is_input_error(self, planted_instance, tmp_path, capsys):
+        # all randomness flows from --seed, so a params file may not set it
+        pfile = tmp_path / "params.txt"
+        pfile.write_text("enrich_rounds = 2\nseed = 5\n")
+        stats = tmp_path / "stats.json"
+        assert run("solve", "--graph", f"{planted_instance}.graph",
+                   "--cover", f"{planted_instance}.cover", "--k", "2",
+                   "--params", str(pfile), "--stats", str(stats)) == 1
+        assert capsys.readouterr().err == "error: set the seed with --seed\n"
+        assert not stats.exists()
 
     @pytest.mark.parametrize("key", ["h_edge_target", "seed"])
     def test_none_for_required_params_key(self, planted_instance, tmp_path, capsys, key):
@@ -229,7 +250,7 @@ class TestReaders:
             ({"graph": b"100000000000 0\n"}, 1),
             ({"cover": b"0 1 2 3 4 100000000000\n"}, 1),
             ({"params": b"enrich_rounds\n"}, 1),
-            ({"params": b"sample_prob = 2\n"}, 1),
+            ({"params": b"h_edge_target = 0\n"}, 1),
             ({"params": b"enrich_rounds = many\n"}, 1),
             ({"params": b"sample_retries = 5\n"}, 1),
             ({name: text.replace("\n", "\r\n").encode() for name, text in READER_FILES.items()}, 0),
@@ -239,7 +260,7 @@ class TestReaders:
             "empty-graph", "non-integer-header", "negative-n", "three-token-edge",
             "non-integer-endpoint", "5000-digit-integer", "non-utf8", "non-integer-cover",
             "negative-cover-vertex", "huge-graph-n", "huge-cover-vertex", "params-without-value",
-            "sample-prob-2", "params-non-integer-value", "params-removed-key", "crlf",
+            "h-edge-target-0", "params-non-integer-value", "params-removed-key", "crlf",
             "params-key-space-value",
         ],
     )

@@ -1,7 +1,6 @@
 import random
 import re
 import warnings
-from types import SimpleNamespace
 from itertools import combinations
 
 import pytest
@@ -91,12 +90,12 @@ class TestMSet:
 
 class TestPartition:
     def test_complete_graph_single_part(self):
-        p = partition_vertices(complete_graph(12), Params(common_nbr_threshold=3))
+        p = partition_vertices(complete_graph(12), 3)
         assert p.s == 1
 
     def test_two_cliques_two_parts(self):
         g = two_cliques(20)
-        p = partition_vertices(g, Params(common_nbr_threshold=10), random.Random(1))
+        p = partition_vertices(g, 10, random.Random(1))
         assert p.s == 2
         assert {frozenset(x) for x in p.parts} == {
             frozenset(range(20)),
@@ -106,14 +105,13 @@ class TestPartition:
 
     def test_invariant_verified_exhaustively(self, rng):
         g = gnp(rng, 60, 0.5)
-        params = Params(common_nbr_threshold=10)
-        p = partition_vertices(g, params, rng)
+        p = partition_vertices(g, 10, rng)
         assert verify_partition(g, p, 10)
 
     def test_deterministic(self):
         g = gnp(random.Random(3), 40, 0.4)
-        a = partition_vertices(g, Params(common_nbr_threshold=6), random.Random(9))
-        b = partition_vertices(g, Params(common_nbr_threshold=6), random.Random(9))
+        a = partition_vertices(g, 6, random.Random(9))
+        b = partition_vertices(g, 6, random.Random(9))
         assert a.parts == b.parts
 
 
@@ -121,11 +119,10 @@ def _reference_pair_ok(g, u, v, threshold):
     return (g.neighbor_bits(u) & g.neighbor_bits(v)).bit_count() >= threshold
 
 
-def _reference_partition(g, params, rng):
+def _reference_partition(g, threshold, rng):
     """The pair-by-pair partition: every candidate, admission and merge test
     checks each pair on the graph, without compatible rows."""
     n = g.n
-    threshold = params.common_nbr_threshold
     if n == 0:
         return Partition(())
 
@@ -195,12 +192,10 @@ class TestPartitionMatchesReference:
             g = gnp(random.Random(1000 * n + case), n, p)
             top = max((g.degree(v) for v in range(n)), default=0)
             for threshold in (0, 1, 3, 8, top + 1):
-                # Params refuses a threshold of 0, the partition does not
-                params = SimpleNamespace(common_nbr_threshold=threshold)
                 want_rng = random.Random(7 * n + case)
                 got_rng = random.Random(7 * n + case)
-                want = _reference_partition(g, params, want_rng)
-                got = partition_vertices(g, params, got_rng)
+                want = _reference_partition(g, threshold, want_rng)
+                got = partition_vertices(g, threshold, got_rng)
                 assert got.parts == want.parts, (n, case, threshold)
                 assert got_rng.getstate() == want_rng.getstate()
                 assert verify_partition(g, got, threshold)
@@ -215,7 +210,7 @@ class TestPartitionMatchesReference:
     def test_verify_rejects_tampered_partitions(self):
         g = gnp(random.Random(4), 30, 0.4)
         threshold = 4
-        good = partition_vertices(g, Params(common_nbr_threshold=threshold), random.Random(1))
+        good = partition_vertices(g, threshold, random.Random(1))
         assert verify_partition(g, good, threshold)
         parts = list(good.parts)
         # a pair below the threshold: join a part with a vertex it rejects
@@ -287,8 +282,8 @@ class TestHelperRows:
             half = len(picked) // 2
             e_lists = [picked[:half], picked[half:]]
             s_vertices = rng.sample(range(n), rng.randint(2, n))
-            params = Params(m_set_threshold=rng.randint(1, 2))
-            rows, bad = close_graph(g, s_vertices, e_lists, params)
+            mcache = MSetCache(g, rng.randint(1, 2))
+            rows, bad = close_graph(g, s_vertices, e_lists, mcache)
             want = set()
             for v in s_vertices:
                 if v in bad:
@@ -324,15 +319,12 @@ class TestCoverGraph:
 
     def test_m_stats_consistent_on_partition_part(self):
         g = gnp(random.Random(30), 300, 0.4)
-        params = Params(m_set_threshold=2, common_nbr_threshold=20)
-        part = max(partition_vertices(g, params, random.Random(1)).parts, key=len)
+        part = max(partition_vertices(g, 20, random.Random(1)).parts, key=len)
         h = cover_graph(g, sorted(part), sorted(part))
         tbits = bits_of(part)
         for e in sorted(edges_of(h))[:16]:
-            hits = (m_set(g, e, params.m_set_threshold) & tbits).bit_count()
-            assert hits == (
-                MSetCache(g, params.m_set_threshold).member_bits(e) & tbits
-            ).bit_count()
+            hits = (m_set(g, e, 2) & tbits).bit_count()
+            assert hits == (MSetCache(g, 2).member_bits(e) & tbits).bit_count()
 
 
 class TestCloseGraph:
@@ -347,8 +339,7 @@ class TestCloseGraph:
 
     def test_block_coverage(self):
         g = complete_graph(8)
-        params = Params(m_set_threshold=1)
-        h, bad = close_graph(g, range(8), [frozenset({(0, 1), (2, 3)})], params)
+        h, bad = close_graph(g, range(8), [frozenset({(0, 1), (2, 3)})], MSetCache(g, 1))
         assert bad == frozenset()
         # every reported edge forms a C4 with at least one listed edge
         for u, v in edges_of(h):
@@ -363,18 +354,20 @@ class TestCloseGraph:
             assert partners >= 1
 
 
-def desk_params(**kw):
-    base = dict(
-        thomassen_degree_floor=1,
-        common_nbr_threshold=2,
-        m_set_threshold=1,
-        coverage_slack=4,
-        enrich_rounds=40,
-        h_edge_target=50,
-        seed=0,
-    )
-    base.update(kw)
-    return Params(**base)
+@pytest.fixture
+def desk_params(monkeypatch):
+    """``make(**kw)``: desk Params, with the enrichment's partition, M-set
+    and slack constants lowered for the test."""
+    monkeypatch.setattr(embedding, "COMMON_NBR_THRESHOLD", 2)
+    monkeypatch.setattr(embedding, "M_SET_THRESHOLD", 1)
+    monkeypatch.setattr(embedding, "COVERAGE_SLACK", 4)
+
+    def make(**kw):
+        base = dict(thomassen_degree_floor=1, enrich_rounds=40, h_edge_target=50, seed=0)
+        base.update(kw)
+        return Params(**base)
+
+    return make
 
 
 class TestEnrich:
@@ -384,7 +377,7 @@ class TestEnrich:
         assert res.cycle == ham_cover(12)
         assert res.h_edges == count_h_edges(complete_graph(12), ham_cover(12))
 
-    def test_chordless_best_effort(self):
+    def test_chordless_best_effort(self, desk_params):
         res = enrich(cycle_graph(12), ham_cover(12), [], desk_params(h_edge_target=5))
         assert not res.reached_target and res.h_edges == 0
         assert res.cycle == ham_cover(12)
@@ -392,14 +385,14 @@ class TestEnrich:
         # an early break is not an exhausted budget
         assert not any("budget exhausted" in d for d in res.diagnostics)
 
-    def test_rounds_exhausted_reported(self):
+    def test_rounds_exhausted_reported(self, desk_params):
         g, cov = gen_planted(40, 0.18, 3)
         params = desk_params(h_edge_target=10**6, enrich_rounds=3)
         res = enrich(g, cov, [], params, random.Random(5))
         assert not res.reached_target and res.thomassen_calls == 3
         assert res.diagnostics[-1] == f"budget exhausted at h={res.h_edges} < target={10**6}"
 
-    def test_helpers_rebuilt_only_after_accepted_rewire(self, monkeypatch):
+    def test_helpers_rebuilt_only_after_accepted_rewire(self, monkeypatch, desk_params):
         calls = [0]
 
         def counted(fn):
@@ -416,7 +409,7 @@ class TestEnrich:
         assert res.thomassen_calls == 16 and res.iterations < 15
         assert 0 < calls[0] <= (res.iterations + 1) * res.ledger_summary["parts"]
 
-    def test_one_request_per_helper_rebuild(self, monkeypatch):
+    def test_one_request_per_helper_rebuild(self, monkeypatch, desk_params):
         """Each rebuild of the helper graphs builds exactly one rewire
         request, and every later round until the next rebuild calls the
         rewire with it."""
@@ -456,7 +449,7 @@ class TestEnrich:
             rebuilt += trace.count("R") - 1
         assert rebuilt >= 2, rebuilt
 
-    def test_cover_not_a_hamilton_cycle_rejected(self):
+    def test_cover_not_a_hamilton_cycle_rejected(self, desk_params):
         g = complete_graph(6)
         with pytest.raises(ValueError, match="Hamilton cycle"):
             enrich(g, CycleCover([[0, 1, 2], [3, 4, 5]]), [], desk_params())
@@ -501,11 +494,11 @@ class TestEnrich:
             assert runs[0][0].thomassen_calls == params.enrich_rounds
         assert calls[True] == calls[False] == 8 * params.enrich_rounds, calls
 
-    def test_protected_not_on_cycle_rejected(self):
+    def test_protected_not_on_cycle_rejected(self, desk_params):
         with pytest.raises(ValueError, match="protected"):
             enrich(complete_graph(8), ham_cover(8), [(0, 2)], desk_params())
 
-    def test_makes_progress(self):
+    def test_makes_progress(self, desk_params):
         g, cov = gen_planted(40, 0.18, 3)
         h0 = count_h_edges(g, cov)
         params = desk_params(h_edge_target=h0 + 3)
@@ -514,7 +507,7 @@ class TestEnrich:
         assert res.h_edges >= h0 + 3
         assert res.iterations >= 1
 
-    def test_protected_edges_survive(self):
+    def test_protected_edges_survive(self, desk_params):
         g, cov = gen_planted(40, 0.18, 3)
         h0 = count_h_edges(g, cov)
         keep = sorted(cov.edge_set())[:4]
@@ -523,7 +516,7 @@ class TestEnrich:
         assert all(e in res.cycle.edge_set() for e in keep)
         assert res.cycle.num_components == 1
 
-    def test_potential_monotone_and_ledger_valid(self):
+    def test_potential_monotone_and_ledger_valid(self, desk_params):
         g, cov = gen_planted(36, 0.2, 9)
         h0 = count_h_edges(g, cov)
         params = desk_params(h_edge_target=h0 + 6, enrich_rounds=25)
@@ -532,7 +525,7 @@ class TestEnrich:
         assert res.ledger_summary["t_sum"] >= 0
         assert res.h_edges >= h0
 
-    def test_planted_instance_reaches_target(self):
+    def test_planted_instance_reaches_target(self, desk_params):
         g, cov = gen_planted(300, 300 ** -0.3, 7)
         res = enrich(g, cov, sorted(cov.edge_set())[:5], desk_params(h_edge_target=50))
         assert res.reached_target and res.h_edges >= 50
@@ -540,27 +533,24 @@ class TestEnrich:
 
 
 class TestLedger:
-    def test_initial_saturation_of_tiny_parts(self):
+    def test_initial_saturation_of_tiny_parts(self, monkeypatch):
         g = cycle_graph(9)
-        params = Params(coverage_slack=2, ledger_t_cap=3, common_nbr_threshold=2)
-        part = partition_vertices(g, params)
-        ledger = GoodSetLedger(g, part, params)
+        monkeypatch.setattr(embedding, "COVERAGE_SLACK", 2)
+        monkeypatch.setattr(embedding, "LEDGER_T_CAP", 3)
+        part = partition_vertices(g, 2)
+        ledger = GoodSetLedger(g, part)
         for p in ledger.parts:
             if len(p.vertices) <= 2:
                 assert ledger.saturated(p)
-        ledger.verify(ham_cover(9), MSetCache(g, params.m_set_threshold))
+        ledger.verify(ham_cover(9), MSetCache(g, 2))
 
-    def test_absorb_and_promote(self):
+    def test_absorb_and_promote(self, monkeypatch):
         g = complete_graph(10)
-        params = Params(
-            common_nbr_threshold=2,
-            m_set_threshold=1,
-            coverage_slack=9,
-            ledger_t_cap=2,
-        )
-        partition = partition_vertices(g, params)
-        ledger = GoodSetLedger(g, partition, params)
-        cache = MSetCache(g, params.m_set_threshold)
+        monkeypatch.setattr(embedding, "COVERAGE_SLACK", 9)
+        monkeypatch.setattr(embedding, "LEDGER_T_CAP", 2)
+        partition = partition_vertices(g, 2)
+        ledger = GoodSetLedger(g, partition)
+        cache = MSetCache(g, 1)
         part = ledger.parts[0]
         assert not ledger.saturated(part)
         # any K10 edge covers everything: absorb promotes immediately
@@ -589,11 +579,10 @@ class TestLedger:
 
         monkeypatch.setattr(embedding, "induced_h_edges", counted)
         monkeypatch.setattr(GoodSetLedger, "try_absorb", absorb)
+        monkeypatch.setattr(embedding, "LEDGER_T_CAP", 1)
         for seed in range(30):
             g, cover = planted_cover(60, 0.15, seed, ell=4)
-            params = Params(
-                seed=seed, thomassen_degree_floor=1, h_edge_target=2000, ledger_t_cap=1
-            )
+            params = Params(seed=seed, thomassen_degree_floor=1, h_edge_target=2000)
             solve(g, cover, 6, params, strict=True)
         assert absorbed.count((True, True)) == 5
         assert len(induced) == 12

@@ -1,8 +1,9 @@
 """Golden outputs: fixed-seed solves pinned by digest.
 
-Each solve's digest is the sha256 of its cover dump (``"None"`` on an honest
-failure) followed by its stats JSON without timing.  A change that keeps the
-outputs byte-identical keeps every digest.  A change that alters an output on
+Each solve pins two digests: ``cover``, the sha256 of its cover dump
+(``"None"`` on an honest failure), and ``stats``, the sha256 of its stats
+JSON without timing, so a change shows which of the two it alters.  A change
+that keeps the outputs byte-identical keeps every digest.  A change that alters an output on
 purpose says why and rewrites ``golden_digests.json`` with
 ``PYTHONPATH=src python tests/test_golden.py``.
 
@@ -51,10 +52,13 @@ def corpus():
             yield f"small-{idx}-k{k}", g, cover, k, params, False
 
 
-def _digest(res) -> str:
-    text = "None" if res.cover is None else dump_cover(res.cover)
-    text += res.stats.to_json(drop_timing=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest(res) -> dict:
+    cover = "None" if res.cover is None else dump_cover(res.cover)
+    stats = res.stats.to_json(drop_timing=True)
+    return {
+        "cover": hashlib.sha256(cover.encode()).hexdigest(),
+        "stats": hashlib.sha256(stats.encode()).hexdigest(),
+    }
 
 
 def run_corpus():
@@ -86,7 +90,12 @@ def test_digests_match(golden_run):
     digests, _, _ = golden_run
     expected = json.loads(GOLDEN.read_text())
     assert list(digests) == list(expected)
-    changed = [name for name in digests if digests[name] != expected[name]]
+    changed = [
+        (name, part)
+        for name, want in expected.items()
+        for part in ("cover", "stats")
+        if digests[name][part] != want[part]
+    ]
     assert not changed, f"outputs changed for {changed}"
 
 

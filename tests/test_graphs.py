@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +336,10 @@ class TestParams:
     def test_defaults_valid(self):
         Params()
 
+    def test_only_the_workload_knobs(self):
+        names = [f.name for f in fields(Params)]
+        assert names == ["h_edge_target", "thomassen_degree_floor", "enrich_rounds", "seed"]
+
     def test_positive_enforced(self):
         with pytest.raises(ValueError):
             Params(h_edge_target=0)
@@ -348,16 +353,18 @@ class TestParams:
             parse_params("h_edge_targett = 7\n")
 
     def test_none_value(self):
-        p = parse_params("thomassen_degree_floor = none\nsample_prob = null\n")
-        assert p.thomassen_degree_floor is None and p.sample_prob is None
-        assert parse_params("sample_prob = 0.5\n").sample_prob == 0.5
+        # a later line overrides an earlier one, so None must come from the file
+        for none in ("none", "null"):
+            p = parse_params(f"thomassen_degree_floor = 3\nthomassen_degree_floor = {none}\n")
+            assert p.thomassen_degree_floor is None
+        assert parse_params("thomassen_degree_floor = 3\n").thomassen_degree_floor == 3
 
-    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "switch_candidate_budget"])
+    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "enrich_rounds"])
     def test_none_rejected_for_required_key(self, key):
         with pytest.raises(GraphFormatError, match=f"line 2: '{key}' cannot be none"):
             parse_params(f"# header\n{key} = none\n")
 
-    @pytest.mark.parametrize("key, value", [("enrich_rounds", "many"), ("sample_prob", "half")])
+    @pytest.mark.parametrize("key, value", [("enrich_rounds", "many"), ("thomassen_degree_floor", "half")])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(GraphFormatError, match=f"^line 2: bad value for '{key}': '{value}'$"):
             parse_params(f"seed = 1\n{key} = {value}\n")
@@ -367,7 +374,9 @@ class TestParams:
         [
             "cover_common_floor", "zeta", "min_degree_floor", "enum_cap", "ledger_set_cap",
             "overflow_cap", "partial_growth", "h_yield", "sample_retries",
-            "rewire_node_budget", "exhaustive_cutoff",
+            "rewire_node_budget", "exhaustive_cutoff", "common_nbr_threshold",
+            "m_set_threshold", "coverage_slack", "ledger_t_cap", "protected_cap",
+            "sample_prob", "switch_candidate_budget",
         ],
     )
     def test_removed_key_rejected(self, key):

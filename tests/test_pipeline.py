@@ -304,12 +304,13 @@ class TestSolve:
         assert validate_cover(g, res.cover) == 3
         assert any("opportunistic_split" in d for d in res.stats.diagnostics)
 
-    def test_enrich_error_leaves_input_cover(self, split_calls):
+    def test_enrich_error_leaves_input_cover(self, split_calls, monkeypatch):
         # merging two cycles protects more than one edge, so enrich raises
         # and the split runs on the input cover
         g = complete_graph(12)
         cover = CycleCover([list(range(6)), list(range(6, 12))])
-        res = solve(g, cover, 3, Params(protected_cap=1), strict=True)
+        monkeypatch.setattr(embedding, "PROTECTED_CAP", 1)
+        res = solve(g, cover, 3, Params(), strict=True)
         assert res.stats.diagnostics == [{"pipeline": "protected set exceeds cap 1"}]
         assert len(split_calls) == 1 and split_calls[0][1] is cover
         assert res.stats.ell_presplit == 2
@@ -470,15 +471,10 @@ class TestSolve:
         g, cover = two_cycle_instance(60, 0.2, 0)
         aug, merged, rec = merge_cover(g, cover)
         h0 = count_h_edges(aug, merged)
-        params = Params(
-            thomassen_degree_floor=1,
-            h_edge_target=h0 + 4,
-            common_nbr_threshold=2,
-            m_set_threshold=1,
-            coverage_slack=6,
-            enrich_rounds=40,
-            seed=0,
-        )
+        monkeypatch.setattr(embedding, "COMMON_NBR_THRESHOLD", 2)
+        monkeypatch.setattr(embedding, "M_SET_THRESHOLD", 1)
+        monkeypatch.setattr(embedding, "COVERAGE_SLACK", 6)
+        params = Params(thomassen_degree_floor=1, h_edge_target=h0 + 4, enrich_rounds=40, seed=0)
         res = solve(g, cover, 4, params, random.Random(0), strict=True)
         assert res.cover is not None
         assert validate_cover(g, res.cover) == 4

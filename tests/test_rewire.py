@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from itertools import combinations
@@ -70,23 +71,28 @@ class TestCheckIndependentDominating:
             assert check_independent_dominating(g, cover, s) == (indep and dominated)
 
 
-def sample(g, cover, blocked, rng, params):
+def sample(g, cover, blocked, rng):
     """The sampler on a request with desirable graph ``g`` and bad set ``blocked``."""
     req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), frozenset(blocked))
-    return sample_switch_set(req, rng, params)
+    return sample_switch_set(req, rng)
 
 
 class TestSampleSwitchSet:
+    def test_sampling_probability(self):
+        assert rewire.sampling_probability(0) == rewire.sampling_probability(2) == 1.0
+        for n in (3, 10, 200, 4000):
+            assert rewire.sampling_probability(n) == min(1.0, 1.0 / math.sqrt(n * math.log(n)))
+
     def test_everything_blocked(self):
         g = complete_graph(6)
         with pytest.raises(RewireError):
-            sample(g, ham_cover(6), set(range(6)), random.Random(0), DESK)
+            sample(g, ham_cover(6), set(range(6)), random.Random(0))
 
     def test_no_clear_candidates(self):
         g = complete_graph(6)
         # blocking alternate vertices leaves no vertex clear of the blocked
         # set's cycle neighbourhood
-        assert sample(g, ham_cover(6), {0, 2, 4}, random.Random(0), DESK) is None
+        assert sample(g, ham_cover(6), {0, 2, 4}, random.Random(0)) is None
 
     def test_undominable_target_draws_nothing(self):
         # vertex 5 has no chord, so no switch set can dominate it: the sampler
@@ -98,22 +104,22 @@ class TestSampleSwitchSet:
         rng = random.Random(0)
         state = rng.getstate()
         for _ in range(2):
-            assert sample_switch_set(req, rng, DESK) is None
+            assert sample_switch_set(req, rng) is None
         assert req.undominable and rng.getstate() == state
 
     def test_deterministic(self):
         g = complete_graph(20)
-        a = sample(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
-        b = sample(g, ham_cover(20), {0, 1}, random.Random(5), DESK)
+        a = sample(g, ham_cover(20), {0, 1}, random.Random(5))
+        b = sample(g, ham_cover(20), {0, 1}, random.Random(5))
         assert a == b and a is not None
 
-    def test_dense_instance_with_probability_override(self):
+    def test_dense_instance_with_probability_override(self, monkeypatch):
         # the derived 1/sqrt(n ln n) draw needs asymptotic degrees to
         # dominate; the override makes the dense n=200 instance land
         g, cover = gen_planted(200, 0.3, 42)
-        params = Params(sample_prob=0.09)
+        monkeypatch.setattr(rewire, "sampling_probability", lambda n: 0.09)
         for seed in range(4):
-            s = sample(g, cover, {0, 1}, random.Random(seed), params)
+            s = sample(g, cover, {0, 1}, random.Random(seed))
             assert s is not None
             assert check_independent_dominating(g, cover, s)
 
@@ -121,7 +127,7 @@ class TestSampleSwitchSet:
         hits = 0
         for seed in range(40):
             g, cover = gen_planted(16, 0.6, seed)
-            s = sample(g, cover, {0}, random.Random(seed), DESK)
+            s = sample(g, cover, {0}, random.Random(seed))
             if s is None:
                 continue
             hits += 1
@@ -410,9 +416,7 @@ class TestRequestReuse:
             reused = fresh()
             ours, theirs = random.Random(seed), random.Random(seed)
             for call in range(8):
-                assert sample_switch_set(reused, ours, DESK) == sample_switch_set(
-                    fresh(), theirs, DESK
-                )
+                assert sample_switch_set(reused, ours) == sample_switch_set(fresh(), theirs)
                 assert ours.getstate() == theirs.getstate()
                 got = second_hamilton_cycle(reused, ours, DESK)
                 assert _result_key(got) == _result_key(

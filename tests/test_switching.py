@@ -9,7 +9,6 @@ from cyclesplit.graphs import (
     CoverError,
     CycleCover,
     Graph,
-    Params,
     _canonical_cycle,
     edge_key,
     validate_cover,
@@ -485,7 +484,7 @@ class TestSplitToK:
             n = rng.randint(12, 40)
             g, cover = gen_planted(n, 0.4, rng.randrange(1 << 20))
             k = rng.randint(1, n // 3)
-            out = split_to_k(g, cover, k, Params())
+            out = split_to_k(g, cover, k)
             if out.cover is not None:
                 assert validate_cover(g, out.cover) == k
                 assert out.sym_diff <= 12 * (k - 1)
@@ -527,8 +526,8 @@ class TestCandidateBudget:
 
     @pytest.fixture
     def record(self, monkeypatch):
-        """``run(params)``: split to k=20, and per step the C4's it filed and
-        the loop of each candidate it tried."""
+        """``run(budget)``: split to k=20 under that step budget, and per step
+        the C4's it filed and the loop of each candidate it tried."""
         steps = []
         for name in _LOOPS:
 
@@ -545,30 +544,31 @@ class TestCandidateBudget:
             steps[-1]["filed"] = fresh
             return fresh, got
 
-        def logged(g, cover, params=None, memo=None):
+        def logged(g, cover, memo=None):
             steps.append({"filed": 0, "tried": []})
-            return step(g, cover, params, memo)
+            return step(g, cover, memo)
 
         monkeypatch.setattr(switching._SplitMemo, "buckets", filing)
         monkeypatch.setattr(switching, "increase_by_one_with_diag", logged)
         g, cover = gen_planted(100, 0.2, 31)
 
-        def run(params):
+        def run(budget=switching.SWITCH_CANDIDATE_BUDGET):
+            monkeypatch.setattr(switching, "SWITCH_CANDIDATE_BUDGET", budget)
             steps.clear()
-            return split_to_k(g, cover, 20, params), list(steps)
+            return split_to_k(g, cover, 20), list(steps)
 
         return run
 
     @pytest.mark.parametrize("loop", _LOOPS)
     def test_budget_exhausted(self, record, loop):
-        out, steps = record(Params())
+        out, steps = record()
         assert out.cover is not None
         at = next(i for i, s in enumerate(steps) if loop in s["tried"])
         before = steps[at]["tried"].index(loop)
         budget = steps[at]["filed"] + before
         # every earlier step fits, so the run reaches that step unchanged
         assert all(s["filed"] + len(s["tried"]) <= budget for s in steps[:at])
-        out, cut = record(Params(switch_candidate_budget=budget))
+        out, cut = record(budget)
         assert out.cover is None
         assert out.diagnostics["budget_exhausted"] is True
         assert len(cut) == len(out.plans) + 1 == at + 1
@@ -576,17 +576,17 @@ class TestCandidateBudget:
         assert cut[at] == {"filed": steps[at]["filed"], "tried": steps[at]["tried"][: before + 1]}
 
     def test_filing_exhausts_before_any_candidate(self, record):
-        out, steps = record(Params())
+        out, steps = record()
         at = next(i for i, s in enumerate(steps) if s["filed"])
         filed = steps[at]["filed"]
         assert all(s == {"filed": 0, "tried": []} for s in steps[:at])
-        out, cut = record(Params(switch_candidate_budget=filed - 1))
+        out, cut = record(filed - 1)
         assert out.cover is None and len(out.plans) == at
         assert out.diagnostics["budget_exhausted"] is True
         assert [out.diagnostics[f"case{c}"] for c in (2, 3, 4)] == [0, 0, 0]
         assert cut[at] == {"filed": filed, "tried": []}
         # one unit more pays for the filing, and the step goes on to a candidate
-        _, cut = record(Params(switch_candidate_budget=filed))
+        _, cut = record(filed)
         assert cut[at]["filed"] == filed and cut[at]["tried"]
 
 
@@ -886,7 +886,7 @@ class TestCandidateStream:
         assert seen["ties"] > 10 and seen["orders"] > 10, seen
         assert all(seen[key] for key in (2, 3, 4, "short")), seen
 
-    def test_each_candidate_costs_one_unit(self):
+    def test_each_candidate_costs_one_unit(self, monkeypatch):
         seen = Counter()
         for g, cover in _stream_covers():
             pairs = list(_implanted_pairs(g, cover))
@@ -902,9 +902,10 @@ class TestCandidateStream:
                     break
             # a step with no memo files every C4, then pays for its candidates
             for budget, exhausted in ((len(pairs) + units, False), (len(pairs) + units - 1, True)):
-                step, diag = switching.increase_by_one_with_diag(
-                    g, cover, Params(switch_candidate_budget=budget)
-                )
+                # only this step: the stream's own splits keep the default
+                with monkeypatch.context() as m:
+                    m.setattr(switching, "SWITCH_CANDIDATE_BUDGET", budget)
+                    step, diag = switching.increase_by_one_with_diag(g, cover)
                 assert diag["budget_exhausted"] is exhausted
                 if not exhausted:
                     assert step == want
