@@ -50,17 +50,26 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
             m += 1
+        self._set_rows(n, m, *_rows_and_bits(n, adj))
+
+    @classmethod
+    def _from_rows(
+        cls, n: int, m: int, adj: tuple[tuple[int, ...], ...], bits: tuple[int, ...]
+    ) -> "Graph":
+        """Graph from already valid rows: ``adj[v]`` is v's sorted neighbour
+        tuple, ``bits[v]`` the same set as a bitset and ``m`` the edge count.
+        Nothing is checked, so a caller that builds rows owns their validity."""
+        g = cls.__new__(cls)
+        g._set_rows(n, m, adj, bits)
+        return g
+
+    def _set_rows(self, n, m, adj, bits) -> None:
+        # the one place that sets the slots; O(n), nothing per edge
         self.n = n
         self._m = m
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._adj = adj
+        self._bits = bits
         self._min_degree = min(map(len, adj), default=0)
-        bits = []
-        for s in adj:
-            b = 0
-            for v in s:
-                b |= 1 << v
-            bits.append(b)
-        self._bits = tuple(bits)
         self._edges = None  # built lazily
 
     # -- queries ---------------------------------------------------------
@@ -119,14 +128,7 @@ class Graph:
         adj = list(self._adj)
         for v, new in gained.items():
             adj[v] = tuple(sorted(adj[v] + tuple(new)))
-        out = Graph.__new__(Graph)
-        out.n = n
-        out._m = m
-        out._adj = tuple(adj)
-        out._bits = tuple(bits)
-        out._min_degree = min(map(len, adj), default=0)
-        out._edges = None
-        return out
+        return Graph._from_rows(n, m, tuple(adj), tuple(bits))
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,7 +197,12 @@ def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
         raise GraphFormatError(
             f"header announced {m} edges but file has {len(edges)}", lineno
         )
-    return Graph(n, edges)
+    # the line checks above are the constructor's and more: build the rows
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._from_rows(n, m, *_rows_and_bits(n, adj))
 
 
 def dump_graph(g: Graph) -> str:
@@ -403,6 +410,13 @@ def validate_cover(
             if not (bits[u] >> v) & 1:
                 raise CoverError(f"cover edge {edge_key(u, v)} absent from graph")
     return cover.num_components
+
+
+def _rows_and_bits(n: int, adj: Sequence[Iterable[int]]):
+    """Sorted neighbour tuples and their bitsets, from unordered rows."""
+    rows = tuple(tuple(sorted(r)) for r in adj)
+    pow2 = [1 << v for v in range(n)]
+    return rows, tuple(sum(map(pow2.__getitem__, r)) for r in rows)
 
 
 def _iter_bits(mask: int):

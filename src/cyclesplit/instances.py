@@ -1,7 +1,14 @@
 """Instance generators and exhaustive small-n oracles.
 
 The planted model supplies the solver's hypothesis (a known 2-factor) by
-construction.  The implant-free model does too, with a Hamilton cycle that
+construction.  Its random stream is a contract that the acceptance seeds,
+the golden digests and the CI pins rest on: ``Random(seed).shuffle`` gives
+the Hamilton cycle, then one ``random()`` per non-cycle pair (u, v), u < v,
+in lexicographic order decides that edge.  The generator reads those draws
+in bulk, one ``getrandbits`` call of two words per draw for each row, and
+builds its graph from rows; at n = 4000, p = 20/n a graph takes about 0.4 s
+(Python 3.11, one core of a Xeon server), where the per-draw loop took
+1.1 s.  The implant-free model does too, with a Hamilton cycle that
 hosts no implanted C4, so only enrichment can start a split.  The two
 counterexample families are the ones with explicit recipes: disjoint
 triangles feeding a complete bipartite block (no 2-factor has fewer
@@ -20,11 +27,12 @@ take about 1 ms and a whole call 0.006 s at p = 0.2, 0.05 s at p = 0.5 and
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .graphs import CycleCover, Graph, _iter_bits, edge_key
+from .graphs import CycleCover, Graph, _iter_bits, _rows_and_bits, edge_key
 
 ORACLE_CAP = 14  # a call takes at most about 0.15 s here (K14)
 BRUTE_CAP = 12
@@ -54,7 +62,13 @@ class InstanceSpec:
 
 
 def gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
-    """Hamilton cycle on a random permutation plus iid extra edges."""
+    """Hamilton cycle on a random permutation plus iid extra edges.
+
+    The stream: ``Random(seed).shuffle`` of ``0..n-1`` gives the cycle, then
+    one ``random() < p`` per non-cycle pair (u, v), u < v, in lexicographic
+    order decides that edge.  Each row's draws are read in bulk (see
+    ``_row_hits``), so the graph is the one the per-pair loop gives.
+    """
     if n < 3:
         raise ValueError("planted instances need n >= 3")
     if not (0.0 <= p <= 1.0):
@@ -62,15 +76,50 @@ def gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    cycle_edges = {
-        edge_key(perm[i], perm[(i + 1) % n]) for i in range(n)
-    }
-    edges = set(cycle_edges)
+    above = [[] for _ in range(n)]  # above[u]: u's cycle neighbours v > u
+    for i in range(n):
+        u, v = edge_key(perm[i - 1], perm[i])
+        above[u].append(v)
+    threshold = math.ceil(p * 2.0**53)
+    top = threshold >> 45
+    table = bytes(1 if t < top else 2 if t == top else 0 for t in range(256))
+    rows = [[] for _ in range(n)]
+    m = 0
     for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in cycle_edges and rng.random() < p:
-                edges.add((u, v))
-    return Graph(n, edges), CycleCover([perm])
+        forward = _row_hits(rng, u, n, sorted(above[u]), threshold, table)
+        for v in forward:
+            rows[v].append(u)
+        rows[u] += forward
+        m += len(forward)
+    return Graph._from_rows(n, m, *_rows_and_bits(n, rows)), CycleCover([perm])
+
+
+def _row_hits(
+    rng: random.Random, u: int, n: int, cycle: list[int], threshold: int, table: bytes
+) -> list[int]:
+    """Row u's neighbours above u: the cycle ones plus the pairs whose draw hits.
+
+    c draws of ``random()`` read 2c Mersenne Twister words, a then b, and
+    return ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so a draw is below p
+    exactly when that 53-bit integer is below ``threshold = ceil(p * 2**53)``.
+    ``getrandbits(64 * c)`` returns the same 2c words, least significant
+    first, so byte 8j + 3 of its little-endian bytes is the top byte of draw
+    j's a.  ``table`` maps that byte to 1 (hit), 0 (miss) or 2 when it equals
+    ``threshold >> 45`` and the low bits decide; those draws, about 1 in 256,
+    are settled from their two words.
+    """
+    count = n - 1 - u - len(cycle)
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    mask = bytearray(raw[3::8].translate(table))
+    j = mask.find(2)
+    while j >= 0:
+        a = int.from_bytes(raw[8 * j : 8 * j + 4], "little")
+        b = int.from_bytes(raw[8 * j + 4 : 8 * j + 8], "little")
+        mask[j] = ((a >> 5) << 26 | b >> 6) < threshold
+        j = mask.find(2, j + 1)
+    for v in cycle:  # ascending, so each lands at its offset in u+1..n-1
+        mask.insert(v - u - 1, 1)
+    return list(compress(range(u + 1, n), mask))
 
 
 def gen_implant_free(n: int, seed: int) -> tuple[Graph, CycleCover]:
@@ -93,9 +142,10 @@ def gen_implant_free(n: int, seed: int) -> tuple[Graph, CycleCover]:
         if not ((up >> vp) & 1 or (up >> vm) & 1 or (um >> vp) & 1 or (um >> vm) & 1):
             chord[u] |= 1 << v
             chord[v] |= 1 << u
-    edges = [(u, u + 1) for u in range(n - 1)] + [(0, n - 1)]
-    edges += [(u, v) for u in range(n) for v in _iter_bits(chord[u]) if u < v]
-    return Graph(n, edges), CycleCover([list(range(n))])
+    bits = tuple(c | 1 << (u - 1) % n | 1 << (u + 1) % n for u, c in enumerate(chord))
+    adj = tuple(tuple(_iter_bits(b)) for b in bits)
+    m = sum(map(len, adj)) // 2
+    return Graph._from_rows(n, m, adj, bits), CycleCover([list(range(n))])
 
 
 def gen_cliques_matching(q: int, seed: int, allow_even: bool = False) -> Graph:

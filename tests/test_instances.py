@@ -4,7 +4,15 @@ import warnings
 
 import pytest
 
-from cyclesplit.graphs import CycleCover, Graph, Params, validate_cover
+from cyclesplit.graphs import (
+    CycleCover,
+    Graph,
+    Params,
+    dump_graph,
+    edge_key,
+    load_graph,
+    validate_cover,
+)
 from cyclesplit.instances import (
     ORACLE_CAP,
     InstanceSpec,
@@ -88,6 +96,104 @@ class TestGenPlanted:
             gen_planted(2, 0.5, 0)
         with pytest.raises(ValueError):
             gen_planted(10, 1.5, 0)
+
+
+def _reference_gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
+    """The per-draw planted loop the bulk generator replaced, kept verbatim."""
+    if n < 3:
+        raise ValueError("planted instances need n >= 3")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("edge probability must lie in [0, 1]")
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cycle_edges = {
+        edge_key(perm[i], perm[(i + 1) % n]) for i in range(n)
+    }
+    edges = set(cycle_edges)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in cycle_edges and rng.random() < p:
+                edges.add((u, v))
+    return Graph(n, edges), CycleCover([perm])
+
+
+def _slots(g: Graph) -> tuple:
+    return (g.n, g._adj, g._bits, g.m, g.min_degree())
+
+
+def _reference_slots(n: int, edges) -> tuple:
+    """What every constructor must store, built the plain way: sorted
+    neighbour tuples, OR-ed bitsets, the edge count and the minimum degree."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    bits = []
+    for row in adj:
+        b = 0
+        for v in row:
+            b |= 1 << v
+        bits.append(b)
+    m = sum(map(len, adj)) // 2
+    return (n, adj, tuple(bits), m, min(map(len, adj), default=0))
+
+
+class TestBulkPlantedStream:
+    """The bulk row draws give the graph of one ``random()`` per pair."""
+
+    @pytest.mark.parametrize("p", [0, 0.0, 1, 1.0, 5e-324, 1e-9, 0.5, 0.999999])
+    @pytest.mark.parametrize("n", [*range(3, 13), 57, 100, 301])
+    def test_matches_per_draw_reference(self, n, p):
+        for seed in (0, 1, n * 7919 + 3):
+            g, cover = gen_planted(n, p, seed)
+            want, want_cover = _reference_gen_planted(n, p, seed)
+            assert _slots(g) == _slots(want)
+            assert _slots(g) == _reference_slots(n, want.edges())
+            assert cover.cycles == want_cover.cycles
+
+    @pytest.mark.parametrize("n, seed", [(8, 2), (40, 11), (150, 5)])
+    def test_forced_tie_takes_the_low_words(self, n, seed):
+        # p equal to a draw's exact value must miss (strict <) and the next
+        # float up must hit; either way the top byte ties with the threshold
+        rng = random.Random(seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cycle = {edge_key(perm[i - 1], perm[i]) for i in range(n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cycle]
+        draws = [(pair, rng.random()) for pair in pairs]
+        for j in (0, len(draws) // 2, len(draws) - 1):
+            pair, value = draws[j]
+            for p, hit in ((value, False), (math.nextafter(value, 1), True)):
+                g, _ = gen_planted(n, p, seed)
+                assert g.has_edge(*pair) is hit
+                assert _slots(g) == _slots(_reference_gen_planted(n, p, seed)[0])
+
+
+class TestConstructorsAgree:
+    """``Graph(n, edges)``, ``load_graph``, ``with_extra_edges`` and
+    ``gen_implant_free``'s row build store the same slots."""
+
+    def test_random_graphs(self):
+        rng = random.Random(0xB17)
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            rng.shuffle(edges)
+            want = _reference_slots(n, edges)
+            g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+            assert _slots(g) == want
+            assert _slots(load_graph(dump_graph(g))) == want
+            cut = rng.randint(0, len(edges))
+            part = Graph(n, edges[:cut]).with_extra_edges(edges[cut // 2 :])
+            assert _slots(part) == want
+
+    def test_implant_free_rows(self):
+        for n in (4, 9, 64):
+            g, _ = gen_implant_free(n, n)
+            assert _slots(g) == _reference_slots(n, g.edges())
 
 
 class TestGenCliquesMatching:
