@@ -397,18 +397,28 @@ def validate_cover(
     """Check that ``cover`` is a 2-factor of ``g``; return its cycle count.
 
     Raises :class:`CoverError` on: missing vertex, repeated vertex, a cover
-    edge absent from ``g``, or a cycle shorter than 3.
+    edge absent from ``g``, or a cycle shorter than 3.  A cover made by
+    ``CycleCover._from_canonical`` (every splice result) was never checked,
+    so its cycle lengths are checked here too: each at least 3, all summing
+    to n.  A repeated vertex is caught only where the constructor checks the
+    partition.
     """
     if not isinstance(cover, CycleCover):
         cover = CycleCover(cover, g.n)
     if cover.n != g.n:
         raise CoverError(f"cover spans {cover.n} vertices, graph has {g.n}")
     bits = g._bits
+    count = 0
     # the edges in ``iter_edges`` order, so the first missing one is reported
     for cyc in cover.cycles:
+        if len(cyc) < 3:
+            raise CoverError(f"cycle {list(cyc)} shorter than 3")
+        count += len(cyc)
         for u, v in zip(cyc, cyc[1:] + cyc[:1]):
             if not (bits[u] >> v) & 1:
                 raise CoverError(f"cover edge {edge_key(u, v)} absent from graph")
+    if count != g.n:
+        raise CoverError(f"cover cycles hold {count} vertices, graph has {g.n}")
     return cover.num_components
 
 

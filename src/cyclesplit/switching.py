@@ -26,7 +26,6 @@ from .graphs import (
     CoverError,
     CycleCover,
     Graph,
-    _canonical_cycle,
     _iter_bits,
     edge_key,
     validate_cover,
@@ -243,12 +242,24 @@ def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:
     """Apply a batch of switches by splicing the cycles they touch; None if degenerate.
 
-    Each touched cycle is cut at its removed edges into arcs, and the arcs are
-    joined through the chords.  Only the new cycles are canonicalised: the
-    untouched ones keep their tuples.  The batch is degenerate when a cover
-    edge or chord repeats, a chord is a cover edge, a vertex gains a number of
-    chords other than the number of cover edges it loses, or a cycle shorter
-    than 3 results.  Each check is local, so the cover is never rebuilt.
+    Each touched cycle is cut at its removed edges into arcs, each kept as a
+    range of positions of the old cycle, and the chords join the arcs into
+    the new cycles.  Each new cycle comes out canonical, copied from slices
+    of the old tuples (one per arc, two where an arc wraps), and the
+    untouched cycles keep their tuples.
+
+    The arcs are listed in cycle order, and each touched cycle's first arc
+    wraps past its end to hold position 0, the old minimum.  Each walk starts
+    at the first arc not yet walked, so one that starts at a position-0 arc
+    meets only cycles with larger minima: it starts on the new minimum and
+    needs no scan.  Only a walk that starts elsewhere scans for its minimum
+    and rotates to it.  Either way the minimum's two neighbours in the walk
+    give the orientation.
+
+    The batch is degenerate when a cover edge or chord repeats, a chord is a
+    cover edge, a vertex gains a number of chords other than the number of
+    cover edges it loses, or a cycle shorter than 3 results.  Each check is
+    local, so the cover is never rebuilt.
     """
     cycles = cover.cycles
     removed = set()
@@ -282,57 +293,72 @@ def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[Cycl
         if cx == cy and (px - py) % len(cycles[cx]) in (1, len(cycles[cx]) - 1):
             return None
 
+    # an arc is (cycle, lo, hi), positions lo..hi; the first arc of each
+    # touched cycle wraps past the cycle's end (lo <= 0)
     arcs = []
     arc_at = {}  # both ends of each arc -> its index
-    for ci, cut in cuts.items():
+    for ci in sorted(cuts):
+        cut = cuts[ci]
         cyc = cycles[ci]
         cut.sort()
-        prev = cut[-1] - len(cyc)  # the first arc wraps past the cycle's end
-        for p in cut:
-            arc = cyc[prev + 1 : p + 1] if prev >= -1 else cyc[prev + 1 :] + cyc[: p + 1]
-            arc_at[arc[0]] = arc_at[arc[-1]] = len(arcs)
-            arcs.append(arc)
-            prev = p
+        lo = cut[-1] + 1 - len(cyc)
+        for hi in cut:
+            arc_at[cyc[lo]] = arc_at[cyc[hi]] = len(arcs)
+            arcs.append((cyc, lo, hi))
+            lo = hi + 1
     new = []
     done = [False] * len(arcs)
-    for i, arc in enumerate(arcs):
+    for i, (home, first, hi) in enumerate(arcs):
         if done[i]:
             continue
+        done[i] = True
+        # every arc before this one is spent: from position 0, the walk starts
+        # on its new cycle's minimum, and a wrapping arc's rest comes last
+        start = home[first]
         seq = []
-        start = x = arc[0]
-        came_from = None
-        while True:
+        seq += home[first : hi + 1] if first > 0 else home[: hi + 1]
+        came_from = z = home[hi]
+        x = link[z][0]
+        while x != start:
             j = arc_at[x]
             done[j] = True
-            arc = arcs[j]
-            if arc[0] == x:
-                seq += arc
-                z = arc[-1]
+            cyc, lo, hi = arcs[j]
+            if cyc[lo] == x:
+                if lo < 0:
+                    seq += cyc[lo:]
+                    lo = 0
+                seq += cyc[lo : hi + 1]
+                z = cyc[hi]
             else:
-                seq += arc[::-1]
-                z = arc[0]
+                seq += cyc[hi : lo - 1 : -1] if lo > 0 else cyc[hi::-1]
+                if lo < 0:
+                    seq += cyc[: lo - 1 : -1]
+                z = cyc[lo]
             # a one-vertex arc has two chords: leave by the one not arrived on
             partners = link[z]
             came_from, x = z, (
                 partners[1] if x == z and partners[0] == came_from else partners[0]
             )
-            if x == start:
-                break
+        if first < 0:
+            seq += home[first:]
         if len(seq) < 3:
             return None
-        new.append(_canonical_cycle(seq))
+        if first > 0:
+            at = seq.index(min(seq))
+            seq = seq[at:] + seq[:at]
+        if seq[-1] < seq[1]:  # toward the smaller neighbour of the minimum
+            seq[1:] = seq[:0:-1]
+        new.append(tuple(seq))
     kept = [cyc for ci, cyc in enumerate(cycles) if ci not in cuts]
     return CycleCover._from_canonical(tuple(sorted(kept + new)), cover.n)
 
 
 def apply_switch(cover: CycleCover, c4: ImplantedC4) -> CycleCover:
     """Toggle one implanted C4; the component delta follows its kind."""
-    ci, pa = c4.edge_a
-    cj, pb = c4.edge_b
-    if ci >= len(cover.cycles) or pa >= len(cover.cycles[ci]):
-        raise CoverError("switch references a cover edge position that does not exist")
-    if cj >= len(cover.cycles) or pb >= len(cover.cycles[cj]):
-        raise CoverError("switch references a cover edge position that does not exist")
+    for ci, pos in (c4.edge_a, c4.edge_b):
+        # a negative index would alias a cycle or position from the end
+        if not (0 <= ci < len(cover.cycles) and 0 <= pos < len(cover.cycles[ci])):
+            raise CoverError("switch references a cover edge position that does not exist")
     ea, eb = c4.cover_edges(cover)
     endpoints = set(ea) | set(eb)
     chord_points = set(c4.chords[0]) | set(c4.chords[1])

@@ -180,6 +180,21 @@ class TestValidateCover:
         with pytest.raises(CoverError):
             validate_cover(complete_graph(6), [[0, 1, 2]])
 
+    @pytest.mark.parametrize(
+        "cycles, message",
+        [
+            (((0, 1), (2, 3, 4)), r"cycle \[0, 1\] shorter than 3"),
+            (((0, 1, 2),), "cover cycles hold 3 vertices, graph has 5"),
+        ],
+        ids=["short-cycle", "missing-vertices"],
+    )
+    def test_unchecked_cover(self, cycles, message):
+        # a cover built without the constructor's checks, as the splice builds
+        # them: its cycle lengths are checked here
+        cover = CycleCover._from_canonical(cycles, 5)
+        with pytest.raises(CoverError, match=message):
+            validate_cover(complete_graph(5), cover)
+
     def test_cover_of_another_vertex_count(self):
         cover = CycleCover([[0, 1, 2], [3, 4, 5]])
         with pytest.raises(CoverError, match="cover spans 6 vertices, graph has 7"):

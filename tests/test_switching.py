@@ -251,6 +251,24 @@ class TestApplySwitch:
         with pytest.raises(CoverError, match=message):
             apply_switch(ham_cover(8), c4)
 
+    @pytest.mark.parametrize(
+        "edge_a, edge_b, chords",
+        [
+            # a cycle or position counted from the end: (-1, 0) aliases the
+            # edge 6-7 of cycle 1, so the batch would cut that cycle twice
+            # and splice a "cover" that repeats vertices
+            ((-1, 0), (1, 3), ((6, 9), (7, 10))),
+            ((1, -6), (1, 3), ((6, 9), (7, 10))),
+            ((0, 0), (-2, 3), ((0, 3), (1, 4))),
+        ],
+        ids=["cycle-from-end", "position-from-end", "partner-from-end"],
+    )
+    def test_negative_index_rejected(self, edge_a, edge_b, chords):
+        cover = CycleCover([list(range(6)), list(range(6, 12))])
+        c4 = ImplantedC4(edge_a, edge_b, chords, SwitchKind.SAME_CYCLE_CROSSING, aligned=True)
+        with pytest.raises(CoverError, match="position that does not exist"):
+            apply_switch(cover, c4)
+
     def test_delta_table_random(self, rng):
         """Component delta is +1 / 0 / -1 by kind, covers stay valid."""
         checked = 0
@@ -361,6 +379,101 @@ class TestToggleSplice:
         assert out.cycles == ((0, 1, 2), (3, 8, 9, 10), (4, 5, 6, 7), (11, 12, 13))
         assert out.cycles[0] is cover.cycles[0]
         assert out.cycles[3] is cover.cycles[2]
+
+
+def _spliced(cover, specs):
+    """``_toggle`` of the switches ``(edge_a, edge_b, aligned)``, checked
+    against the edge-set reference and against the public constructor."""
+    batch = [_make_c4(cover, ea, eb, aligned) for ea, eb, aligned in specs]
+    got = _toggle(cover, batch)
+    assert got is not None
+    assert got == _reference_toggle(cover, batch)
+    assert got.cycles == CycleCover(got.cycles, cover.n).cycles
+    return got.cycles
+
+
+class TestToggleNamedCases:
+    """Splices whose arcs meet the edge cases of the canonical assembly."""
+
+    @pytest.mark.parametrize(
+        "edge_a, edge_b, want",
+        [
+            # cut at position 0: the first arc wraps and ends on the minimum
+            ((0, 0), (0, 5), ((0, 6, 7, 8, 9), (1, 2, 3, 4, 5))),
+            # cut at L - 1: the first arc starts on the minimum, no wrap
+            ((0, 3), (0, 9), ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))),
+        ],
+        ids=["cut-at-0", "cut-at-L-1"],
+    )
+    def test_cut_at_either_end(self, edge_a, edge_b, want):
+        assert _spliced(ham_cover(10), [(edge_a, edge_b, False)]) == want
+
+    def test_one_vertex_arc_at_position_0(self):
+        # both edges at vertex 0 go: its arc is the one vertex, and both of
+        # its new neighbours come from other arcs
+        cover = ham_cover(10)
+        got = _spliced(cover, [((0, 0), (0, 4), False), ((0, 6), (0, 9), False)])
+        assert got == ((0, 5, 6), (1, 2, 3, 4), (7, 8, 9))
+
+    @pytest.mark.parametrize(
+        "cycle, want",
+        [
+            # the minimum 2 opens the walk; its neighbour across the chord (3)
+            # is below the one in its own piece (7): the walk reverses
+            ((0, 1, 2, 7, 6, 8, 3, 4, 5, 9, 10, 11), ((0, 1, 8, 6, 9, 10, 11), (2, 3, 4, 5, 7))),
+            # the minimum 2 closes the walk; its neighbour across the chord
+            # (3), in the walk's first piece, decides again
+            ((0, 1, 3, 5, 7, 8, 2, 4, 6, 9, 10, 11), ((0, 1, 8, 7, 9, 10, 11), (2, 3, 5, 6, 4))),
+        ],
+        ids=["minimum-opens-walk", "minimum-closes-walk"],
+    )
+    def test_minimum_at_a_piece_boundary(self, cycle, want):
+        # two interleaved crossing switches: the second new cycle holds no
+        # position 0, so its minimum is scanned for, and it ends a piece
+        cover = CycleCover([cycle])
+        assert cover.cycles == (cycle,)
+        assert _spliced(cover, [((0, 1), (0, 5), True), ((0, 3), (0, 8), True)]) == want
+
+    def test_wrapping_arc_walked_backwards(self):
+        # the aligned merge enters cycle 1's wrapping arc at its last vertex
+        cover = CycleCover([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
+        got = _spliced(cover, [((0, 2), (1, 1), True)])
+        assert got == ((0, 1, 2, 6, 5, 9, 8, 7, 3, 4),)
+
+    def test_merge_and_split_batches_of_twenty_switches(self):
+        # 21 cycles of lengths 3 to 6 chained by 20 aligned switches, as
+        # merge_cover chains them; the batch that swaps each switch's chords
+        # back out splits the Hamilton cycle into the same 21 cycles
+        rng = random.Random(0xB47C)
+        sizes = [rng.randint(3, 6) for _ in range(21)]
+        perm = list(range(sum(sizes)))
+        rng.shuffle(perm)
+        cover = CycleCover([perm[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(21)])
+        specs, incoming = [], None
+        for i in range(20):
+            outgoing = rng.choice([p for p in range(len(cover.cycles[i])) if p != incoming])
+            incoming = rng.randrange(len(cover.cycles[i + 1]))
+            specs.append(((i, outgoing), (i + 1, incoming), True))
+        merged = CycleCover._from_canonical(_spliced(cover, specs), cover.n)
+        assert merged.num_components == 1
+        back = []
+        for ea, eb, aligned in specs:
+            c4 = _make_c4(cover, ea, eb, aligned)
+            removed = set(c4.cover_edges(cover))
+            at = [_edge_position(merged, chord) for chord in c4.chords]
+            back.append(next(
+                (at[0], at[1], side) for side in (True, False)
+                if set(_make_c4(merged, at[0], at[1], side).chords) == removed
+            ))
+        assert _spliced(merged, back) == cover.cycles
+
+
+def _edge_position(cover, edge):
+    """(cycle, position) of a cover edge given as a pair."""
+    u, v = edge
+    ci, pos = cover.locator[u]
+    cyc = cover.cycles[ci]
+    return (ci, pos) if cyc[(pos + 1) % len(cyc)] == v else (ci, (pos - 1) % len(cyc))
 
 
 class TestInducedHEdges:
