@@ -22,6 +22,7 @@ from .graphs import (
     GraphFormatError,
     Params,
     _param_values,
+    _read_header,
     dump_cover,
     dump_graph,
     load_cover,
@@ -120,11 +121,16 @@ def cmd_gen(args) -> int:
 
 
 def _load_instance(args):
-    """The graph and cover files, the cover first: a graph header n above the
-    cover's vertex count is refused before the graph allocates anything, and
-    a smaller n fails ``validate_cover``."""
+    """The graph and cover files, the cover first: a graph header n other
+    than the cover's vertex count is refused in ``validate_cover``'s words
+    before the graph allocates anything."""
     cover = load_cover(Path(args.cover).read_text())
-    return load_graph(Path(args.graph).read_text(), max_n=cover.n), cover
+    text = Path(args.graph).read_text()
+    # the first line as ``splitlines`` reads it, leaving the rest unsplit
+    n, _ = _read_header(text.split("\n", 1)[0].splitlines())
+    if n != cover.n:
+        raise CoverError(f"cover spans {cover.n} vertices, graph has {n}")
+    return load_graph(text), cover
 
 
 def cmd_solve(args) -> int:

@@ -150,15 +150,11 @@ class Graph:
 # Cover file: one cycle per line, vertices space-separated in cyclic order.
 
 
-def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
-    """Parse the edge-list format, reporting errors with line numbers.
-
-    A header n above ``max_n`` is refused before anything is allocated.
-    """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+def _read_header(lines: list[str]) -> tuple[int, int]:
+    """``n`` and ``m`` from the header, the first of a graph file's lines."""
+    head = lines[0].split() if lines else []
+    if not head:
         raise GraphFormatError("missing header 'n m'", 1)
-    head = lines[0].split()
     if len(head) != 2:
         raise GraphFormatError("header must be 'n m'", 1)
     try:
@@ -167,6 +163,16 @@ def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
         raise GraphFormatError("header must contain two integers", 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative", 1)
+    return n, m
+
+
+def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
+    """Parse the edge-list format, reporting errors with line numbers.
+
+    A header n above ``max_n`` is refused before anything is allocated.
+    """
+    lines = text.splitlines()
+    n, m = _read_header(lines)
     if max_n is not None and n > max_n:
         raise GraphFormatError(f"n = {n} exceeds the {max_n} vertices allowed here", 1)
     edges = []

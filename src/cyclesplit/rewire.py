@@ -12,17 +12,12 @@ an exhaustive Hamilton search (protected edges forced, the old cycle
 excluded) stands in when sampling fails.
 
 A failed call is retried with the same request, so only the random draws and
-what depends on them are redone per call.  The request derives, once, every
-fact that neither the random stream nor ``Params`` can change: the blocked
-set, the desirable and cycle neighbour rows and from them the allowed and
-off-cycle neighbour bitsets, the clear candidates, the sampler's targets and
-its verdict that some target can never be dominated, the usable-edge count,
-the desk-scale seed pairs, the exhaustive search's answer and, from these,
-whether a call can do anything at all (``idle``); a call on an idle request
-returns None once its checks pass, drawing nothing.  The relink search carries
-its end vertex and the pieces placed so far, builds a cycle only when it
-closes one that differs from the original; a request never repeats a failed
-desk-scale search.
+what depends on them are redone per call.  A ``RewireRequest`` takes G' as
+per-vertex neighbour rows and derives, once, every fact that neither the
+random stream nor ``Params`` can change (listed on the class).  A call
+relinks one stream of switch-set proposals, the sampler's and then the
+desk-scale seeded ones, and skips each that the request has seen fail: the
+relink draws nothing, so it would fail again.
 """
 
 from __future__ import annotations
@@ -30,10 +25,10 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 
@@ -54,32 +49,47 @@ class RewireError(ValueError):
 class RewireRequest:
     """Inputs for one rewiring attempt.
 
-    ``graph`` hosts the cycle; ``desirable`` is a subgraph on the same
-    vertices whose edges we want to pull into the new cycle, given as an
-    edge set or, as ``enrich`` gives it, as a tuple of symmetric per-vertex
-    neighbour rows;
-    ``protected`` lists cycle edges that must survive; ``bad`` holds vertices
-    exempt from the degree requirement.
+    ``graph`` hosts the cycle; ``desirable`` holds the edges we want to pull
+    into the new cycle as symmetric neighbour rows, one per vertex of the
+    graph (a bitset each; bits off the graph are ignored); ``protected``
+    lists cycle edges that must survive; ``bad`` holds vertices exempt from
+    the degree requirement.
 
     ``enrich`` passes one request to every call until a rewire lands, so the
-    request derives these facts once, on first use: the blocked set B'
-    (``blocked``), the per-vertex rows ``desirable_bits`` and ``cycle_bits``
-    and from them ``allowed_bits`` and ``off_cycle_bits``, the clear
-    candidates (``clear``), the sampler's ``targets`` and its ``undominable``
-    verdict, ``usable_count``, the desk-scale phase's seed pairs
-    (``seed_rotation``), the exhaustive fallback's cycle
-    (``exhaustive_cycle``) and the ``idle`` verdict, which
+    request derives these facts once, on first use, none of them from the
+    random stream or ``Params``: the ``fault`` verdict that both entry
+    points raise, the blocked set B' (``blocked``), the per-vertex rows
+    ``desirable_bits`` and ``cycle_bits`` and from them ``allowed_bits`` and
+    ``off_cycle_bits``, the clear candidates (``clear``), the sampler's
+    ``targets`` and its ``undominable`` verdict, ``usable_count``, the
+    desk-scale phase's seed pairs (``seed_rotation``), the exhaustive
+    fallback's cycle (``exhaustive_cycle``) and the ``idle`` verdict, which
     ``second_hamilton_cycle`` reads to return None without drawing.
-    None of them reads the random stream or ``Params``.  ``usable_edges``
-    generates the usable edges from the rows in sorted order, so a caller
-    reads only as many as it needs.
+    ``usable_edges`` generates the usable edges from the rows in sorted
+    order, so a caller reads only as many as it needs.  ``failed`` collects
+    the switch sets whose relink found no cycle.
     """
 
     graph: Graph
     cycle: CycleCover
     protected: frozenset[tuple[int, int]]
-    desirable: Union[frozenset[tuple[int, int]], tuple[int, ...]]
+    desirable: tuple[int, ...]
     bad: frozenset[int] = frozenset()
+    failed: set[frozenset[int]] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    @cached_property
+    def fault(self) -> Optional[str]:
+        """Why no rewire call can take this request, or None."""
+        n = self.graph.n
+        if self.cycle.num_components != 1 or self.cycle.n != n:
+            return "rewiring requires a Hamilton cycle of the host graph"
+        if len(self.desirable) != n:
+            return f"desirable graph has {len(self.desirable)} rows, host graph has {n} vertices"
+        if not self.protected <= self.cycle.edge_set():
+            return "protected edges must lie on the cycle"
+        if len(self.blocked) >= n:
+            return "blocked set covers every vertex"
+        return None
 
     @cached_property
     def blocked(self) -> frozenset[int]:
@@ -89,13 +99,7 @@ class RewireRequest:
     @cached_property
     def desirable_bits(self) -> list[int]:
         """Per vertex, its desirable neighbours that are graph neighbours."""
-        rows = self.desirable
-        if not isinstance(rows, tuple):
-            rows = [0] * self.graph.n
-            for u, v in self.desirable:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return [row & nbrs for row, nbrs in zip(rows, self.graph._bits)]
+        return [row & nbrs for row, nbrs in zip(self.desirable, self.graph._bits)]
 
     @cached_property
     def cycle_bits(self) -> list[int]:
@@ -173,12 +177,6 @@ class RewireRequest:
         if (self.clear and not self.undominable) or self.seed_rotation:
             return False
         return self.graph.n > EXHAUSTIVE_CUTOFF or self.exhaustive_cycle is None
-
-    @cached_property
-    def _failed_relinks(self) -> set[frozenset[int]]:
-        """The switch sets of desk-scale relinks that found no cycle; the
-        relink draws nothing, so each would fail again."""
-        return set()
 
     @cached_property
     def seed_rotation(self) -> tuple[tuple[int, int], ...]:
@@ -262,31 +260,24 @@ def sample_switch_set(req: RewireRequest, rng: random.Random) -> Optional[frozen
     cycle neighbourhood; each lands in S independently with the sampling
     probability.  A draw is returned only if it is cycle-independent and
     dominates everything outside B' in the desirable graph minus the cycle.
-    None after the retry budget.
+    None after the retry budget; ``RewireError`` on a request no call can
+    take (``RewireRequest.fault``).
     """
-    n = req.graph.n
-    if len(req.blocked) >= n:
-        raise RewireError("blocked set covers every vertex")
+    if req.fault is not None:
+        raise RewireError(req.fault)
     candidates = req.clear
-    if not candidates:
-        return None
-    if req.undominable:
+    if not candidates or req.undominable:
         return None
     targets = req.targets
     off_bits = req.off_cycle_bits
-    p = sampling_probability(n)
+    cycle_bits = req.cycle_bits
+    p = sampling_probability(req.graph.n)
     for _ in range(SAMPLE_RETRIES):
         s = [v for v in candidates if rng.random() < p]
         if not s:
             continue
         s_bits = bits_of(s)
-        independent = True
-        for v in s:
-            a, b = req.cycle.cycle_neighbors(v)
-            if (s_bits >> a) & 1 or (s_bits >> b) & 1:
-                independent = False
-                break
-        if not independent:
+        if any(cycle_bits[v] & s_bits for v in s):
             continue
         if all(off_bits[t] & s_bits for t in targets):
             return frozenset(s)
@@ -465,21 +456,16 @@ def second_hamilton_cycle(
 
     On success the result also absorbs at least one desirable off-cycle edge
     and only touches edges incident to its switch set.  None when every
-    sampled switch set fails and the instance is above the exhaustive cutoff,
-    and at once, after the request checks and the degree precondition (or
-    its desk-scale warning), when the request is idle (``RewireRequest.idle``).
+    proposed switch set fails and the instance is above the exhaustive cutoff,
+    and at once, after the request's ``fault`` check and the degree
+    precondition (or its desk-scale warning), when the request is idle
+    (``RewireRequest.idle``).
     """
     params = params or Params()
-    cycle = req.cycle
+    if req.fault is not None:
+        raise RewireError(req.fault)
     n = req.graph.n
-    if cycle.num_components != 1 or cycle.n != n:
-        raise RewireError("rewiring requires a Hamilton cycle of the host graph")
-    cyc_edges = cycle.edge_set()
-    if not req.protected <= cyc_edges:
-        raise RewireError("protected edges must lie on the cycle")
     blocked = req.blocked
-    if len(blocked) >= n:
-        raise RewireError("blocked set covers every vertex")
     # degree precondition on the desirable graph
     if params.thomassen_degree_floor is None:
         floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
@@ -498,53 +484,49 @@ def second_hamilton_cycle(
     if req.idle:
         return None
 
-    for _ in range(SAMPLE_RETRIES):
-        s = sample_switch_set(req, rng)
-        if s is None:
-            break
-        found = _relink(cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
-        if found is not None:
-            return _package(req, found, s, used_fallback=False)
-
-    # Desk-scale phase: the full-domination draw above needs degrees around
-    # sqrt(n) log^2 n to succeed, so at reachable sizes we instead seed one
-    # usable edge into the switch set and pad with random extras.  The relink
-    # search and the post-hoc checks carry correctness either way.
-    p_relax = min(0.3, max(sampling_probability(n), 6.0 / max(1, len(req.clear))))
-    for seed in req.seed_rotation:
-        s = frozenset(_seeded_switch_set(cycle, seed, req.clear, p_relax, rng))
-        if s in req._failed_relinks:
+    for s in _proposals(req, rng):
+        if s in req.failed:
             continue
-        found = _relink(cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
+        found = _relink(req.cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
         if found is not None:
             return _package(req, found, s, used_fallback=False)
-        req._failed_relinks.add(s)
+        req.failed.add(s)
 
     if n <= EXHAUSTIVE_CUTOFF:
         found = req.exhaustive_cycle
         if found is not None:
-            changed = found.edge_set() ^ cyc_edges
+            changed = found.edge_set() ^ req.cycle.edge_set()
             s_post = frozenset(v for e in changed for v in e)
             return _package(req, found, s_post, used_fallback=True)
     return None
 
 
-def _seeded_switch_set(
-    cycle: CycleCover,
-    seed: tuple[int, int],
-    clear: tuple[int, ...],
-    p_extra: float,
-    rng: random.Random,
-) -> set[int]:
-    """Switch set built around a usable edge's seed pair (see
-    ``RewireRequest.seed_rotation``), padded with random clear extras."""
-    s = set(seed)
-    for v in clear:
-        if v not in s and rng.random() < p_extra:
-            na, nb = cycle.cycle_neighbors(v)
-            if na not in s and nb not in s:
-                s.add(v)
-    return s
+def _proposals(req: RewireRequest, rng: random.Random) -> Iterator[frozenset[int]]:
+    """The switch sets a call relinks, in order: the sampler's draws until it
+    gives up, at most ``SAMPLE_RETRIES`` of them, then one set per
+    desk-scale round.
+
+    The full-domination draw needs degrees around sqrt(n) log^2 n to
+    succeed, so at reachable sizes each desk-scale round instead starts from
+    a usable edge's seed pair (``RewireRequest.seed_rotation``) and pads it
+    with random clear extras, none a cycle neighbour of a member.  The
+    relink search and the post-hoc checks carry correctness either way."""
+    for _ in range(SAMPLE_RETRIES):
+        s = sample_switch_set(req, rng)
+        if s is None:
+            break
+        yield s
+    clear = req.clear
+    p_extra = min(0.3, max(sampling_probability(req.graph.n), 6.0 / max(1, len(clear))))
+    nbrs = req.cycle.cycle_neighbors
+    for seed in req.seed_rotation:
+        s = set(seed)
+        for v in clear:
+            if v not in s and rng.random() < p_extra:
+                na, nb = nbrs(v)
+                if na not in s and nb not in s:
+                    s.add(v)
+        yield frozenset(s)
 
 
 def _package(req, new_cycle, switch_set, used_fallback):

@@ -20,6 +20,16 @@ def ham_cover(n: int) -> CycleCover:
     return CycleCover([list(range(n))])
 
 
+def rows_of(n: int, edges) -> tuple[int, ...]:
+    """Symmetric neighbour rows (one bitset per vertex) of ``edges``, each
+    given in either orientation: a rewire request's desirable graph."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
 def gnp(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)

@@ -39,6 +39,7 @@ from conftest import (
     complete_graph,
     ham_cover,
     random_factor_instance,
+    rows_of,
 )
 
 warnings.filterwarnings("ignore", category=UserWarning)
@@ -230,7 +231,7 @@ def test_criterion_07_thomassen_contract():
         blocked = {v for e in protected for v in e}
         if len(blocked) >= n:
             continue
-        req = RewireRequest(g, cover, protected, frozenset(g.edge_set()))
+        req = RewireRequest(g, cover, protected, rows_of(g.n, g.edge_set()))
         s = sample_switch_set(req, rng)
         if s is None:
             continue

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclesplit import cli
 from cyclesplit.cli import main
 from cyclesplit.graphs import load_cover, load_graph, validate_cover
 
@@ -191,6 +192,33 @@ class TestVerify:
         (tmp_path / "g.cover").write_text("0 1 2\n3 4 5\n")
         assert run("verify", "--graph", str(tmp_path / "g.graph"),
                    "--cover", str(tmp_path / "g.cover")) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize(
+        "cover_text, graph_n, message",
+        [
+            ("0 1 2\n", 10, "cover spans 3 vertices, graph has 10"),
+            ("", 10, "cover spans 0 vertices, graph has 10"),
+            (" ".join(map(str, range(10))) + "\n", 3, "cover spans 10 vertices, graph has 3"),
+        ],
+        ids=["short-cover", "empty-cover", "short-graph"],
+    )
+    def test_vertex_count_mismatch(self, tmp_path, capsys, monkeypatch, command,
+                                   cover_text, graph_n, message):
+        """A cover whose vertex count is not the graph's is named as such, in
+        ``validate_cover``'s words, before the graph is parsed."""
+        run("gen", "--model", "planted", "--n", str(graph_n), "--p", "1.0",
+            "--out", str(tmp_path / "g"))
+        (tmp_path / "g.cover").write_text(cover_text)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the graph was parsed")
+
+        monkeypatch.setattr(cli, "load_graph", refused)
+        capsys.readouterr()
+        args = ["--graph", str(tmp_path / "g.graph"), "--cover", str(tmp_path / "g.cover")]
+        assert run(command, *args, *(["--k", "2"] if command == "solve" else [])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOracle:

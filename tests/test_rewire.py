@@ -16,7 +16,7 @@ from cyclesplit.rewire import (
     second_hamilton_cycle,
 )
 
-from conftest import complete_graph, ham_cover
+from conftest import complete_graph, ham_cover, rows_of
 
 DESK = Params(thomassen_degree_floor=1)
 
@@ -30,7 +30,7 @@ def _quiet_desk_override():
 
 def all_chords(n):
     cyc = ham_cover(n).edge_set()
-    return frozenset(e for e in combinations(range(n), 2) if edge_key(*e) not in cyc)
+    return rows_of(n, (e for e in combinations(range(n), 2) if edge_key(*e) not in cyc))
 
 
 class TestCheckIndependentDominating:
@@ -73,7 +73,7 @@ class TestCheckIndependentDominating:
 
 def sample(g, cover, blocked, rng):
     """The sampler on a request with desirable graph ``g`` and bad set ``blocked``."""
-    req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), frozenset(blocked))
+    req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), frozenset(blocked))
     return sample_switch_set(req, rng)
 
 
@@ -100,7 +100,7 @@ class TestSampleSwitchSet:
         cycle = {edge_key(v, (v + 1) % 10) for v in range(10)}
         chords = {e for e in combinations(range(10), 2) if 5 not in e}
         g = Graph(10, cycle | chords)
-        req = RewireRequest(g, ham_cover(10), frozenset(), frozenset(g.edge_set()))
+        req = RewireRequest(g, ham_cover(10), frozenset(), rows_of(g.n, g.edge_set()))
         rng = random.Random(0)
         state = rng.getstate()
         for _ in range(2):
@@ -149,7 +149,7 @@ class TestSecondHamiltonCycle:
 
     def test_no_usable_desirable_edge(self):
         req = RewireRequest(
-            complete_graph(4), ham_cover(4), frozenset(), frozenset({(0, 1)})
+            complete_graph(4), ham_cover(4), frozenset(), rows_of(4, [(0, 1)])
         )
         assert second_hamilton_cycle(req, random.Random(1), DESK) is None
 
@@ -173,30 +173,48 @@ class TestSecondHamiltonCycle:
             second_hamilton_cycle(req, random.Random(1), DESK)
 
     @pytest.mark.parametrize(
-        "cover, protected, message",
+        "cover, protected, bad, desirable, message",
         [
-            (CycleCover([[0, 1, 2], [3, 4, 5]]), frozenset(), "Hamilton cycle"),
-            (ham_cover(5), frozenset(), "Hamilton cycle"),
-            (ham_cover(6), frozenset({(0, 2)}), "protected edges must lie on the cycle"),
+            (CycleCover([[0, 1, 2], [3, 4, 5]]), frozenset(), frozenset(), all_chords(6),
+             "rewiring requires a Hamilton cycle of the host graph"),
+            (ham_cover(5), frozenset(), frozenset(), all_chords(6),
+             "rewiring requires a Hamilton cycle of the host graph"),
+            (ham_cover(6), frozenset({(0, 2)}), frozenset(), all_chords(6),
+             "protected edges must lie on the cycle"),
+            (ham_cover(6), frozenset({(0, 1)}), frozenset({2, 3, 4, 5}), all_chords(6),
+             "blocked set covers every vertex"),
+            (ham_cover(6), frozenset(), frozenset(), all_chords(6)[:5],
+             "desirable graph has 5 rows, host graph has 6 vertices"),
+            (ham_cover(6), frozenset(), frozenset(), (0, 0, 0),
+             "desirable graph has 3 rows, host graph has 6 vertices"),
         ],
-        ids=["two-cycles", "wrong-order", "protected-chord"],
+        ids=["two-cycles", "wrong-order", "protected-chord", "all-blocked", "short-rows",
+             "three-empty-rows"],
     )
-    def test_malformed_request_rejected(self, cover, protected, message):
-        req = RewireRequest(complete_graph(6), cover, protected, all_chords(6))
-        with pytest.raises(RewireError, match=message):
-            second_hamilton_cycle(req, random.Random(1), DESK)
+    def test_malformed_request_rejected(self, cover, protected, bad, desirable, message):
+        """Both entry points, under either degree floor, raise the request's
+        one verdict, before they read anything else of it."""
+        req = RewireRequest(complete_graph(6), cover, protected, desirable, bad)
+        for call in (
+            lambda: second_hamilton_cycle(req, random.Random(1), DESK),
+            lambda: second_hamilton_cycle(req, random.Random(1), Params()),
+            lambda: sample_switch_set(req, random.Random(1)),
+        ):
+            with pytest.raises(RewireError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_desirable_non_edges_never_absorbed(self):
         found = 0
         for seed in range(12):
             g, cover = gen_planted(12, 0.5, seed)
-            # every pair, reversed, so the filter has to normalise and drop
+            # every pair, so the request has to drop the non-edges of g
             everything = frozenset((v, u) for u, v in combinations(range(12), 2))
             non_edges = frozenset(edge_key(*e) for e in everything) - g.edge_set()
             assert non_edges
-            only_non_edges = RewireRequest(g, cover, frozenset(), non_edges)
+            only_non_edges = RewireRequest(g, cover, frozenset(), rows_of(12, non_edges))
             assert second_hamilton_cycle(only_non_edges, random.Random(seed), DESK) is None
-            req = RewireRequest(g, cover, frozenset(), everything)
+            req = RewireRequest(g, cover, frozenset(), rows_of(12, everything))
             res = second_hamilton_cycle(req, random.Random(seed), DESK)
             if res is None:
                 continue
@@ -218,7 +236,7 @@ class TestSecondHamiltonCycle:
             n = rng.randint(8, 14)
             g, cover = gen_planted(n, 0.5, seed)
             protected = frozenset(list(cover.edge_set())[:2])
-            desirable = frozenset(g.edge_set())
+            desirable = rows_of(g.n, g.edge_set())
             req = RewireRequest(g, cover, protected, desirable)
             res = second_hamilton_cycle(req, random.Random(seed), DESK)
             if res is None:
@@ -237,14 +255,15 @@ class TestSecondHamiltonCycle:
 
     def test_sampled_path_on_larger_instance(self):
         g, cover = gen_planted(60, 0.5, 3)
-        req = RewireRequest(g, cover, frozenset(list(cover.edge_set())[:3]), frozenset(g.edge_set()))
+        protected = frozenset(list(cover.edge_set())[:3])
+        req = RewireRequest(g, cover, protected, rows_of(g.n, g.edge_set()))
         res = second_hamilton_cycle(req, random.Random(3), DESK)
         assert res is not None and not res.used_fallback
         assert validate_cover(g, res.cycle) == 1
 
     def test_deterministic_given_seed(self):
         g, cover = gen_planted(24, 0.4, 11)
-        req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()))
+        req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()))
         a = second_hamilton_cycle(req, random.Random(2), DESK)
         b = second_hamilton_cycle(req, random.Random(2), DESK)
         assert a.cycle == b.cycle and a.switch_set == b.switch_set
@@ -337,7 +356,7 @@ class TestRelinkMatchesReference:
         for _ in range(300):
             n = rng.randint(6, 40)
             g, cover = gen_planted(n, rng.uniform(0.15, 0.9), rng.randrange(1 << 30))
-            desirable = frozenset(e for e in g.edge_set() if rng.random() < 0.6)
+            desirable = rows_of(n, (e for e in g.edge_set() if rng.random() < 0.6))
             allowed = RewireRequest(g, cover, frozenset(), desirable).allowed_bits
             # mostly cycle-independent sets; a few with two consecutive vertices
             s = set()
@@ -369,7 +388,7 @@ class TestRelinkMatchesReference:
         cover = CycleCover([[0, 1, 6, 3, 2, 4, 7, 5]])
         chords = [(0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 5), (2, 7)]
         chords += [(3, 4), (3, 5), (4, 6), (5, 6), (6, 7)]
-        desirable = frozenset(chords)
+        desirable = rows_of(8, chords)
         allowed = RewireRequest(complete_graph(8), cover, frozenset(), desirable).allowed_bits
         s = {1, 3, 4, 5}
         expected = _reference_relink(cover, s, allowed, 200_000)
@@ -407,7 +426,7 @@ class TestRequestReuse:
             g, cover = gen_planted(n, rng.uniform(0.2, 0.6), seed)
             edges = sorted(cover.edge_set())
             protected = frozenset(rng.sample(edges, rng.randint(0, 3)))
-            desirable = frozenset(e for e in g.edge_set() if rng.random() < 0.5)
+            desirable = rows_of(n, (e for e in g.edge_set() if rng.random() < 0.5))
             bad = frozenset(rng.sample(range(n), rng.randint(0, 2)))
 
             def fresh():
@@ -450,7 +469,7 @@ class TestRequestReuse:
             bad = frozenset(range(n)) - arc
 
             def fresh():
-                return RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), bad)
+                return RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), bad)
 
             runs = []
             for make in (lambda req=fresh(): req, fresh):
@@ -472,6 +491,49 @@ class TestRequestReuse:
             saved += len(every) - len(once)
         assert saved > 50, saved
 
+    def test_failed_proposal_runs_no_relink(self, monkeypatch, rng):
+        """A proposal already in the request's failed set is skipped without
+        a relink, and the results and the random stream equal those of a run
+        with the skip disabled (a failed set that never reports a member),
+        which relinks every proposal.  Few vertices are clear, as above, so
+        proposals repeat."""
+
+        class Forgetful(set):
+            def __contains__(self, item):
+                return False
+
+        requests = []
+        known = []
+        relink = rewire._relink
+
+        def counted(cycle, s, allowed_bits, budget):
+            known.append(set.__contains__(requests[-1].failed, frozenset(s)))
+            return relink(cycle, s, allowed_bits, budget)
+
+        monkeypatch.setattr(rewire, "_relink", counted)
+        repeats = 0
+        for seed in range(24):
+            n = rng.randint(20, 40)
+            g, cover = gen_planted(n, rng.uniform(0.2, 0.5), seed)
+            start = rng.randrange(n)
+            arc = {cover.cycles[0][(start + i) % n] for i in range(8)}
+            bad = frozenset(range(n)) - arc
+            runs = []
+            for skip in (True, False):
+                req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), bad)
+                if not skip:
+                    object.__setattr__(req, "failed", Forgetful())
+                requests.append(req)
+                known.clear()
+                ours = random.Random(seed)
+                got = [_result_key(second_hamilton_cycle(req, ours, DESK)) for _ in range(8)]
+                runs.append((got, ours.getstate(), list(known)))
+            (got, state, skipping), (plain_got, plain_state, plain) = runs
+            assert got == plain_got and state == plain_state
+            assert not any(skipping)
+            repeats += sum(plain)
+        assert repeats > 50, repeats
+
     def test_seed_rotation_matches_every_edge_seeded(self, rng):
         """The rotation over the 32 desk-scale rounds equals the one read
         from the seed pairs of all usable edges, with the rounds whose edge
@@ -480,7 +542,7 @@ class TestRequestReuse:
             n = rng.randint(8, 40)
             g, cover = gen_planted(n, rng.uniform(0.2, 0.7), seed)
             blocked = frozenset(rng.sample(range(n), rng.randint(0, 3)))
-            req = RewireRequest(g, cover, frozenset(), frozenset(g.edge_set()), blocked)
+            req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), blocked)
             clear = set(req.clear)
             nbrs = cover.cycle_neighbors
 
@@ -519,15 +581,15 @@ class TestRequestFacts:
         edges = sorted(cover.edge_set())
         protected = frozenset(rng.sample(edges, rng.randint(0, 2)))
         bad = frozenset(rng.sample(range(n), rng.randint(0, 3)))
-        return g, cover, RewireRequest(g, cover, protected, desirable, bad)
+        return g, cover, desirable, RewireRequest(g, cover, protected, rows_of(n, desirable), bad)
 
     def test_facts_match_set_definitions(self, rng):
         seen = {"undominable": 0, "dominable": 0, "no usable": 0}
         for seed in range(60):
-            g, cover, req = self._random_request(rng, seed)
+            g, cover, desirable, req = self._random_request(rng, seed)
             n = g.n
             cyc = cover.edge_set()
-            desirable = {edge_key(u, v) for u, v in req.desirable if g.has_edge(u, v)}
+            desirable = {edge_key(u, v) for u, v in desirable if g.has_edge(u, v)}
             allowed = [0] * n
             for u, v in desirable | cyc:
                 allowed[u] |= 1 << v
@@ -585,7 +647,7 @@ class TestRequestFacts:
         monkeypatch.setattr(rewire, "_exhaustive_second_cycle", counted)
         seen = {"no usable": 0, "idle, usable": 0, "busy": 0}
         for seed in range(80):
-            g, cover, req = self._random_request(rng, seed)
+            g, cover, _, req = self._random_request(rng, seed)
             if seed % 2:
                 bad = frozenset(rng.sample(range(g.n), g.n - rng.randint(1, min(6, g.n))))
                 req = RewireRequest(g, cover, frozenset(), req.desirable, bad)
@@ -602,25 +664,3 @@ class TestRequestFacts:
             else:
                 seen["busy"] += 1
         assert min(seen.values()) >= 5, seen
-
-    def test_rows_input_derives_the_same_facts(self, rng):
-        """A request given its desirable graph as neighbour rows, as enrich
-        gives it, derives what the same graph given as an edge set does."""
-        for seed in range(20):
-            g, cover, req = self._random_request(rng, seed)
-            rows = [0] * g.n
-            for u, v in req.desirable:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            by_rows = RewireRequest(g, cover, req.protected, tuple(rows), req.bad)
-            for name in (
-                "desirable_bits", "allowed_bits", "off_cycle_bits", "usable_count",
-                "blocked", "clear", "targets", "undominable", "seed_rotation",
-            ):
-                assert getattr(by_rows, name) == getattr(req, name), name
-            assert list(by_rows.usable_edges()) == list(req.usable_edges())
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert _result_key(second_hamilton_cycle(by_rows, ours, DESK)) == _result_key(
-                second_hamilton_cycle(req, theirs, DESK)
-            )
-            assert ours.getstate() == theirs.getstate()
