@@ -520,7 +520,8 @@ def enrich(
     e0 = frozenset(edge_key(*e) for e in protected)
     if cycle.num_components != 1 or cycle.n != g.n:
         raise ValueError("enrichment requires a Hamilton cycle of the graph")
-    if not e0 <= cycle.edge_set():
+    # an empty e0 needs no check, which would pin an edge set on the caller's cover
+    if e0 and not e0 <= cycle.edge_set():
         raise ValueError("protected edges must lie on the cycle")
     if len(e0) > PROTECTED_CAP:
         raise ValueError(f"protected set exceeds cap {PROTECTED_CAP}")
@@ -602,7 +603,7 @@ def enrich(
         h = new_h
         req = None
         iterations += 1
-        if not e0 <= cycle.edge_set():
+        if e0 and not e0 <= cycle.edge_set():
             raise AssertionError("protected edge lost during enrichment")
         ledger.verify(cycle, mcache)
     else:

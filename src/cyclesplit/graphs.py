@@ -1,12 +1,13 @@
 """Immutable simple graphs, cycle covers (2-factors), and tuning knobs.
 
 Vertices are dense integers ``0..n-1`` so cycle positions can be used for
-modular arithmetic.  Adjacency is kept both as sorted tuples (public) and as
-integer bitsets (fast intersections / membership in the hot loops).
+modular arithmetic.  A graph holds its two row forms, sorted tuples (public)
+and integer bitsets (hot loops), and derives everything else on each call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
@@ -31,9 +32,11 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices ``0..n-1``."""
+    """Immutable simple undirected graph on vertices ``0..n-1``, held as its
+    two sorted row forms alone: it derives everything else on each call, and
+    equality and hashing read the bitset rows."""
 
-    __slots__ = ("n", "_edges", "_adj", "_bits", "_m", "_min_degree")
+    __slots__ = ("n", "_adj", "_bits", "_m", "_min_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -70,7 +73,6 @@ class Graph:
         self._adj = adj
         self._bits = bits
         self._min_degree = min(map(len, adj), default=0)
-        self._edges = None  # built lazily
 
     # -- queries ---------------------------------------------------------
 
@@ -94,15 +96,14 @@ class Graph:
         return (self._bits[u] >> v) & 1 == 1
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v) for u in range(self.n) for v in self._adj[u] if u < v
-            )
-        return self._edges
+        """All edges as ``(u, v)`` pairs with ``u < v``, a new set on each call."""
+        return frozenset(self.edges())
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted ``(u, v)`` pairs with ``u < v``, lexicographic."""
-        return sorted(self.edge_set())
+        """All ``(u, v)`` edges with ``u < v``, lexicographic: the rows in order."""
+        return [
+            (u, v) for u, row in enumerate(self._adj) for v in row[bisect(row, u):]
+        ]
 
     def with_extra_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with ``extra`` edges added (duplicates ignored).
@@ -131,14 +132,10 @@ class Graph:
         return Graph._from_rows(n, m, tuple(adj), tuple(bits))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_set() == other.edge_set()
-        )
+        return isinstance(other, Graph) and self.n == other.n and self._bits == other._bits
 
     def __hash__(self):
-        return hash((self.n, self.edge_set()))
+        return hash((self.n, self._bits))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self._m})"

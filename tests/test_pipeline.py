@@ -427,6 +427,15 @@ class TestSolve:
             stats.append(res.stats.to_json(drop_timing=True))
         assert stats[0] == stats[1]
 
+    def test_single_cycle_fallback_pins_no_edge_set_on_the_cover(self):
+        # the no-op merge hands enrich the caller's own cover and no protected
+        # edge: checking that none is off the cycle must not build its edge set
+        g, cover = gen_planted(100, 0.2, 7)
+        res = solve(g, cover, 33)
+        assert res.cover is None and res.stats.used_enrichment
+        assert res.stats.merge_bridges == 0
+        assert cover._edge_set is None
+
     @pytest.mark.parametrize("target, changed", [(1, False), (2000, True)])
     def test_unmerge_recounts_only_a_changed_cover(self, monkeypatch, target, changed):
         # target 1 is met at once, so unmerge restores the input cover; out of
