@@ -1,13 +1,13 @@
 """Transform a 2-factor of a graph into one with exactly k cycles.
 
 The solver splits cycles with C4-switches; when the current cover lacks
-switchable structure, it merges everything into one Hamilton cycle, rewires
-that cycle to absorb C4-rich edges while protecting the merge scars, undoes
-the merge, and splits again.  Generators, verifiers, and exhaustive small-n
-oracles round out the toolbox.
+switchable structure, it merges everything into one Hamilton cycle and walks
+to other Hamilton cycles that keep the merge scars, undoing the merge on each
+and splitting again until one reaches k.  Generators, verifiers, and
+exhaustive small-n oracles round out the toolbox.
 """
 
-from .embedding import enrich, partition_vertices, verify_partition
+from .embedding import partition_vertices, verify_partition
 from .graphs import (
     CoverError,
     CycleCover,
@@ -62,7 +62,6 @@ __all__ = [
     "count_implanted_bruteforce",
     "dump_cover",
     "dump_graph",
-    "enrich",
     "enumerate_implanted",
     "find_decreasing_triple",
     "find_increasing_triple",

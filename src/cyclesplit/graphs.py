@@ -454,17 +454,18 @@ class Params:
     machine can touch, so every threshold is an absolute stand-in, in the
     hierarchy zeta = eta'/6, eta = 10 eta'.  Those no caller sets are module
     constants beside their only reader: the split's work budget in
-    ``switching.py``; the partition and M-set floors, the ledger's slack and
-    caps and the protected-set ceiling in ``embedding.py``; the sampling
+    ``switching.py``; the walk's patience in ``pipeline.py``; the sampling
     probability and the rewire budgets in ``rewire.py``.
     """
 
-    # enrichment goal (stands for n^(2-eta))
+    # the fallback walk takes no round once the merged cycle hosts this many
+    # implanted C4's (stands for n^(2-eta))
     h_edge_target: int = 50
     # None keeps the rewire degree check (sqrt(n) log^2 n + 3|B'| + 2); any
     # integer, whatever its value, turns it off and warns (desk scale)
     thomassen_degree_floor: Optional[int] = None
-    # enrichment rounds, one rewire call each
+    # rounds of the fallback walk, one Hamilton cycle each (one rewire call
+    # above rewire.EXHAUSTIVE_CUTOFF vertices)
     enrich_rounds: int = 64
     seed: int = 0
 

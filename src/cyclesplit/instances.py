@@ -9,7 +9,7 @@ in bulk, one ``getrandbits`` call of two words per draw for each row, and
 builds its graph from rows; at n = 4000, p = 20/n a graph takes about 0.4 s
 (Python 3.11, one core of a Xeon server), where the per-draw loop took
 1.1 s.  The implant-free model does too, with a Hamilton cycle that
-hosts no implanted C4, so only enrichment can start a split.  The two
+hosts no implanted C4, so only the fallback walk can start a split.  The two
 counterexample families are the ones with explicit recipes: disjoint
 triangles feeding a complete bipartite block (no 2-factor has fewer
 cycles), and two cliques joined by a matching of size two.

@@ -1,11 +1,13 @@
-"""End-to-end pipeline: merge the cover into one cycle, enrich, undo, split.
+"""End-to-end pipeline: merge the cover into one cycle, walk, undo, split.
 
 Merging removes one edge from each of two cycles and bridges their loose
 ends in parallel, which is exactly the inverse of a parallel C4-switch; the
-bridges may fall outside the host graph, so the enrichment stage runs on the
-augmented graph and the bridges stay protected until they are removed again.
-Merge and unmerge are each one batch of switches through the splice
-``switching._toggle``, the only way the pipeline changes a cover.
+bridges may fall outside the host graph, so the walk runs on the augmented
+graph and the bridges stay protected until they are removed again.  The walk
+takes Hamilton cycles of the augmented graph one at a time and splits each,
+once unmerged, until a split reaches k.  Merge and unmerge are each one batch
+of switches through the splice ``switching._toggle``, the only way the
+pipeline changes a cover.
 """
 
 from __future__ import annotations
@@ -16,10 +18,20 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .embedding import PartitionError, enrich
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
-from .rewire import RewireError
-from .switching import _make_c4, _split_validated, _toggle, count_h_edges
+from .rewire import (
+    EXHAUSTIVE_CUTOFF,
+    REWIRE_NODE_BUDGET,
+    RewireError,
+    RewireRequest,
+    _hamilton_cycles,
+    second_hamilton_cycle,
+)
+from .switching import SplitOutcome, _make_c4, _split_validated, _toggle, count_h_edges
+
+# rounds in a row that land no cycle or do not beat the best split, after
+# which the walk stops
+WALK_PATIENCE = 1
 
 @dataclass(frozen=True)
 class MergeRecord:
@@ -143,13 +155,12 @@ class RunStats:
     used_enrichment: bool = False
     switch_log: list = field(default_factory=list)
     # implanted C4's of the input cover, counted only when the merge ->
-    # enrich -> unmerge fallback runs (used_enrichment); None after a direct
+    # walk -> unmerge fallback runs (used_enrichment); None after a direct
     # split succeeds, since nothing on that path reads it
     h_edges_initial: Optional[int] = None
-    h_edges_enriched: Optional[int] = None
+    # rewire calls of the walk that did not raise
     thomassen_calls: int = 0
     merge_bridges: int = 0
-    ledger_summary: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
     wall_time: float = 0.0
     seed: int = 0
@@ -183,36 +194,82 @@ def _log_plans(stats: RunStats, plans) -> None:
         )
 
 
-def _merge_enrich_unmerge(
-    g: Graph, cover: CycleCover, params: Params, rng: random.Random, stats: RunStats
-) -> CycleCover:
-    """The enriched cover to split next; the input cover if any stage fails."""
+def _merge_walk_unmerge(
+    g: Graph,
+    cover: CycleCover,
+    k: int,
+    params: Params,
+    rng: random.Random,
+    stats: RunStats,
+    best: Optional[SplitOutcome],
+) -> SplitOutcome:
+    """Walk Hamilton cycles of the augmented graph until one splits to k.
+
+    ``best`` is the direct split's failed outcome, None in strict mode.  Each
+    round takes a new Hamilton cycle that keeps the protected edges, undoes
+    the merge on it and splits the restored cover.  Up to
+    ``EXHAUSTIVE_CUTOFF`` vertices the cycles come from one enumerator, in
+    its order, so none repeats and nothing is drawn; above it, each is a
+    rewire of the current cycle with every augmented edge desirable.  The
+    walk stops on a success, after ``params.enrich_rounds`` rounds, or after
+    ``WALK_PATIENCE`` rounds in a row that land no cycle or do not beat the
+    best ``stopped_at``.  Returns the success, else the best failed split;
+    in strict mode a walk that split nothing splits the input cover.
+    """
     stats.used_enrichment = True
     augmented, merged, rec = merge_cover(g, cover)
     stats.merge_bridges = len(rec.e_plus)
     protected = protected_for_merge(merged, rec)
-    try:
-        # a no-op merge passes the cover on, with the count solve has just taken
-        h_edges = None if rec.e_plus else stats.h_edges_initial
-        enriched = enrich(augmented, merged, protected, params, rng, h_edges)
-        stats.h_edges_enriched = enriched.h_edges
-        stats.thomassen_calls = enriched.thomassen_calls
-        stats.ledger_summary = enriched.ledger_summary
-        if enriched.diagnostics:
-            stats.diagnostics.append({"enrich": enriched.diagnostics})
-        restored = unmerge(enriched.cycle, rec)
-        if rec.e_plus:
-            # an unchanged cover keeps the count solve has just taken
-            after = (
-                stats.h_edges_initial if restored == cover else count_h_edges(g, restored)
-            )
-            if after < enriched.h_edges - 2 * (rec.ell - 1) * g.n:
-                raise AssertionError("unmerge lost more H-edges than the merge bound")
-        validate_cover(g, restored)
-    except (RewireError, CoverError, PartitionError, ValueError) as exc:
-        stats.diagnostics.append({"pipeline": str(exc)})
-        return cover
-    return restored
+    # a no-op merge passes the cover on, with the count solve has just taken
+    h = count_h_edges(augmented, merged) if rec.e_plus else stats.h_edges_initial
+    record = {"stage": "walk", "reason": "target met", "rounds": 0, "landed": 0}
+    best_at = best.diagnostics["stopped_at"] if best else None
+    if h < params.h_edge_target:
+        tiny = g.n <= EXHAUSTIVE_CUTOFF
+        if tiny:
+            cycles = _hamilton_cycles(g.n, augmented._bits, protected, REWIRE_NODE_BUDGET)
+            cycles = (c for c in cycles if c != merged)
+        cycle = merged
+        stale = 0  # rounds in a row without a better split
+        try:
+            while record["rounds"] < params.enrich_rounds and stale < WALK_PATIENCE:
+                record["rounds"] += 1
+                stale += 1
+                if tiny:
+                    found = next(cycles, None)
+                else:
+                    req = RewireRequest(augmented, cycle, protected, augmented._bits)
+                    res = second_hamilton_cycle(req, rng, params)
+                    stats.thomassen_calls += 1
+                    found = res and res.cycle
+                if found is None:
+                    record["reason"] = "no cycle"
+                    continue
+                record["landed"] += 1
+                cycle = found
+                restored = unmerge(cycle, rec)
+                validate_cover(g, restored)
+                out = _split_validated(g, restored, k)
+                record["reason"] = "no gain"
+                # a success stops at k, past every failure
+                if best_at is None or out.diagnostics["stopped_at"] > best_at:
+                    best, best_at, stale = out, out.diagnostics["stopped_at"], 0
+                    stats.ell_presplit = restored.num_components
+                if out.cover is not None:
+                    record["reason"] = "success"
+                    break
+            else:
+                if stale < WALK_PATIENCE:
+                    record["reason"] = "rounds"
+        except (RewireError, CoverError) as exc:
+            record["reason"] = "error"
+            record["detail"] = str(exc)
+    record["best_stopped_at"] = best_at
+    stats.diagnostics.append(record)
+    if best is None:
+        stats.ell_presplit = cover.num_components
+        best = _split_validated(g, cover, k)
+    return best
 
 
 def solve(
@@ -226,14 +283,12 @@ def solve(
     """Transform a <=k-cycle 2-factor into one with exactly k cycles.
 
     Strategy: try splitting directly; if that stalls, merge everything into
-    one Hamilton cycle of the augmented graph, enrich it with implanted C4's
-    while protecting the bridges, undo the merge, and split again.  The
-    strict flag skips the opportunistic first step.  The split's outcome
-    depends on its cover alone (``split_to_k``), so when the restored cover
-    equals the input the direct split's outcome is reused, not recomputed.
-    Every cover the split gets was validated just before (the input here,
-    the restored cover in ``_merge_enrich_unmerge``), so the split does not
-    check it again.
+    one Hamilton cycle of the augmented graph and walk to other Hamilton
+    cycles that keep the edges around the bridges, undoing the merge on each
+    and splitting again (``_merge_walk_unmerge``).  The strict flag skips
+    the opportunistic first step.  Every cover the split gets was validated
+    just before (the input here, each restored cover in the walk), so the
+    split does not check it again.
     Honest failure returns ``cover=None`` with diagnostics; the input is
     never modified.
     """
@@ -266,10 +321,7 @@ def solve(
             stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
     if outcome is None or outcome.cover is None:
         stats.h_edges_initial = count_h_edges(g, cover)
-        restored = _merge_enrich_unmerge(g, cover, params, rng, stats)
-        stats.ell_presplit = restored.num_components
-        if outcome is None or restored != cover:
-            outcome = _split_validated(g, restored, k)
+        outcome = _merge_walk_unmerge(g, cover, k, params, rng, stats, outcome)
         if outcome.cover is None:
             stats.diagnostics.append({"final_split": outcome.diagnostics})
     if outcome.cover is not None:

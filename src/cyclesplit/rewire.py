@@ -8,10 +8,12 @@ far from the protected region (each with probability 1/sqrt(n ln n)); a valid
 draw is one that is cycle-independent and dominates everything outside the
 protected region in G' minus the cycle.  Re-linking the fixed path system
 through S is a complete constrained backtracking search; below a size cutoff
-an exhaustive Hamilton search (protected edges forced, the old cycle
-excluded) stands in when sampling fails.
+the first cycle of an exhaustive Hamilton enumeration (protected edges
+forced) other than the old cycle stands in when sampling fails.  The
+pipeline's fallback walk reads that enumerator (``_hamilton_cycles``) past
+its first cycle.
 
-A failed call is retried with the same request, so only the random draws and
+A failed call may be retried with the same request, so only the random draws and
 what depends on them are redone per call.  A ``RewireRequest`` takes G' as
 per-vertex neighbour rows and derives, once, every fact that neither the
 random stream nor ``Params`` can change (listed on the class).  A call
@@ -55,8 +57,8 @@ class RewireRequest:
     lists cycle edges that must survive; ``bad`` holds vertices exempt from
     the degree requirement.
 
-    ``enrich`` passes one request to every call until a rewire lands, so the
-    request derives these facts once, on first use, none of them from the
+    A caller may pass one request to several calls, so the request derives
+    these facts once, on first use, none of them from the
     random stream or ``Params``: the ``fault`` verdict that both entry
     points raise, the blocked set B' (``blocked``), the per-vertex rows
     ``desirable_bits`` and ``cycle_bits`` and from them ``allowed_bits`` and
@@ -85,7 +87,9 @@ class RewireRequest:
             return "rewiring requires a Hamilton cycle of the host graph"
         if len(self.desirable) != n:
             return f"desirable graph has {len(self.desirable)} rows, host graph has {n} vertices"
-        if not self.protected <= self.cycle.edge_set():
+        # an empty set needs no check, which would pin an edge set on the
+        # caller's cover
+        if self.protected and not self.protected <= self.cycle.edge_set():
             return "protected edges must lie on the cycle"
         if len(self.blocked) >= n:
             return "blocked set covers every vertex"
@@ -151,13 +155,13 @@ class RewireRequest:
 
     @cached_property
     def exhaustive_cycle(self) -> Optional[CycleCover]:
-        """The exhaustive search's second Hamilton cycle (protected edges
-        forced, the original excluded), or None; it draws nothing, so a
-        request runs it once.  Only read up to ``EXHAUSTIVE_CUTOFF``
-        vertices."""
-        return _exhaustive_second_cycle(
-            self.graph.n, self.allowed_bits, self.protected, self.cycle, REWIRE_NODE_BUDGET
+        """The enumerator's first Hamilton cycle other than the request's
+        (protected edges forced), or None; it draws nothing, so a request
+        runs it once.  Only read up to ``EXHAUSTIVE_CUTOFF`` vertices."""
+        cycles = _hamilton_cycles(
+            self.graph.n, self.allowed_bits, self.protected, REWIRE_NODE_BUDGET
         )
+        return next((c for c in cycles if c != self.cycle), None)
 
     @cached_property
     def idle(self) -> bool:
@@ -314,6 +318,12 @@ def _relink(
     path is a cycle edge, so an arrangement is the original cycle exactly
     when all its junction edges are cycle edges; the search carries that
     verdict and the current end vertex, and builds the cycle only at a close.
+    A node that no arrangement can complete (``dead``) still counts against
+    the budget but is not expanded: the search meets the same arrangements
+    in the same order, minus subtrees that hold none, so it returns what the
+    unpruned search returns with at most as many nodes.  Without the cut, a
+    switch set of ten or more vertices on a sparse host could spend tens of
+    thousands of nodes on arrangements that fail only at their close.
     """
     s_sorted = sorted(s)
     if len(s_sorted) < 2:
@@ -327,7 +337,8 @@ def _relink(
     start = anchor[0]
     seg_used = [False] * k
     seg_used[0] = True
-    used_s = set()
+    ends = [(seg[0], seg[-1]) for seg in segments]
+    rest = bits_of(s_sorted)  # the S vertices not placed yet
     # (S vertex, run) pieces placed after the anchor, in order
     pieces: list[tuple[int, tuple[int, ...]]] = []
     # a junction (x, v) is a cycle edge iff x is a cycle neighbour of v
@@ -341,12 +352,36 @@ def _relink(
         seq.append(last)
         return CycleCover([seq], n)
 
+    def dead(end: int) -> bool:
+        """True if no arrangement completes the current one: an open run
+        end or the start has no unplaced S neighbour (a run needs two
+        distinct ones between its ends), or an unplaced S vertex has fewer
+        than two neighbours among the open ends, ``end`` and the start."""
+        if not allowed_bits[start] & rest:
+            return True
+        ports = (1 << end) | (1 << start)
+        for si in range(1, k):
+            if not seg_used[si]:
+                a, b = ends[si]
+                ra, rb = allowed_bits[a] & rest, allowed_bits[b] & rest
+                both = ra | rb
+                if not (ra and rb and both & (both - 1)):
+                    return True
+                ports |= (1 << a) | (1 << b)
+        for v in _iter_bits(rest):
+            row = allowed_bits[v] & ports
+            if not row & (row - 1):
+                return True
+        return False
+
     def extend(end: int, changed: bool) -> Optional[CycleCover]:
-        nonlocal nodes
+        nonlocal nodes, rest
         nodes -= 1
         if nodes < 0:
             return None
-        remaining = [v for v in s_sorted if v not in used_s]
+        if len(pieces) < k - 1 and dead(end):
+            return None
+        remaining = list(_iter_bits(rest))
         if len(pieces) == k - 1:
             # all segments placed: the single remaining S vertex closes the loop
             v = remaining[0]
@@ -369,11 +404,11 @@ def _relink(
                     if not (allowed_bits[v] >> run[0]) & 1:
                         continue
                     seg_used[si] = True
-                    used_s.add(v)
+                    rest ^= 1 << v
                     pieces.append((v, run))
                     found = extend(run[-1], v_changed or run[0] not in near[v])
                     pieces.pop()
-                    used_s.discard(v)
+                    rest ^= 1 << v
                     seg_used[si] = False
                     if found is not None:
                         return found
@@ -384,35 +419,43 @@ def _relink(
     return extend(anchor[-1], False)
 
 
-def _exhaustive_second_cycle(
+def _hamilton_cycles(
     n: int,
     allowed_bits: list[int],
     forced: frozenset[tuple[int, int]],
-    original: CycleCover,
     budget: int,
-) -> Optional[CycleCover]:
-    """Backtracking Hamilton search with forced edges, skipping ``original``."""
+) -> Iterator[CycleCover]:
+    """Each Hamilton cycle of the allowed rows that keeps the forced edges, once.
+
+    A depth-first search from vertex 0 that extends the path by a forced
+    edge where the end vertex has one left, else by each allowed neighbour
+    off the path in increasing order.  It meets each cycle in both
+    orientations and yields it the first time, as its ``CycleCover`` value.
+    The search stops for good after ``budget`` nodes, however many items the
+    caller has read.
+    """
     forced_at = [[] for _ in range(n)]
     for u, v in forced:
         forced_at[u].append(v)
         forced_at[v].append(u)
     if any(len(f) > 2 for f in forced_at):
-        return None
-    nodes = [budget]
-
+        return
+    seen = set()  # canonical tuples of the cycles yielded
     path = [0]
     on_path = 1  # bitmask
-
-    def dfs() -> Optional[CycleCover]:
-        nonlocal on_path
-        nodes[0] -= 1
-        if nodes[0] < 0:
-            return None
+    frames = []  # per path vertex, the candidates for the next one
+    nodes = budget
+    while True:
+        nodes -= 1
+        if nodes < 0:
+            return
         v = path[-1]
-        at_start = len(path) == 1
-        prev = -1 if at_start else path[-2]
-        musts = forced_at[v] if at_start else [w for w in forced_at[v] if w != prev]
-        if len(path) == n:
+        depth = len(path)
+        musts = forced_at[v]
+        if musts and depth > 1:
+            musts = [w for w in musts if w != path[-2]]
+        candidates = ()
+        if depth == n:
             # closing edge (v, 0): v's leftover forced edge must be it, and
             # the start's forced edges must be among its two cycle edges
             if (
@@ -420,31 +463,25 @@ def _exhaustive_second_cycle(
                 and all(w == 0 for w in musts)
                 and all(w == path[1] or w == v for w in forced_at[0])
             ):
-                found = CycleCover([path], n)
-                if found != original:
-                    return found
-            return None
-        if not at_start and len(musts) > 1:
-            return None
-        if musts:
-            candidates = [w for w in sorted(musts) if not (on_path >> w) & 1]
-        else:
-            candidates = list(_iter_bits(allowed_bits[v] & ~on_path))
-        for w in candidates:
-            if not (allowed_bits[v] >> w) & 1:
-                continue
-            path.append(w)
-            on_path |= 1 << w
-            found = dfs()
-            path.pop()
-            on_path &= ~(1 << w)
-            if found is not None:
-                return found
-            if nodes[0] < 0:
-                return None
-        return None
-
-    return dfs()
+                # the path starts at vertex 0, so it is canonical read one way
+                cyc = tuple(path) if path[1] < v else (0, *path[:0:-1])
+                if cyc not in seen:
+                    seen.add(cyc)
+                    yield CycleCover._from_canonical((cyc,), n)
+        elif not musts:
+            candidates = _iter_bits(allowed_bits[v] & ~on_path)
+        elif depth == 1 or len(musts) == 1:
+            row = allowed_bits[v] & ~on_path
+            candidates = [w for w in sorted(musts) if (row >> w) & 1]
+        frames.append(iter(candidates))
+        # step to the next unvisited child, backing up past finished vertices
+        while (w := next(frames[-1], -1)) < 0:
+            frames.pop()
+            if not frames:
+                return
+            on_path ^= 1 << path.pop()
+        path.append(w)
+        on_path |= 1 << w
 
 
 def second_hamilton_cycle(
@@ -495,7 +532,7 @@ def second_hamilton_cycle(
     if n <= EXHAUSTIVE_CUTOFF:
         found = req.exhaustive_cycle
         if found is not None:
-            changed = found.edge_set() ^ req.cycle.edge_set()
+            changed = found.edge_set().symmetric_difference(req.cycle.iter_edges())
             s_post = frozenset(v for e in changed for v in e)
             return _package(req, found, s_post, used_fallback=True)
     return None
@@ -530,9 +567,7 @@ def _proposals(req: RewireRequest, rng: random.Random) -> Iterator[frozenset[int
 
 
 def _package(req, new_cycle, switch_set, used_fallback):
-    absorbed = frozenset(
-        e for e in (new_cycle.edge_set() - req.cycle.edge_set())
-    )
+    absorbed = new_cycle.edge_set().difference(req.cycle.iter_edges())
     if not req.protected <= new_cycle.edge_set():
         raise AssertionError("protected edge lost during rewiring")
     if not absorbed:

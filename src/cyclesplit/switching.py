@@ -194,7 +194,7 @@ def count_h_edges(g: Graph, cover: CycleCover) -> int:
     prev, nxt = cover.prev_next
     rows = _kernel_rows(g, prev, nxt)
     seen = 0
-    # _later_partners' walk, inlined: solve's merge -> enrich -> unmerge
+    # _later_partners' walk, inlined: solve's merge -> walk -> unmerge
     # fallback calls this, and it runs on every failed split, most of them at
     # n <= 12, where a generator's per-edge cost shows
     for cyc in cover.cycles:
@@ -206,36 +206,6 @@ def count_h_edges(g: Graph, cover: CycleCover) -> int:
         av, pv = first
         seen += (au & pv).bit_count() + (pu & av).bit_count()
     # each implanted C4 is seen from both of its cover edges
-    return seen // 2
-
-
-def induced_h_edges(g: Graph, cover: CycleCover, edges: Iterable[tuple[int, int]]) -> int:
-    """Edges of the auxiliary graph H with both endpoints among ``edges``.
-
-    H's vertices are the cover edges; two are adjacent when they bound a
-    common implanted C4.  The cover edge u -> v is known by its start vertex
-    u, and its H-neighbours by the start vertices in ``(a(u) & p(v)) |
-    (p(u) & a(v))``, the kernel's rows.  That is a union over the two chord
-    orientations: a pair implanted both ways is one H-edge here, where
-    ``count_h_edges`` counts it twice.  Each edge may be given in either
-    orientation; an edge off the cover raises ``CoverError``.
-    """
-    prev, nxt = cover.prev_next
-    mask = 0
-    for u, v in edges:
-        if nxt[u] == v:
-            mask |= 1 << u
-        elif nxt[v] == u:
-            mask |= 1 << v
-        else:
-            raise CoverError(f"edge {(u, v)} is not on the cover")
-    rows = _kernel_rows(g, prev, nxt)
-    seen = 0
-    for u in _iter_bits(mask):
-        au, pu = rows(u)
-        av, pv = rows(nxt[u])
-        seen += (((au & pv) | (pu & av)) & mask).bit_count()
-    # each adjacent pair is seen from both of its cover edges
     return seen // 2
 
 

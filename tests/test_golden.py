@@ -7,9 +7,9 @@ that keeps the outputs byte-identical keeps every digest.  A change that alters 
 purpose says why and rewrites ``golden_digests.json`` with
 ``PYTHONPATH=src python tests/test_golden.py``.
 
-The corpus reaches split cases 1-4, honest failures, strict enrichment with
-rewire calls and the exhaustive rewire fallback; ``test_corpus_reaches_every_path``
-keeps it that way.
+The corpus reaches split cases 1-4, honest failures, strict walks with
+rewire calls and walks over the enumerated Hamilton cycles of small graphs;
+``test_corpus_reaches_every_path`` keeps it that way.
 """
 
 import hashlib
@@ -37,12 +37,12 @@ def corpus():
         g, cover = gen_planted(100, 0.2, s)
         for k in (8, 20, 33):
             yield f"planted-s{s}-k{k}", g, cover, k, Params(seed=s), False
-    # strict enrichment with the desk rewire floor: every round calls rewire
+    # strict walks with the desk rewire floor: every round calls rewire
     for s in range(10):
         g, cover = planted_cover(60, 0.15, s, ell=4)
         params = Params(seed=s, thomassen_degree_floor=1, h_edge_target=2000)
         yield f"enrich-strict-s{s}", g, cover, 6, params, True
-    # criterion-6 graphs: n <= 12 reaches the exhaustive rewire fallback
+    # criterion-6 graphs: n <= 12 walks the enumerated Hamilton cycles
     rng = random.Random(606)
     for idx in range(20):
         n = rng.randint(6, 12)
@@ -106,7 +106,12 @@ def test_corpus_reaches_every_path(golden_run):
     assert any(r.cover is None for r in results.values())
     strict = [r for name, r in results.items() if name.startswith("enrich-strict")]
     assert all(r.stats.thomassen_calls > 0 for r in strict)
-    assert True in fallbacks and False in fallbacks
+    # the walk's rewires relink; its small-n rounds enumerate, calling no rewire
+    assert set(fallbacks) == {False}
+    small = [r for name, r in results.items() if name.startswith("small-")]
+    walks = [d for r in small for d in r.stats.diagnostics if d.get("stage") == "walk"]
+    assert any(w["landed"] for w in walks)
+    assert all(r.stats.thomassen_calls == 0 for r in small)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,13 @@ from typing import Optional
 import pytest
 
 from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
-from cyclesplit.instances import gen_implant_free, gen_planted, gen_triangles_biclique
-from cyclesplit import embedding, pipeline, switching
+from cyclesplit.instances import (
+    gen_implant_free,
+    gen_planted,
+    gen_triangles_biclique,
+    oracle_component_counts,
+)
+from cyclesplit import pipeline, rewire, switching
 from cyclesplit.pipeline import MergeRecord, merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
 
@@ -36,6 +41,12 @@ def three_squares():
     g = Graph(12, [(i + o, (i + 1) % 4 + o) for o in (0, 4, 8) for i in range(4)])
     return g, CycleCover([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
 
+
+
+def _walk_record(res) -> dict:
+    """The walk's one diagnostics record."""
+    (walk,) = [d for d in res.stats.diagnostics if d.get("stage") == "walk"]
+    return walk
 
 # -- edge-set references: merge and unmerge as they were before they became
 # switch batches, kept verbatim to pin the splice to the same outputs
@@ -304,14 +315,16 @@ class TestSolve:
         assert validate_cover(g, res.cover) == 3
         assert any("opportunistic_split" in d for d in res.stats.diagnostics)
 
-    def test_enrich_error_leaves_input_cover(self, split_calls, monkeypatch):
-        # merging two cycles protects more than one edge, so enrich raises
-        # and the split runs on the input cover
-        g = complete_graph(12)
-        cover = CycleCover([list(range(6)), list(range(6, 12))])
-        monkeypatch.setattr(embedding, "PROTECTED_CAP", 1)
-        res = solve(g, cover, 3, Params(), strict=True)
-        assert res.stats.diagnostics == [{"pipeline": "protected set exceeds cap 1"}]
+    def test_enrich_error_leaves_input_cover(self, split_calls):
+        # above the exhaustive cutoff the default rewire degree check raises
+        # on the walk's first call, so the split runs on the input cover
+        g = complete_graph(30)
+        cover = CycleCover([list(range(15)), list(range(15, 30))])
+        res = solve(g, cover, 3, Params(h_edge_target=10**6), strict=True)
+        walk = _walk_record(res)
+        assert walk["reason"] == "error" and walk["detail"].startswith("vertex ")
+        assert walk["rounds"] == 1 and walk["landed"] == 0
+        assert walk["best_stopped_at"] is None and res.stats.thomassen_calls == 0
         assert len(split_calls) == 1 and split_calls[0][1] is cover
         assert res.stats.ell_presplit == 2
         assert validate_cover(g, res.cover) == 3
@@ -326,10 +339,11 @@ class TestSolve:
 
         monkeypatch.setattr(pipeline, "merge_cover", crossed)
         g, cover = planted_cover(60, 0.15, 3, ell=4)
-        params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=1)
+        params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=2000)
         res = solve(g, cover, 6, params, random.Random(3), strict=True)
-        (diag,) = [d["pipeline"] for d in res.stats.diagnostics if "pipeline" in d]
-        assert "do not bound a 4-cycle" in diag
+        walk = _walk_record(res)
+        assert walk["reason"] == "error" and walk["landed"] == 1
+        assert "do not bound a 4-cycle" in walk["detail"]
         assert res.stats.ell_presplit == 4
         assert validate_cover(g, res.cover) == 6
 
@@ -401,45 +415,39 @@ class TestSolve:
         assert res.stats.used_enrichment and calls[0] >= 1
 
     def test_single_cycle_fallback_counts_the_cover_once(self, monkeypatch):
-        # a Hamilton cover past the stall: the merge is a no-op, so enrich
-        # starts from the count solve has just taken
+        # a Hamilton cover past the stall: the merge is a no-op, so the
+        # walk's target check reads the count solve has just taken
         calls = [0]
 
         def counted(*args, count=count_h_edges):
             calls[0] += 1
             return count(*args)
 
+        monkeypatch.setattr(pipeline, "count_h_edges", counted)
         g, cover = gen_planted(100, 0.2, 7)
-        stats = []
-        for recount in (False, True):
-            if recount:
-                # what solve did before: enrich counts its input cover again
-                monkeypatch.setattr(
-                    pipeline, "enrich", lambda *args, inner=embedding.enrich: inner(*args[:5])
-                )
-            calls[0] = 0
-            for module in (pipeline, embedding):
-                monkeypatch.setattr(module, "count_h_edges", counted)
-            res = solve(g, cover, 33)
-            assert res.cover is None and res.stats.used_enrichment
-            assert res.stats.merge_bridges == 0
-            assert calls[0] == 1 + recount
-            stats.append(res.stats.to_json(drop_timing=True))
-        assert stats[0] == stats[1]
+        res = solve(g, cover, 33)
+        assert res.cover is None and res.stats.used_enrichment
+        assert res.stats.merge_bridges == 0
+        assert calls[0] == 1
+        walk = _walk_record(res)
+        assert walk["reason"] == "target met" and walk["rounds"] == 0
 
     def test_single_cycle_fallback_pins_no_edge_set_on_the_cover(self):
-        # the no-op merge hands enrich the caller's own cover and no protected
-        # edge: checking that none is off the cycle must not build its edge set
+        # the no-op merge hands the walk the caller's own cover and no
+        # protected edge: the target check must not build its edge set
         g, cover = gen_planted(100, 0.2, 7)
         res = solve(g, cover, 33)
         assert res.cover is None and res.stats.used_enrichment
         assert res.stats.merge_bridges == 0
         assert cover._edge_set is None
 
-    @pytest.mark.parametrize("target, changed", [(1, False), (2000, True)])
-    def test_unmerge_recounts_only_a_changed_cover(self, monkeypatch, target, changed):
-        # target 1 is met at once, so unmerge restores the input cover; out of
-        # reach, enrichment accepts a rewire and the restored cover differs
+    @pytest.mark.parametrize("target, walked", [(1, False), (2000, True)])
+    def test_h_edges_counted_on_the_input_and_the_merged_cycle(
+        self, monkeypatch, target, walked
+    ):
+        # target 1 is met at once, so the walk takes no round and the input
+        # cover is split; out of reach, the walk lands rewires and splits the
+        # restored covers, none of which is counted
         counted_covers = []
 
         def counted(g, cover, count=pipeline.count_h_edges):
@@ -451,12 +459,11 @@ class TestSolve:
         params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=target)
         res = solve(g, cover, 6, params, random.Random(3), strict=True)
         assert res.stats.merge_bridges == 6 and res.stats.h_edges_initial > 0
-        assert (res.stats.thomassen_calls > 0) == changed
+        assert (res.stats.thomassen_calls > 0) == walked
+        assert [c.num_components for c in counted_covers] == [4, 1]
         assert counted_covers[0] == cover
-        assert len(counted_covers) == 1 + changed
-        if changed:
-            assert counted_covers[1] != cover
-            assert res.stats.ell_presplit == counted_covers[1].num_components
+        walk = _walk_record(res)
+        assert (walk["landed"] > 0) == walked
 
     def test_strict_mode_runs_pipeline(self):
         g, cover = gen_planted(24, 0.5, 5)
@@ -480,15 +487,11 @@ class TestSolve:
         g, cover = two_cycle_instance(60, 0.2, 0)
         aug, merged, rec = merge_cover(g, cover)
         h0 = count_h_edges(aug, merged)
-        monkeypatch.setattr(embedding, "COMMON_NBR_THRESHOLD", 2)
-        monkeypatch.setattr(embedding, "M_SET_THRESHOLD", 1)
-        monkeypatch.setattr(embedding, "COVERAGE_SLACK", 6)
         params = Params(thomassen_degree_floor=1, h_edge_target=h0 + 4, enrich_rounds=40, seed=0)
         res = solve(g, cover, 4, params, random.Random(0), strict=True)
         assert res.cover is not None
         assert validate_cover(g, res.cover) == 4
         assert res.stats.thomassen_calls >= 1
-        assert res.stats.h_edges_enriched >= h0 + 4
         assert res.stats.merge_bridges == 2
         # the rewire changed the merged cycle; unmerge still matches the
         # edge-set reference on it
@@ -511,7 +514,8 @@ class TestSolve:
         res = solve(g, cover, 4, params, random.Random(seed), strict=True)
         assert res.cover is not None and validate_cover(g, res.cover) == 4
         assert res.stats.merge_bridges == 2
-        assert res.stats.ledger_summary["protected_edges"] > 0
+        walk = _walk_record(res)
+        assert walk["landed"] >= 1 and res.stats.thomassen_calls >= 1
         assert cover.cycles == before
 
     @pytest.mark.parametrize("n", [24, 30, 40, 60])
@@ -530,13 +534,14 @@ class TestSolve:
                 assert res.stats.used_enrichment and res.stats.thomassen_calls >= 1
 
     def test_rewire_precondition_failure(self):
-        # default Params: the rewire degree precondition raises on the first call
+        # default Params: the rewire degree precondition raises on the first
+        # call, which ends the walk with one record
         g, cover = gen_planted(30, 0.15, 1)
         res = solve(g, cover, 3, Params(), strict=True)
         assert res.stats.thomassen_calls == 0
-        (diag,) = [d["enrich"] for d in res.stats.diagnostics if "enrich" in d]
-        assert diag[0].startswith("rewire precondition failed")
-        assert not any("budget exhausted" in d for d in diag)
+        walk = _walk_record(res)
+        assert walk["reason"] == "error" and walk["rounds"] == 1
+        assert "desirable degree" in walk["detail"]
 
     def test_h_edge_drop_bound_after_unmerge(self, rng):
         """e(H) after unmerge stays within 2(l-1)n of the enriched count."""
@@ -549,3 +554,143 @@ class TestSolve:
             before = count_h_edges(aug, merged)
             after = count_h_edges(g, restored)
             assert after >= before - 2 * (rec.ell - 1) * g.n
+
+
+class TestWalk:
+    @pytest.fixture
+    def unmerged(self, monkeypatch):
+        """The cycles each walk round hands to ``unmerge``."""
+        cycles = []
+
+        def recorded(cycle, rec, inner=pipeline.unmerge):
+            cycles.append(cycle)
+            return inner(cycle, rec)
+
+        monkeypatch.setattr(pipeline, "unmerge", recorded)
+        return cycles
+
+    def test_never_revisits_a_cycle(self, monkeypatch, unmerged):
+        # with patience past the round budget the walk runs until it lands a
+        # success, runs out of cycles or spends its rounds
+        monkeypatch.setattr(pipeline, "WALK_PATIENCE", 64)
+        rounds = 0
+        for n in range(9, 13):
+            for seed in range(4):
+                for g, cover in (gen_implant_free(n, seed), gen_planted(n, 0.4, seed)):
+                    _, merged, _ = merge_cover(g, cover)
+                    for k in range(2, n // 3 + 1):
+                        unmerged.clear()
+                        res = solve(g, cover, k, Params(seed=seed), strict=True)
+                        assert merged not in unmerged
+                        assert len(set(unmerged)) == len(unmerged)
+                        walk = _walk_record(res)
+                        assert walk["landed"] == len(unmerged) <= walk["rounds"] <= 64
+                        assert res.stats.thomassen_calls == 0
+                        rounds += walk["rounds"]
+        assert rounds >= 200
+
+    def test_strict_without_a_landed_cycle_splits_the_input(self, monkeypatch):
+        # a cycle graph has one Hamilton cycle, so the walk lands nothing
+        calls = []
+
+        def counted(*args, split=pipeline._split_validated):
+            calls.append(args)
+            return split(*args)
+
+        monkeypatch.setattr(pipeline, "_split_validated", counted)
+        g, cover = cycle_graph(12), ham_cover(12)
+        res = solve(g, cover, 2, Params(thomassen_degree_floor=1), strict=True)
+        assert res.cover is None
+        assert _walk_record(res) == {
+            "stage": "walk",
+            "reason": "no cycle",
+            "rounds": 1,
+            "landed": 0,
+            "best_stopped_at": None,
+        }
+        assert len(calls) == 1 and calls[0][1] is cover
+        assert res.stats.ell_presplit == 1
+
+    def test_target_already_met(self, monkeypatch, unmerged):
+        # the merged cycle hosts the target's implanted C4's: the walk takes
+        # no round, and strict mode splits the input cover
+        g, cover = planted_cover(60, 0.15, 3, ell=4)
+        aug, merged, _ = merge_cover(g, cover)
+        h = count_h_edges(aug, merged)
+        res = solve(g, cover, 6, Params(seed=3, h_edge_target=h), strict=True)
+        assert _walk_record(res) == {
+            "stage": "walk",
+            "reason": "target met",
+            "rounds": 0,
+            "landed": 0,
+            "best_stopped_at": None,
+        }
+        assert unmerged == [] and res.stats.thomassen_calls == 0
+        assert res.stats.ell_presplit == 4 and validate_cover(g, res.cover) == 6
+
+    def test_protected_edges_survive(self, monkeypatch, unmerged):
+        # every landed cycle keeps the edges around the merge's bridges, in
+        # both the enumerated (n <= 14) and the rewired walk
+        monkeypatch.setattr(pipeline, "WALK_PATIENCE", 64)
+        landed = 0
+        for g, cover in (
+            planted_cover(12, 0.6, 2, ell=2),
+            planted_cover(13, 0.5, 1, ell=2),
+            planted_cover(60, 0.15, 3, ell=4),
+        ):
+            _, merged, rec = merge_cover(g, cover)
+            protected = protected_for_merge(merged, rec)
+            assert protected
+            unmerged.clear()
+            params = Params(seed=1, thomassen_degree_floor=1, h_edge_target=2000, enrich_rounds=8)
+            solve(g, cover, g.n // 3, params, random.Random(1), strict=True)
+            assert all(protected <= cycle.edge_set() for cycle in unmerged)
+            landed += len(unmerged)
+        assert landed >= 15
+
+    def test_stops_at_the_round_budget(self, monkeypatch, unmerged):
+        monkeypatch.setattr(pipeline, "WALK_PATIENCE", 64)
+        g, cover = gen_implant_free(12, 2)
+        res = solve(g, cover, 4, Params(enrich_rounds=3), strict=True)
+        assert res.cover is None
+        walk = _walk_record(res)
+        assert walk["reason"] == "rounds" and walk["rounds"] == walk["landed"] == 3
+
+    def test_patience_ends_a_walk_that_does_not_gain(self, unmerged):
+        # the first landed cycle splits no further than the direct split
+        for n in range(9, 15):
+            for seed in range(10):
+                g, cover = gen_implant_free(n, seed)
+                res = solve(g, cover, 2, Params(seed=seed, thomassen_degree_floor=1))
+                walk = _walk_record(res)
+                if walk["reason"] == "no gain":
+                    assert res.cover is None and walk["rounds"] == walk["landed"] == 1
+                    assert walk["best_stopped_at"] == 1 and len(unmerged) == 1
+                    return
+                unmerged.clear()
+        pytest.fail("no walk ended for want of a gain")
+
+    def test_implant_free_corpus_solved_count(self):
+        """``gen_implant_free(n, s)`` for n 9-12 and s 0-9 with every k >= 2
+        the oracle allows, under the desk floor: the walk's enumerator solves
+        43 of these 50 feasible pairs (the direct split solves none, and the
+        ledger it replaced solved 17)."""
+        solved = total = 0
+        for n in range(9, 13):
+            for seed in range(10):
+                g, cover = gen_implant_free(n, seed)
+                for k in sorted(oracle_component_counts(g) - {1}):
+                    total += 1
+                    res = solve(g, cover, k, Params(seed=seed, thomassen_degree_floor=1))
+                    if res.cover is not None:
+                        assert validate_cover(g, res.cover) == k
+                        solved += 1
+        assert (solved, total) == (43, 50)
+
+    def test_rewire_pins_no_edge_set_on_the_input_cover(self):
+        # above the cutoff the one-cycle input is the first request's cycle
+        g, cover = gen_implant_free(30, 1)
+        assert g.n > rewire.EXHAUSTIVE_CUTOFF
+        res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
+        assert res.stats.thomassen_calls >= 1 and _walk_record(res)["landed"] >= 1
+        assert cover._edge_set is None

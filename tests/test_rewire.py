@@ -155,14 +155,14 @@ class TestSecondHamiltonCycle:
 
     def test_exhaustive_search_refuses_three_forced_edges(self):
         """A vertex with three forced edges lies on no Hamilton cycle, so the
-        exhaustive search answers None."""
+        enumerator yields nothing."""
         g = complete_graph(6)
         allowed = [g.neighbor_bits(v) for v in range(6)]
         forced = frozenset({(0, 1), (0, 2), (0, 3)})
-        assert rewire._exhaustive_second_cycle(6, allowed, forced, ham_cover(6), 10**6) is None
-        # two forced edges at the vertex leave a cycle to find
-        found = rewire._exhaustive_second_cycle(6, allowed, forced - {(0, 3)}, ham_cover(6), 10**6)
-        assert found is not None and {(0, 1), (0, 2)} <= found.edge_set()
+        assert list(rewire._hamilton_cycles(6, allowed, forced, 10**6)) == []
+        # two forced edges at the vertex leave cycles to find
+        found = list(rewire._hamilton_cycles(6, allowed, forced - {(0, 3)}, 10**6))
+        assert found and all({(0, 1), (0, 2)} <= c.edge_set() for c in found)
 
     def test_blocked_everything_rejected(self):
         g = complete_graph(4)
@@ -288,9 +288,33 @@ def _reference_segments(cycle, s):
     return segments
 
 
-def _reference_relink(cycle, s, allowed_bits, budget):
+def _reference_dead(seq, start, segments, seg_used, remaining, allowed_bits):
+    """The relink's dead-node test on sets: every open end (the start, and
+    both ends of each unused run) needs an unplaced S neighbour, a run two
+    distinct ones, and every unplaced S vertex two neighbours among the
+    open ends and the sequence's last vertex."""
+
+    def adj(x, y):
+        return (allowed_bits[x] >> y) & 1
+
+    ports = {seq[-1], start}
+    if not any(adj(start, v) for v in remaining):
+        return True
+    for used, seg in zip(seg_used, segments):
+        if used:
+            continue
+        at_a = {v for v in remaining if adj(seg[0], v)}
+        at_b = {v for v in remaining if adj(seg[-1], v)}
+        if not at_a or not at_b or len(at_a | at_b) < 2:
+            return True
+        ports |= {seg[0], seg[-1]}
+    return any(sum(adj(v, x) for x in ports) < 2 for v in remaining)
+
+
+def _reference_relink(cycle, s, allowed_bits, budget, prune=True):
     """The relink search copying its whole sequence at every node and
-    comparing each closed arrangement's edge set with the original's."""
+    comparing each closed arrangement's edge set with the original's; with
+    ``prune`` off it expands dead nodes too."""
     if len(s) < 2:
         return None
     segments = _reference_segments(cycle, s)
@@ -319,6 +343,9 @@ def _reference_relink(cycle, s, allowed_bits, budget):
             return None
         end = seq[-1]
         remaining = [v for v in s_sorted if v not in used_s]
+        if prune and not all(seg_used):
+            if _reference_dead(seq, anchor[0], segments, seg_used, remaining, allowed_bits):
+                return None
         if not any(not u for u in seg_used):
             v = remaining[0]
             if (allowed_bits[end] >> v) & 1 and (allowed_bits[v] >> anchor[0]) & 1:
@@ -348,6 +375,108 @@ def _reference_relink(cycle, s, allowed_bits, budget):
     return extend(list(anchor), set())
 
 
+def _recursive_second_cycle(n, allowed_bits, forced, original, budget):
+    """The exhaustive search as a recursive function that returns the first
+    Hamilton cycle other than ``original``: the reference for the
+    enumerator's order and budget."""
+    forced_at = [[] for _ in range(n)]
+    for u, v in forced:
+        forced_at[u].append(v)
+        forced_at[v].append(u)
+    if any(len(f) > 2 for f in forced_at):
+        return None
+    nodes = [budget]
+    path = [0]
+    on_path = [1]
+
+    def dfs():
+        nodes[0] -= 1
+        if nodes[0] < 0:
+            return None
+        v = path[-1]
+        at_start = len(path) == 1
+        prev = -1 if at_start else path[-2]
+        musts = forced_at[v] if at_start else [w for w in forced_at[v] if w != prev]
+        if len(path) == n:
+            if (
+                (allowed_bits[v] & 1)
+                and all(w == 0 for w in musts)
+                and all(w == path[1] or w == v for w in forced_at[0])
+            ):
+                found = CycleCover([path], n)
+                if found != original:
+                    return found
+            return None
+        if not at_start and len(musts) > 1:
+            return None
+        if musts:
+            candidates = [w for w in sorted(musts) if not (on_path[0] >> w) & 1]
+        else:
+            candidates = [w for w in range(n) if (allowed_bits[v] & ~on_path[0]) >> w & 1]
+        for w in candidates:
+            if not (allowed_bits[v] >> w) & 1:
+                continue
+            path.append(w)
+            on_path[0] |= 1 << w
+            found = dfs()
+            path.pop()
+            on_path[0] &= ~(1 << w)
+            if found is not None:
+                return found
+            if nodes[0] < 0:
+                return None
+        return None
+
+    return dfs()
+
+
+class TestHamiltonCycles:
+    def test_each_cycle_once_against_permutations(self):
+        """Every Hamilton cycle of the allowed rows that keeps the forced
+        edges comes exactly once, checked against all vertex orders."""
+        from itertools import permutations
+
+        seen_forced = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(3, 8)
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < rng.uniform(0.3, 0.9)]
+            rows = rows_of(n, pairs)
+            edges = sorted(pairs)
+            forced = frozenset(rng.sample(edges, min(len(edges), rng.randint(0, 3))))
+            want = set()
+            for rest in permutations(range(1, n)):
+                order = (0, *rest)
+                cyc = [edge_key(order[i], order[(i + 1) % n]) for i in range(n)]
+                if all((rows[u] >> v) & 1 for u, v in cyc) and forced <= set(cyc):
+                    want.add(CycleCover([order], n))
+            got = list(rewire._hamilton_cycles(n, rows, forced, 10**6))
+            assert len(got) == len(set(got)), seed
+            assert set(got) == want, seed
+            seen_forced += bool(forced and want)
+        assert seen_forced >= 5
+
+    def test_first_other_cycle_matches_the_recursive_search(self, rng):
+        """``exhaustive_cycle`` is the enumerator's first item other than the
+        request's cycle: the cycle the recursive search returns, at every
+        budget, on the requests of ``TestRequestFacts``."""
+        checked = 0
+        for seed in range(120):
+            g, cover, _, req = TestRequestFacts._random_request(rng, seed)
+            if g.n > rewire.EXHAUSTIVE_CUTOFF:
+                continue
+            args = (g.n, req.allowed_bits, req.protected)
+            assert req.exhaustive_cycle == _recursive_second_cycle(
+                *args, cover, rewire.REWIRE_NODE_BUDGET
+            )
+            for budget in (1, 4, 20, 100):
+                cycles = rewire._hamilton_cycles(*args, budget)
+                got = next((c for c in cycles if c != cover), None)
+                assert got == _recursive_second_cycle(*args, cover, budget), (seed, budget)
+            checked += req.exhaustive_cycle is not None
+        assert checked >= 5
+
+
 class TestRelinkMatchesReference:
     def test_seeded_requests(self, rng):
         # n <= 40, node budgets from one node up: searches that find a cycle,
@@ -373,6 +502,9 @@ class TestRelinkMatchesReference:
                     break
                 got = rewire._relink(cover, set(s), allowed, budget)
                 assert got == expected, (n, sorted(s), budget)
+                if budget == 200_000:
+                    # the dead-node cut changes no result the search reaches
+                    assert _reference_relink(cover, s, allowed, budget, prune=False) == got
                 if expected is not None:
                     assert validate_cover(g, got) == 1
                     outcomes["found"] += 1
@@ -381,6 +513,36 @@ class TestRelinkMatchesReference:
                 else:
                     outcomes["none"] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_cut_costs_no_nodes(self, rng):
+        """The search finds each cycle within the budget the search without
+        the dead-node cut needs, and on sparse hosts with large switch sets
+        within far fewer nodes."""
+
+        def least_budget(search):
+            lo, hi = 1, 200_000
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if search(mid) is not None else (mid + 1, hi)
+            return lo
+
+        needed = []
+        while len(needed) < 40:
+            n = rng.randint(20, 40)
+            g, cover = gen_planted(n, rng.uniform(0.15, 0.35), rng.randrange(1 << 30))
+            allowed = RewireRequest(g, cover, frozenset(), g._bits).allowed_bits
+            s = set()
+            for v in rng.sample(range(n), n // 3):
+                if not set(cover.cycle_neighbors(v)) & s:
+                    s.add(v)
+            full = _reference_relink(cover, s, allowed, 200_000, prune=False)
+            if full is None or len(s) < 5:
+                continue
+            plain = least_budget(lambda b: _reference_relink(cover, s, allowed, b, prune=False))
+            assert rewire._relink(cover, s, allowed, plain) == full
+            needed.append((least_budget(lambda b: rewire._relink(cover, s, allowed, b)), plain))
+        assert all(cut <= plain for cut, plain in needed)
+        assert sum(cut for cut, _ in needed) * 4 < sum(plain for _, plain in needed), needed
 
     def test_differs_only_in_junctions_out_of_s(self):
         # every junction into an S vertex is a cycle edge here, yet the first
@@ -638,13 +800,13 @@ class TestRequestFacts:
         at most once.  Every other request has all but a few vertices bad,
         as enrich's requests have them, so that few are clear."""
         searches = [0]
-        search = rewire._exhaustive_second_cycle
+        search = rewire._hamilton_cycles
 
         def counted(*args):
             searches[0] += 1
             return search(*args)
 
-        monkeypatch.setattr(rewire, "_exhaustive_second_cycle", counted)
+        monkeypatch.setattr(rewire, "_hamilton_cycles", counted)
         seen = {"no usable": 0, "idle, usable": 0, "busy": 0}
         for seed in range(80):
             g, cover, _, req = self._random_request(rng, seed)

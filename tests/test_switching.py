@@ -32,7 +32,6 @@ from cyclesplit.switching import (
     count_h_edges,
     enumerate_implanted,
     increase_by_one,
-    induced_h_edges,
     split_to_k,
 )
 
@@ -93,24 +92,6 @@ class TestKernelMatchesReference:
             assert count_h_edges(g, cover) == len(got) == len(want)
             for cap in (1, 3, 50):
                 assert enumerate_implanted(g, cover, cap=cap) == got[:cap]
-
-    def test_induced_h_edges_matches_pair_sets(self):
-        rng = random.Random(0x1DC)
-        for g, cover in _kernel_cases(seed=0xDE6):
-            # H-edges: cover-edge pairs implanted in at least one orientation
-            pairs = set()
-            for ea, eb, _ in _reference_implanted(g, cover):
-                e = edge_key(*cover.cycle_edge(*ea))
-                f = edge_key(*cover.cycle_edge(*eb))
-                pairs.add(frozenset((e, f)))
-            edges = sorted(cover.edge_set())
-            subsets = [edges] + [
-                rng.sample(edges, rng.randint(0, len(edges))) for _ in range(4)
-            ]
-            for subset in subsets:
-                want = sum(1 for pair in pairs if pair <= set(subset))
-                assert induced_h_edges(g, cover, subset) == want
-                assert induced_h_edges(g, cover, [e[::-1] for e in subset]) == want
 
     def test_small_n_matches_brute_force(self, rng):
         for n in range(6, 13):
@@ -474,23 +455,6 @@ def _edge_position(cover, edge):
     ci, pos = cover.locator[u]
     cyc = cover.cycles[ci]
     return (ci, pos) if cyc[(pos + 1) % len(cyc)] == v else (ci, (pos - 1) % len(cyc))
-
-
-class TestInducedHEdges:
-    def test_complete_graph_counts(self):
-        g, cover = complete_graph(5), ham_cover(5)
-        # every cover edge pairs with both its non-incident cover edges
-        assert induced_h_edges(g, cover, cover.edge_set()) == 5
-        assert induced_h_edges(g, cover, [(0, 1), (1, 2)]) == 0
-        # on K6, 0-1 and 3-4 bound a C4 in both chord orientations: one H-edge
-        g, cover = complete_graph(6), ham_cover(6)
-        assert induced_h_edges(g, cover, [(0, 1), (4, 3)]) == 1
-        assert count_h_edges(g, cover) > induced_h_edges(g, cover, cover.edge_set())
-
-    def test_off_cover_edge_rejected(self):
-        for edges in ([(0, 2)], [(0, 1), (0, 2)]):
-            with pytest.raises(CoverError):
-                induced_h_edges(complete_graph(5), ham_cover(5), edges)
 
 
 class TestIncreaseByOne:
