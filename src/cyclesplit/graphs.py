@@ -454,18 +454,20 @@ class Params:
     machine can touch, so every threshold is an absolute stand-in, in the
     hierarchy zeta = eta'/6, eta = 10 eta'.  Those no caller sets are module
     constants beside their only reader: the split's work budget in
-    ``switching.py``; the walk's patience in ``pipeline.py``; the sampling
-    probability and the rewire budgets in ``rewire.py``.
+    ``switching.py``; the walk's patience and tiny-n cutoff in
+    ``pipeline.py``; the sampling probability and the rewire budgets in
+    ``rewire.py``.
     """
 
     # the fallback walk takes no round once the merged cycle hosts this many
     # implanted C4's (stands for n^(2-eta))
     h_edge_target: int = 50
-    # None keeps the rewire degree check (sqrt(n) log^2 n + 3|B'| + 2); any
-    # integer, whatever its value, turns it off and warns (desk scale)
+    # the least degree the rewire requires outside B': None keeps the paper's
+    # sqrt(n) log^2 n + 3|B'| + 2; an integer d requires degree >= d (the
+    # desk floor 1 holds on every host of a Hamilton cycle)
     thomassen_degree_floor: Optional[int] = None
     # rounds of the fallback walk, one Hamilton cycle each (one rewire call
-    # above rewire.EXHAUSTIVE_CUTOFF vertices)
+    # above pipeline.EXHAUSTIVE_CUTOFF vertices)
     enrich_rounds: int = 64
     seed: int = 0
 

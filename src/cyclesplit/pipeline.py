@@ -20,7 +20,6 @@ from typing import Optional
 
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from .rewire import (
-    EXHAUSTIVE_CUTOFF,
     REWIRE_NODE_BUDGET,
     RewireError,
     RewireRequest,
@@ -32,6 +31,9 @@ from .switching import SplitOutcome, _make_c4, _split_validated, _toggle, count_
 # rounds in a row that land no cycle or do not beat the best split, after
 # which the walk stops
 WALK_PATIENCE = 1
+# up to this many vertices the walk enumerates Hamilton cycles instead of
+# calling the rewire
+EXHAUSTIVE_CUTOFF = 14
 
 @dataclass(frozen=True)
 class MergeRecord:
@@ -238,7 +240,7 @@ def _merge_walk_unmerge(
                 if tiny:
                     found = next(cycles, None)
                 else:
-                    req = RewireRequest(augmented, cycle, protected, augmented._bits)
+                    req = RewireRequest(augmented, cycle, protected)
                     res = second_hamilton_cycle(req, rng, params)
                     stats.thomassen_calls += 1
                     found = res and res.cycle

@@ -1,24 +1,22 @@
-"""Second-Hamilton-cycle machinery with protected and desirable edges.
+"""Second-Hamilton-cycle machinery with protected edges.
 
-Given a Hamilton cycle, a small protected edge set E on it, and a graph G' of
-desirable edges, we look for a different Hamilton cycle that keeps E, absorbs
-at least one G'-edge, and differs only at a sparse switch set S of vertices:
-the cycle minus S is left untouched.  S is drawn at random from the vertices
-far from the protected region (each with probability 1/sqrt(n ln n)); a valid
-draw is one that is cycle-independent and dominates everything outside the
-protected region in G' minus the cycle.  Re-linking the fixed path system
-through S is a complete constrained backtracking search; below a size cutoff
-the first cycle of an exhaustive Hamilton enumeration (protected edges
-forced) other than the old cycle stands in when sampling fails.  The
-pipeline's fallback walk reads that enumerator (``_hamilton_cycles``) past
-its first cycle.
+Given a Hamilton cycle of a graph G and a small protected edge set E on it,
+we look for a different Hamilton cycle of G that keeps E, absorbs at least
+one edge of G off the cycle, and differs only at a sparse switch set S of
+vertices: the cycle minus S is left untouched.  Every edge of G is
+desirable (the paper's G' is taken as G).  S is drawn at random from the
+vertices far from the protected region (each with probability
+1/sqrt(n ln n)); a valid draw is one that is cycle-independent and
+dominates everything outside the protected region in G minus the cycle.
+Re-linking the fixed path system through S is a complete constrained
+backtracking search.  The pipeline's fallback walk calls the rewire above
+its tiny-n cutoff and reads the exhaustive enumerator ``_hamilton_cycles``
+at or below it.
 
-A failed call may be retried with the same request, so only the random draws and
-what depends on them are redone per call.  A ``RewireRequest`` takes G' as
-per-vertex neighbour rows and derives, once, every fact that neither the
-random stream nor ``Params`` can change (listed on the class).  A call
-relinks one stream of switch-set proposals, the sampler's and then the
-desk-scale seeded ones, and skips each that the request has seen fail: the
+A ``RewireRequest`` derives, once, every fact that neither the random
+stream nor ``Params`` can change (listed on the class).  A call relinks one
+stream of switch-set proposals, the sampler's and then the desk-scale
+seeded ones, and skips each that has already failed in the call: the
 relink draws nothing, so it would fail again.
 """
 
@@ -26,8 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -37,10 +34,8 @@ from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
 
 # switch-set draws per sampler call, and desk-scale rounds per rewire call
 SAMPLE_RETRIES = 32
-# node budget of each relink and exhaustive search
+# node budget of each relink, and of the walk's Hamilton-cycle enumerator
 REWIRE_NODE_BUDGET = 200_000
-# the exhaustive Hamilton search stands in only up to this many vertices
-EXHAUSTIVE_CUTOFF = 14
 
 
 class RewireError(ValueError):
@@ -51,42 +46,34 @@ class RewireError(ValueError):
 class RewireRequest:
     """Inputs for one rewiring attempt.
 
-    ``graph`` hosts the cycle; ``desirable`` holds the edges we want to pull
-    into the new cycle as symmetric neighbour rows, one per vertex of the
-    graph (a bitset each; bits off the graph are ignored); ``protected``
-    lists cycle edges that must survive; ``bad`` holds vertices exempt from
-    the degree requirement.
+    ``graph`` hosts the Hamilton cycle ``cycle``, and each graph edge off
+    the cycle is one the new cycle may absorb; ``protected`` lists cycle
+    edges that must survive.
 
-    A caller may pass one request to several calls, so the request derives
-    these facts once, on first use, none of them from the
+    The request derives these facts on first use, none of them from the
     random stream or ``Params``: the ``fault`` verdict that both entry
     points raise, the blocked set B' (``blocked``), the per-vertex rows
-    ``desirable_bits`` and ``cycle_bits`` and from them ``allowed_bits`` and
-    ``off_cycle_bits``, the clear candidates (``clear``), the sampler's
-    ``targets`` and its ``undominable`` verdict, ``usable_count``, the
-    desk-scale phase's seed pairs (``seed_rotation``), the exhaustive
-    fallback's cycle (``exhaustive_cycle``) and the ``idle`` verdict, which
-    ``second_hamilton_cycle`` reads to return None without drawing.
-    ``usable_edges`` generates the usable edges from the rows in sorted
-    order, so a caller reads only as many as it needs.  ``failed`` collects
-    the switch sets whose relink found no cycle.
+    ``cycle_bits`` and ``off_cycle_bits``, the clear candidates
+    (``clear``), the sampler's ``targets`` and its ``undominable`` verdict,
+    ``usable_count`` and the desk-scale phase's seed pairs
+    (``seed_rotation``).  ``usable_edges`` generates the usable edges from
+    the rows in sorted order, so a caller reads only as many as it needs.
     """
 
     graph: Graph
     cycle: CycleCover
     protected: frozenset[tuple[int, int]]
-    desirable: tuple[int, ...]
-    bad: frozenset[int] = frozenset()
-    failed: set[frozenset[int]] = field(default_factory=set, init=False, repr=False, compare=False)
 
     @cached_property
     def fault(self) -> Optional[str]:
         """Why no rewire call can take this request, or None."""
         n = self.graph.n
-        if self.cycle.num_components != 1 or self.cycle.n != n:
+        if (
+            self.cycle.num_components != 1
+            or self.cycle.n != n
+            or any(c & ~row for c, row in zip(self.cycle_bits, self.graph._bits))
+        ):
             return "rewiring requires a Hamilton cycle of the host graph"
-        if len(self.desirable) != n:
-            return f"desirable graph has {len(self.desirable)} rows, host graph has {n} vertices"
         # an empty set needs no check, which would pin an edge set on the
         # caller's cover
         if self.protected and not self.protected <= self.cycle.edge_set():
@@ -97,13 +84,8 @@ class RewireRequest:
 
     @cached_property
     def blocked(self) -> frozenset[int]:
-        """B' = bad vertices plus endpoints of protected edges."""
-        return self.bad.union(*self.protected)
-
-    @cached_property
-    def desirable_bits(self) -> list[int]:
-        """Per vertex, its desirable neighbours that are graph neighbours."""
-        return [row & nbrs for row, nbrs in zip(self.desirable, self.graph._bits)]
+        """B' = the endpoints of the protected edges."""
+        return frozenset().union(*self.protected)
 
     @cached_property
     def cycle_bits(self) -> list[int]:
@@ -112,14 +94,9 @@ class RewireRequest:
         return [(1 << p) | (1 << q) for p, q in zip(prev, nxt)]
 
     @cached_property
-    def allowed_bits(self) -> list[int]:
-        """Neighbour bitsets of the desirable edges plus the cycle."""
-        return [d | c for d, c in zip(self.desirable_bits, self.cycle_bits)]
-
-    @cached_property
     def off_cycle_bits(self) -> list[int]:
-        """Desirable neighbours of each vertex, its two cycle neighbours removed."""
-        return [d & ~c for d, c in zip(self.desirable_bits, self.cycle_bits)]
+        """Graph neighbours of each vertex, its two cycle neighbours removed."""
+        return [row & ~c for row, c in zip(self.graph._bits, self.cycle_bits)]
 
     @cached_property
     def clear(self) -> tuple[int, ...]:
@@ -137,50 +114,21 @@ class RewireRequest:
     @cached_property
     def undominable(self) -> bool:
         """True iff some target has no clear candidate among its off-cycle
-        desirable neighbours, so that no draw can dominate it."""
+        neighbours, so that no draw can dominate it."""
         off_bits = self.off_cycle_bits
         cand_bits = bits_of(self.clear)
         return any(not (off_bits[t] & cand_bits) for t in self.targets)
 
     @cached_property
     def usable_count(self) -> int:
-        """The number of desirable edges off the cycle."""
+        """The number of graph edges off the cycle."""
         return sum(map(int.bit_count, self.off_cycle_bits)) // 2
 
     def usable_edges(self) -> Iterator[tuple[int, int]]:
-        """The desirable edges off the cycle, generated in sorted order."""
+        """The graph edges off the cycle, generated in sorted order."""
         for u, row in enumerate(self.off_cycle_bits):
             for v in _iter_bits(row >> (u + 1)):
                 yield u, u + 1 + v
-
-    @cached_property
-    def exhaustive_cycle(self) -> Optional[CycleCover]:
-        """The enumerator's first Hamilton cycle other than the request's
-        (protected edges forced), or None; it draws nothing, so a request
-        runs it once.  Only read up to ``EXHAUSTIVE_CUTOFF`` vertices."""
-        cycles = _hamilton_cycles(
-            self.graph.n, self.allowed_bits, self.protected, REWIRE_NODE_BUDGET
-        )
-        return next((c for c in cycles if c != self.cycle), None)
-
-    @cached_property
-    def idle(self) -> bool:
-        """True iff a rewire call on this request could only return None,
-        drawing nothing: it has no usable edge, or its sampler cannot draw
-        (no clear candidate, or an undominable target), it has no
-        desk-scale seed pair, and it has no exhaustive fallback (more than
-        ``EXHAUSTIVE_CUTOFF`` vertices, or the search finds nothing).
-
-        ``second_hamilton_cycle`` reads it after its checks and returns None
-        when it holds.  That runs no search a call would not run: the call
-        reads ``seed_rotation`` in its desk-scale phase anyway, and
-        ``exhaustive_cycle`` is read here only when neither the sampler nor
-        a seed pair can draw, where the call's last phase reads it."""
-        if not self.usable_count:
-            return True
-        if (self.clear and not self.undominable) or self.seed_rotation:
-            return False
-        return self.graph.n > EXHAUSTIVE_CUTOFF or self.exhaustive_cycle is None
 
     @cached_property
     def seed_rotation(self) -> tuple[tuple[int, int], ...]:
@@ -218,7 +166,6 @@ class RewireResult:
     cycle: CycleCover
     switch_set: frozenset[int]
     absorbed: frozenset[tuple[int, int]]
-    used_fallback: bool = False
 
 
 def check_independent_dominating(g: Graph, cycle: CycleCover, s: Iterable[int]) -> bool:
@@ -263,7 +210,7 @@ def sample_switch_set(req: RewireRequest, rng: random.Random) -> Optional[frozen
     Candidates A are the vertices outside B' = ``req.blocked`` and its
     cycle neighbourhood; each lands in S independently with the sampling
     probability.  A draw is returned only if it is cycle-independent and
-    dominates everything outside B' in the desirable graph minus the cycle.
+    dominates everything outside B' in the graph minus the cycle.
     None after the retry budget; ``RewireError`` on a request no call can
     take (``RewireRequest.fault``).
     """
@@ -307,13 +254,13 @@ def _segments(cycle: CycleCover, s: Iterable[int]) -> list[tuple[int, ...]]:
 def _relink(
     cycle: CycleCover,
     s: Iterable[int],
-    allowed_bits: list[int],
+    rows: list[int],
     budget: int,
 ) -> Optional[CycleCover]:
     """Complete search over re-insertions of S into the fixed path system.
 
     The new cycle must alternate the |S| paths (each in either direction)
-    with the S vertices, every junction using an allowed edge.  The first
+    with the S vertices, every junction an edge of ``rows``.  The first
     arrangement other than the original cycle wins.  Every edge inside a
     path is a cycle edge, so an arrangement is the original cycle exactly
     when all its junction edges are cycle edges; the search carries that
@@ -357,19 +304,19 @@ def _relink(
         end or the start has no unplaced S neighbour (a run needs two
         distinct ones between its ends), or an unplaced S vertex has fewer
         than two neighbours among the open ends, ``end`` and the start."""
-        if not allowed_bits[start] & rest:
+        if not rows[start] & rest:
             return True
         ports = (1 << end) | (1 << start)
         for si in range(1, k):
             if not seg_used[si]:
                 a, b = ends[si]
-                ra, rb = allowed_bits[a] & rest, allowed_bits[b] & rest
+                ra, rb = rows[a] & rest, rows[b] & rest
                 both = ra | rb
                 if not (ra and rb and both & (both - 1)):
                     return True
                 ports |= (1 << a) | (1 << b)
         for v in _iter_bits(rest):
-            row = allowed_bits[v] & ports
+            row = rows[v] & ports
             if not row & (row - 1):
                 return True
         return False
@@ -388,11 +335,11 @@ def _relink(
             # v's two junctions need no test: if every earlier junction is a
             # cycle edge, the path before v is the cycle minus v, whose ends
             # are v's cycle neighbours, so the arrangement is the original
-            if changed and (allowed_bits[end] >> v) & 1 and (allowed_bits[v] >> start) & 1:
+            if changed and (rows[end] >> v) & 1 and (rows[v] >> start) & 1:
                 return close(v)
             return None
         for v in remaining:
-            if not (allowed_bits[end] >> v) & 1:
+            if not (rows[end] >> v) & 1:
                 continue
             v_changed = changed or end not in near[v]
             for si in range(1, k):
@@ -401,7 +348,7 @@ def _relink(
                 seg = segments[si]
                 orientations = (seg,) if len(seg) == 1 else (seg, seg[::-1])
                 for run in orientations:
-                    if not (allowed_bits[v] >> run[0]) & 1:
+                    if not (rows[v] >> run[0]) & 1:
                         continue
                     seg_used[si] = True
                     rest ^= 1 << v
@@ -421,14 +368,14 @@ def _relink(
 
 def _hamilton_cycles(
     n: int,
-    allowed_bits: list[int],
+    rows: list[int],
     forced: frozenset[tuple[int, int]],
     budget: int,
 ) -> Iterator[CycleCover]:
-    """Each Hamilton cycle of the allowed rows that keeps the forced edges, once.
+    """Each Hamilton cycle of the neighbour rows that keeps the forced edges, once.
 
     A depth-first search from vertex 0 that extends the path by a forced
-    edge where the end vertex has one left, else by each allowed neighbour
+    edge where the end vertex has one left, else by each neighbour
     off the path in increasing order.  It meets each cycle in both
     orientations and yields it the first time, as its ``CycleCover`` value.
     The search stops for good after ``budget`` nodes, however many items the
@@ -459,7 +406,7 @@ def _hamilton_cycles(
             # closing edge (v, 0): v's leftover forced edge must be it, and
             # the start's forced edges must be among its two cycle edges
             if (
-                (allowed_bits[v] & 1)
+                (rows[v] & 1)
                 and all(w == 0 for w in musts)
                 and all(w == path[1] or w == v for w in forced_at[0])
             ):
@@ -469,9 +416,9 @@ def _hamilton_cycles(
                     seen.add(cyc)
                     yield CycleCover._from_canonical((cyc,), n)
         elif not musts:
-            candidates = _iter_bits(allowed_bits[v] & ~on_path)
+            candidates = _iter_bits(rows[v] & ~on_path)
         elif depth == 1 or len(musts) == 1:
-            row = allowed_bits[v] & ~on_path
+            row = rows[v] & ~on_path
             candidates = [w for w in sorted(musts) if (row >> w) & 1]
         frames.append(iter(candidates))
         # step to the next unvisited child, backing up past finished vertices
@@ -491,50 +438,33 @@ def second_hamilton_cycle(
 ) -> Optional[RewireResult]:
     """A different Hamilton cycle keeping the protected edges.
 
-    On success the result also absorbs at least one desirable off-cycle edge
-    and only touches edges incident to its switch set.  None when every
-    proposed switch set fails and the instance is above the exhaustive cutoff,
-    and at once, after the request's ``fault`` check and the degree
-    precondition (or its desk-scale warning), when the request is idle
-    (``RewireRequest.idle``).
+    On success the result also absorbs at least one graph edge off the
+    cycle and only touches edges incident to its switch set.  Raises
+    ``RewireError`` on a request no call can take (``RewireRequest.fault``)
+    and when a vertex outside B' has degree below the floor:
+    ``params.thomassen_degree_floor``, or sqrt(n) ln^2 n + 3|B'| + 2 when
+    that is None.  None when every proposed switch set fails.
     """
     params = params or Params()
     if req.fault is not None:
         raise RewireError(req.fault)
-    n = req.graph.n
+    g = req.graph
+    n = g.n
     blocked = req.blocked
-    # degree precondition on the desirable graph
-    if params.thomassen_degree_floor is None:
+    floor = params.thomassen_degree_floor
+    if floor is None:
         floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
-        deg = [row.bit_count() for row in req.desirable_bits]
-        short = [v for v in range(n) if v not in blocked and deg[v] < floor]
-        if short:
-            raise RewireError(
-                f"vertex {short[0]} has desirable degree {deg[short[0]]} < {floor:.1f}"
-            )
-    else:
-        warnings.warn(
-            "rewire degree precondition overridden at desk scale",
-            stacklevel=2,
-        )
+    short = next((v for v in range(n) if v not in blocked and g.degree(v) < floor), None)
+    if short is not None:
+        raise RewireError(f"vertex {short} has desirable degree {g.degree(short)} < {floor:.1f}")
 
-    if req.idle:
-        return None
-
+    misses = set()  # switch sets this call relinked without finding a cycle
     for s in _proposals(req, rng):
-        if s in req.failed:
-            continue
-        found = _relink(req.cycle, s, req.allowed_bits, REWIRE_NODE_BUDGET)
-        if found is not None:
-            return _package(req, found, s, used_fallback=False)
-        req.failed.add(s)
-
-    if n <= EXHAUSTIVE_CUTOFF:
-        found = req.exhaustive_cycle
-        if found is not None:
-            changed = found.edge_set().symmetric_difference(req.cycle.iter_edges())
-            s_post = frozenset(v for e in changed for v in e)
-            return _package(req, found, s_post, used_fallback=True)
+        if s not in misses:
+            found = _relink(req.cycle, s, g._bits, REWIRE_NODE_BUDGET)
+            if found is not None:
+                return _package(req, found, s)
+            misses.add(s)
     return None
 
 
@@ -566,10 +496,10 @@ def _proposals(req: RewireRequest, rng: random.Random) -> Iterator[frozenset[int
         yield frozenset(s)
 
 
-def _package(req, new_cycle, switch_set, used_fallback):
+def _package(req, new_cycle, switch_set):
     absorbed = new_cycle.edge_set().difference(req.cycle.iter_edges())
     if not req.protected <= new_cycle.edge_set():
         raise AssertionError("protected edge lost during rewiring")
     if not absorbed:
         raise AssertionError("rewiring produced the original cycle")
-    return RewireResult(new_cycle, frozenset(switch_set), absorbed, used_fallback)
+    return RewireResult(new_cycle, frozenset(switch_set), absorbed)

@@ -6,7 +6,6 @@ captured output) carrying the measured quantities next to the stated budget.
 
 import random
 import time
-import warnings
 
 import pytest
 
@@ -39,10 +38,7 @@ from conftest import (
     complete_graph,
     ham_cover,
     random_factor_instance,
-    rows_of,
 )
-
-warnings.filterwarnings("ignore", category=UserWarning)
 
 DESK = Params(thomassen_degree_floor=1)
 
@@ -231,7 +227,7 @@ def test_criterion_07_thomassen_contract():
         blocked = {v for e in protected for v in e}
         if len(blocked) >= n:
             continue
-        req = RewireRequest(g, cover, protected, rows_of(g.n, g.edge_set()))
+        req = RewireRequest(g, cover, protected)
         s = sample_switch_set(req, rng)
         if s is None:
             continue

@@ -15,7 +15,6 @@ rewire calls and walks over the enumerated Hamilton cycles of small graphs;
 import hashlib
 import json
 import random
-import warnings
 from pathlib import Path
 
 import pytest
@@ -62,23 +61,24 @@ def _digest(res) -> dict:
 
 
 def run_corpus():
-    """Digests by solve name, the solve results, and every rewire's fallback flag."""
-    fallbacks = []
+    """Digests by solve name, the solve results, and per solve name the
+    number of cycles its rewire calls relinked."""
+    relinked = {}
     package = rewire._package
 
-    def recording_package(req, new_cycle, switch_set, used_fallback):
-        fallbacks.append(used_fallback)
-        return package(req, new_cycle, switch_set, used_fallback)
+    def recording_package(req, new_cycle, switch_set):
+        relinked[name] += 1
+        return package(req, new_cycle, switch_set)
 
     digests, results = {}, {}
-    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
-        warnings.simplefilter("ignore", UserWarning)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rewire, "_package", recording_package)
         for name, g, cover, k, params, strict in corpus():
+            relinked[name] = 0
             res = solve(g, cover, k, params, random.Random(params.seed), strict)
             digests[name] = _digest(res)
             results[name] = res
-    return digests, results, fallbacks
+    return digests, results, relinked
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +100,15 @@ def test_digests_match(golden_run):
 
 
 def test_corpus_reaches_every_path(golden_run):
-    _, results, fallbacks = golden_run
+    _, results, relinked = golden_run
     cases = {e["case"] for r in results.values() for e in r.stats.switch_log}
     assert cases == {1, 2, 3, 4}
     assert any(r.cover is None for r in results.values())
-    strict = [r for name, r in results.items() if name.startswith("enrich-strict")]
-    assert all(r.stats.thomassen_calls > 0 for r in strict)
-    # the walk's rewires relink; its small-n rounds enumerate, calling no rewire
-    assert set(fallbacks) == {False}
+    strict = [name for name in results if name.startswith("enrich-strict")]
+    assert all(results[name].stats.thomassen_calls > 0 for name in strict)
+    # every strict walk lands a relinked cycle; its small-n rounds
+    # enumerate, calling no rewire
+    assert all(relinked[name] > 0 for name in strict)
     small = [r for name, r in results.items() if name.startswith("small-")]
     walks = [d for r in small for d in r.stats.diagnostics if d.get("stage") == "walk"]
     assert any(w["landed"] for w in walks)

@@ -12,7 +12,7 @@ from cyclesplit.instances import (
     gen_triangles_biclique,
     oracle_component_counts,
 )
-from cyclesplit import pipeline, rewire, switching
+from cyclesplit import pipeline, switching
 from cyclesplit.pipeline import MergeRecord, merge_cover, protected_for_merge, solve, unmerge
 from cyclesplit.switching import count_h_edges
 
@@ -23,13 +23,6 @@ from conftest import (
     planted_cover,
     random_factor_instance,
 )
-
-
-@pytest.fixture(autouse=True)
-def _quiet():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def two_triangles():
@@ -308,9 +301,7 @@ class TestSolve:
         # split on the enriched cover reaches k
         g, cover = gen_planted(10, 0.3, 33)
         params = Params(seed=33, enrich_rounds=4, thomassen_degree_floor=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            res = solve(g, cover, 3, params, random.Random(33))
+        res = solve(g, cover, 3, params, random.Random(33))
         assert len(split_calls) == 2 and split_calls[1][1] != cover
         assert validate_cover(g, res.cover) == 3
         assert any("opportunistic_split" in d for d in res.stats.diagnostics)
@@ -690,7 +681,17 @@ class TestWalk:
     def test_rewire_pins_no_edge_set_on_the_input_cover(self):
         # above the cutoff the one-cycle input is the first request's cycle
         g, cover = gen_implant_free(30, 1)
-        assert g.n > rewire.EXHAUSTIVE_CUTOFF
+        assert g.n > pipeline.EXHAUSTIVE_CUTOFF
         res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
         assert res.stats.thomassen_calls >= 1 and _walk_record(res)["landed"] >= 1
         assert cover._edge_set is None
+
+    def test_desk_floor_walk_warns_nothing(self):
+        # above the cutoff the rewire reads the desk floor as its degree
+        # floor, so a walk that calls it runs with warnings as errors
+        g, cover = gen_implant_free(30, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
+        assert res.stats.thomassen_calls >= 1
+        assert validate_cover(g, res.cover) == 2

@@ -1,11 +1,10 @@
 import math
 import random
-import warnings
 from itertools import combinations
 
 import pytest
 
-from cyclesplit import rewire
+from cyclesplit import pipeline, rewire
 from cyclesplit.graphs import CycleCover, Graph, Params, edge_key, validate_cover
 from cyclesplit.instances import gen_planted
 from cyclesplit.rewire import (
@@ -16,21 +15,15 @@ from cyclesplit.rewire import (
     second_hamilton_cycle,
 )
 
-from conftest import complete_graph, ham_cover, rows_of
+from conftest import complete_graph, cycle_graph, ham_cover, rows_of
 
 DESK = Params(thomassen_degree_floor=1)
 
 
-@pytest.fixture(autouse=True)
-def _quiet_desk_override():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
-
-
-def all_chords(n):
-    cyc = ham_cover(n).edge_set()
-    return rows_of(n, (e for e in combinations(range(n), 2) if edge_key(*e) not in cyc))
+def cycle_edges_at(cover, vertices):
+    """The cycle edges with both endpoints in ``vertices``: for a run of at
+    least two consecutive cycle vertices, protecting them blocks the run."""
+    return frozenset(e for e in cover.edge_set() if set(e) <= set(vertices))
 
 
 class TestCheckIndependentDominating:
@@ -71,10 +64,9 @@ class TestCheckIndependentDominating:
             assert check_independent_dominating(g, cover, s) == (indep and dominated)
 
 
-def sample(g, cover, blocked, rng):
-    """The sampler on a request with desirable graph ``g`` and bad set ``blocked``."""
-    req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), frozenset(blocked))
-    return sample_switch_set(req, rng)
+def sample(g, cover, protected, rng):
+    """The sampler on a request that protects the cycle edges ``protected``."""
+    return sample_switch_set(RewireRequest(g, cover, frozenset(protected)), rng)
 
 
 class TestSampleSwitchSet:
@@ -86,13 +78,13 @@ class TestSampleSwitchSet:
     def test_everything_blocked(self):
         g = complete_graph(6)
         with pytest.raises(RewireError):
-            sample(g, ham_cover(6), set(range(6)), random.Random(0))
+            sample(g, ham_cover(6), {(0, 1), (2, 3), (4, 5)}, random.Random(0))
 
     def test_no_clear_candidates(self):
         g = complete_graph(6)
-        # blocking alternate vertices leaves no vertex clear of the blocked
-        # set's cycle neighbourhood
-        assert sample(g, ham_cover(6), {0, 2, 4}, random.Random(0)) is None
+        # blocking two opposite edges' endpoints leaves no vertex clear of
+        # the blocked set's cycle neighbourhood
+        assert sample(g, ham_cover(6), {(0, 1), (3, 4)}, random.Random(0)) is None
 
     def test_undominable_target_draws_nothing(self):
         # vertex 5 has no chord, so no switch set can dominate it: the sampler
@@ -100,7 +92,7 @@ class TestSampleSwitchSet:
         cycle = {edge_key(v, (v + 1) % 10) for v in range(10)}
         chords = {e for e in combinations(range(10), 2) if 5 not in e}
         g = Graph(10, cycle | chords)
-        req = RewireRequest(g, ham_cover(10), frozenset(), rows_of(g.n, g.edge_set()))
+        req = RewireRequest(g, ham_cover(10), frozenset())
         rng = random.Random(0)
         state = rng.getstate()
         for _ in range(2):
@@ -109,8 +101,8 @@ class TestSampleSwitchSet:
 
     def test_deterministic(self):
         g = complete_graph(20)
-        a = sample(g, ham_cover(20), {0, 1}, random.Random(5))
-        b = sample(g, ham_cover(20), {0, 1}, random.Random(5))
+        a = sample(g, ham_cover(20), {(0, 1)}, random.Random(5))
+        b = sample(g, ham_cover(20), {(0, 1)}, random.Random(5))
         assert a == b and a is not None
 
     def test_dense_instance_with_probability_override(self, monkeypatch):
@@ -118,8 +110,9 @@ class TestSampleSwitchSet:
         # dominate; the override makes the dense n=200 instance land
         g, cover = gen_planted(200, 0.3, 42)
         monkeypatch.setattr(rewire, "sampling_probability", lambda n: 0.09)
+        first = {edge_key(*cover.cycle_edge(0, 0))}
         for seed in range(4):
-            s = sample(g, cover, {0, 1}, random.Random(seed))
+            s = sample(g, cover, first, random.Random(seed))
             assert s is not None
             assert check_independent_dominating(g, cover, s)
 
@@ -127,30 +120,22 @@ class TestSampleSwitchSet:
         hits = 0
         for seed in range(40):
             g, cover = gen_planted(16, 0.6, seed)
-            s = sample(g, cover, {0}, random.Random(seed))
+            first = edge_key(*cover.cycle_edge(0, 0))
+            s = sample(g, cover, {first}, random.Random(seed))
             if s is None:
                 continue
             hits += 1
             assert check_independent_dominating(g, cover, s)
             # S keeps clear of the blocked region's cycle neighbourhood
-            blocked_nbrs = {0} | set(cover.cycle_neighbors(0))
+            blocked_nbrs = {u for v in first for u in (v, *cover.cycle_neighbors(v))}
             assert not s & blocked_nbrs
         assert hits > 0
 
 
 class TestSecondHamiltonCycle:
-    def test_k4_example(self):
-        req = RewireRequest(
-            complete_graph(4), ham_cover(4), frozenset({(0, 1)}), all_chords(4)
-        )
-        res = second_hamilton_cycle(req, random.Random(1), DESK)
-        assert res.cycle.cycles == ((0, 1, 3, 2),)
-        assert (0, 2) in res.cycle.edge_set() and (1, 3) in res.cycle.edge_set()
-
     def test_no_usable_desirable_edge(self):
-        req = RewireRequest(
-            complete_graph(4), ham_cover(4), frozenset(), rows_of(4, [(0, 1)])
-        )
+        # the host has no edge off the cycle
+        req = RewireRequest(cycle_graph(6), ham_cover(6), frozenset())
         assert second_hamilton_cycle(req, random.Random(1), DESK) is None
 
     def test_exhaustive_search_refuses_three_forced_edges(self):
@@ -165,36 +150,32 @@ class TestSecondHamiltonCycle:
         assert found and all({(0, 1), (0, 2)} <= c.edge_set() for c in found)
 
     def test_blocked_everything_rejected(self):
-        g = complete_graph(4)
-        req = RewireRequest(
-            g, ham_cover(4), frozenset({(0, 1), (2, 3)}), all_chords(4), frozenset({0, 1, 2, 3})
-        )
+        req = RewireRequest(complete_graph(4), ham_cover(4), frozenset({(0, 1), (2, 3)}))
         with pytest.raises(RewireError):
             second_hamilton_cycle(req, random.Random(1), DESK)
 
     @pytest.mark.parametrize(
-        "cover, protected, bad, desirable, message",
+        "graph, cover, protected, message",
         [
-            (CycleCover([[0, 1, 2], [3, 4, 5]]), frozenset(), frozenset(), all_chords(6),
+            (complete_graph(6), CycleCover([[0, 1, 2], [3, 4, 5]]), frozenset(),
              "rewiring requires a Hamilton cycle of the host graph"),
-            (ham_cover(5), frozenset(), frozenset(), all_chords(6),
+            (complete_graph(6), ham_cover(5), frozenset(),
              "rewiring requires a Hamilton cycle of the host graph"),
-            (ham_cover(6), frozenset({(0, 2)}), frozenset(), all_chords(6),
+            # the cycle runs through (0, 1), which the graph lacks
+            (Graph(16, [e for e in combinations(range(16), 2) if e != (0, 1)]),
+             CycleCover([range(16)], 16), frozenset(),
+             "rewiring requires a Hamilton cycle of the host graph"),
+            (complete_graph(6), ham_cover(6), frozenset({(0, 2)}),
              "protected edges must lie on the cycle"),
-            (ham_cover(6), frozenset({(0, 1)}), frozenset({2, 3, 4, 5}), all_chords(6),
+            (complete_graph(6), ham_cover(6), frozenset({(0, 1), (2, 3), (4, 5)}),
              "blocked set covers every vertex"),
-            (ham_cover(6), frozenset(), frozenset(), all_chords(6)[:5],
-             "desirable graph has 5 rows, host graph has 6 vertices"),
-            (ham_cover(6), frozenset(), frozenset(), (0, 0, 0),
-             "desirable graph has 3 rows, host graph has 6 vertices"),
         ],
-        ids=["two-cycles", "wrong-order", "protected-chord", "all-blocked", "short-rows",
-             "three-empty-rows"],
+        ids=["two-cycles", "wrong-order", "cycle-off-graph", "protected-chord", "all-blocked"],
     )
-    def test_malformed_request_rejected(self, cover, protected, bad, desirable, message):
+    def test_malformed_request_rejected(self, graph, cover, protected, message):
         """Both entry points, under either degree floor, raise the request's
         one verdict, before they read anything else of it."""
-        req = RewireRequest(complete_graph(6), cover, protected, desirable, bad)
+        req = RewireRequest(graph, cover, protected)
         for call in (
             lambda: second_hamilton_cycle(req, random.Random(1), DESK),
             lambda: second_hamilton_cycle(req, random.Random(1), Params()),
@@ -204,31 +185,26 @@ class TestSecondHamiltonCycle:
                 call()
             assert str(raised.value) == message
 
-    def test_desirable_non_edges_never_absorbed(self):
-        found = 0
-        for seed in range(12):
-            g, cover = gen_planted(12, 0.5, seed)
-            # every pair, so the request has to drop the non-edges of g
-            everything = frozenset((v, u) for u, v in combinations(range(12), 2))
-            non_edges = frozenset(edge_key(*e) for e in everything) - g.edge_set()
-            assert non_edges
-            only_non_edges = RewireRequest(g, cover, frozenset(), rows_of(12, non_edges))
-            assert second_hamilton_cycle(only_non_edges, random.Random(seed), DESK) is None
-            req = RewireRequest(g, cover, frozenset(), rows_of(12, everything))
-            res = second_hamilton_cycle(req, random.Random(seed), DESK)
-            if res is None:
-                continue
-            found += 1
-            assert not res.absorbed & non_edges
-            assert validate_cover(g, res.cycle) == 1
-        assert found >= 10
-
     def test_degree_precondition_without_override(self):
-        req = RewireRequest(
-            complete_graph(6), ham_cover(6), frozenset(), all_chords(6)
-        )
+        req = RewireRequest(complete_graph(6), ham_cover(6), frozenset())
         with pytest.raises(RewireError, match="degree"):
             second_hamilton_cycle(req, random.Random(1), Params())
+
+    def test_integer_floor_is_the_floor(self):
+        """An integer ``thomassen_degree_floor`` d requires degree >= d
+        outside B': vertex 5 of this K10 minus its chords has degree 2."""
+        on_cycle = {(4, 5), (5, 6)}
+        g = Graph(10, [e for e in combinations(range(10), 2) if 5 not in e or e in on_cycle])
+        assert g.degree(5) == 2
+        req = RewireRequest(g, ham_cover(10), frozenset())
+        with pytest.raises(RewireError, match="vertex 5 has desirable degree 2 < 3"):
+            second_hamilton_cycle(req, random.Random(1), Params(thomassen_degree_floor=3))
+        for floor in (1, 2):
+            params = Params(thomassen_degree_floor=floor)
+            assert second_hamilton_cycle(req, random.Random(1), params)
+        # inside B' the vertex is exempt
+        req = RewireRequest(g, ham_cover(10), frozenset({(4, 5)}))
+        assert second_hamilton_cycle(req, random.Random(1), Params(thomassen_degree_floor=3))
 
     def test_postconditions_small(self, rng):
         found = 0
@@ -236,8 +212,7 @@ class TestSecondHamiltonCycle:
             n = rng.randint(8, 14)
             g, cover = gen_planted(n, 0.5, seed)
             protected = frozenset(list(cover.edge_set())[:2])
-            desirable = rows_of(g.n, g.edge_set())
-            req = RewireRequest(g, cover, protected, desirable)
+            req = RewireRequest(g, cover, protected)
             res = second_hamilton_cycle(req, random.Random(seed), DESK)
             if res is None:
                 continue
@@ -251,19 +226,19 @@ class TestSecondHamiltonCycle:
             )
             changed = out.edge_set() ^ cover.edge_set()
             assert all(u in res.switch_set or v in res.switch_set for u, v in changed)
-        assert found >= 25
+        assert found == 20
 
     def test_sampled_path_on_larger_instance(self):
         g, cover = gen_planted(60, 0.5, 3)
         protected = frozenset(list(cover.edge_set())[:3])
-        req = RewireRequest(g, cover, protected, rows_of(g.n, g.edge_set()))
+        req = RewireRequest(g, cover, protected)
         res = second_hamilton_cycle(req, random.Random(3), DESK)
-        assert res is not None and not res.used_fallback
+        assert res is not None
         assert validate_cover(g, res.cycle) == 1
 
     def test_deterministic_given_seed(self):
         g, cover = gen_planted(24, 0.4, 11)
-        req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()))
+        req = RewireRequest(g, cover, frozenset())
         a = second_hamilton_cycle(req, random.Random(2), DESK)
         b = second_hamilton_cycle(req, random.Random(2), DESK)
         assert a.cycle == b.cycle and a.switch_set == b.switch_set
@@ -457,23 +432,20 @@ class TestHamiltonCycles:
         assert seen_forced >= 5
 
     def test_first_other_cycle_matches_the_recursive_search(self, rng):
-        """``exhaustive_cycle`` is the enumerator's first item other than the
-        request's cycle: the cycle the recursive search returns, at every
-        budget, on the requests of ``TestRequestFacts``."""
+        """The enumerator's first item other than the request's cycle is the
+        cycle the recursive search returns, at every budget, on the requests
+        of ``TestRequestFacts`` up to the walk's cutoff."""
         checked = 0
         for seed in range(120):
-            g, cover, _, req = TestRequestFacts._random_request(rng, seed)
-            if g.n > rewire.EXHAUSTIVE_CUTOFF:
+            g, cover, req = TestRequestFacts._random_request(rng, seed)
+            if g.n > pipeline.EXHAUSTIVE_CUTOFF:
                 continue
-            args = (g.n, req.allowed_bits, req.protected)
-            assert req.exhaustive_cycle == _recursive_second_cycle(
-                *args, cover, rewire.REWIRE_NODE_BUDGET
-            )
-            for budget in (1, 4, 20, 100):
+            args = (g.n, g._bits, req.protected)
+            for budget in (1, 4, 20, 100, rewire.REWIRE_NODE_BUDGET):
                 cycles = rewire._hamilton_cycles(*args, budget)
                 got = next((c for c in cycles if c != cover), None)
                 assert got == _recursive_second_cycle(*args, cover, budget), (seed, budget)
-            checked += req.exhaustive_cycle is not None
+            checked += got is not None
         assert checked >= 5
 
 
@@ -485,8 +457,9 @@ class TestRelinkMatchesReference:
         for _ in range(300):
             n = rng.randint(6, 40)
             g, cover = gen_planted(n, rng.uniform(0.15, 0.9), rng.randrange(1 << 30))
-            desirable = rows_of(n, (e for e in g.edge_set() if rng.random() < 0.6))
-            allowed = RewireRequest(g, cover, frozenset(), desirable).allowed_bits
+            # the cycle plus about 60 % of the other edges
+            kept = [e for e in g.edge_set() if rng.random() < 0.6]
+            allowed = list(rows_of(n, [*kept, *cover.edge_set()]))
             # mostly cycle-independent sets; a few with two consecutive vertices
             s = set()
             for v in rng.sample(range(n), rng.randint(2, max(2, n // 3))):
@@ -530,7 +503,7 @@ class TestRelinkMatchesReference:
         while len(needed) < 40:
             n = rng.randint(20, 40)
             g, cover = gen_planted(n, rng.uniform(0.15, 0.35), rng.randrange(1 << 30))
-            allowed = RewireRequest(g, cover, frozenset(), g._bits).allowed_bits
+            allowed = g._bits
             s = set()
             for v in rng.sample(range(n), n // 3):
                 if not set(cover.cycle_neighbors(v)) & s:
@@ -550,8 +523,7 @@ class TestRelinkMatchesReference:
         cover = CycleCover([[0, 1, 6, 3, 2, 4, 7, 5]])
         chords = [(0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 5), (2, 7)]
         chords += [(3, 4), (3, 5), (4, 6), (5, 6), (6, 7)]
-        desirable = rows_of(8, chords)
-        allowed = RewireRequest(complete_graph(8), cover, frozenset(), desirable).allowed_bits
+        allowed = list(rows_of(8, [*chords, *cover.edge_set()]))
         s = {1, 3, 4, 5}
         expected = _reference_relink(cover, s, allowed, 200_000)
         assert expected.cycles == ((0, 4, 7, 1, 6, 3, 2, 5),)
@@ -571,129 +543,45 @@ class TestRelinkMatchesReference:
             assert [list(run) for run in rewire._segments(cover, s)] == expected
 
 
-def _result_key(res):
-    if res is None:
-        return None
-    return res.cycle, res.switch_set, res.absorbed, res.used_fallback
-
-
 class TestRequestReuse:
-    def test_reused_request_draws_like_a_fresh_one(self, rng):
-        """One request passed to every call, as ``enrich`` does: each call
-        returns what a fresh request returns and leaves the random stream in
-        the same state."""
-        results = {"found": 0, "none": 0}
-        for seed in range(24):
-            n = rng.randint(8, 40)
-            g, cover = gen_planted(n, rng.uniform(0.2, 0.6), seed)
-            edges = sorted(cover.edge_set())
-            protected = frozenset(rng.sample(edges, rng.randint(0, 3)))
-            desirable = rows_of(n, (e for e in g.edge_set() if rng.random() < 0.5))
-            bad = frozenset(rng.sample(range(n), rng.randint(0, 2)))
-
-            def fresh():
-                return RewireRequest(g, cover, protected, desirable, bad)
-
-            reused = fresh()
-            ours, theirs = random.Random(seed), random.Random(seed)
-            for call in range(8):
-                assert sample_switch_set(reused, ours) == sample_switch_set(fresh(), theirs)
-                assert ours.getstate() == theirs.getstate()
-                got = second_hamilton_cycle(reused, ours, DESK)
-                assert _result_key(got) == _result_key(
-                    second_hamilton_cycle(fresh(), theirs, DESK)
-                )
-                assert ours.getstate() == theirs.getstate()
-                results["none" if got is None else "found"] += 1
-        assert min(results.values()) >= 10, results
-
-    def test_reused_request_relinks_each_switch_set_once(self, monkeypatch, rng):
-        """A request passed to every call never searches again a switch set
-        whose search failed, and its results and random stream equal
-        those of a fresh request per call, which searches again.  All but an
-        arc of 8 cycle vertices are bad, so few vertices are clear and the
-        desk-scale switch sets repeat."""
-        searched = []
-        relink = rewire._relink
-
-        def counted(cycle, s, allowed_bits, budget):
-            found = relink(cycle, s, allowed_bits, budget)
-            searched.append((frozenset(s), found is None))
-            return found
-
-        monkeypatch.setattr(rewire, "_relink", counted)
-        saved = 0
-        for seed in range(24):
-            n = rng.randint(20, 40)
-            g, cover = gen_planted(n, rng.uniform(0.2, 0.5), seed)
-            start = rng.randrange(n)
-            arc = {cover.cycles[0][(start + i) % n] for i in range(8)}
-            bad = frozenset(range(n)) - arc
-
-            def fresh():
-                return RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), bad)
-
-            runs = []
-            for make in (lambda req=fresh(): req, fresh):
-                searched.clear()
-                ours = random.Random(seed)
-                got = [
-                    _result_key(second_hamilton_cycle(make(), ours, DESK))
-                    for call in range(8)
-                ]
-                runs.append((got, ours.getstate(), list(searched)))
-            (reused, state, once), (fresh_got, fresh_state, every) = runs
-            assert reused == fresh_got and state == fresh_state
-            failed = set()
-            for tried, failure in once:
-                assert tried not in failed
-                if failure:
-                    failed.add(tried)
-            assert {tried for tried, _ in once} == {tried for tried, _ in every}
-            saved += len(every) - len(once)
-        assert saved > 50, saved
+    """What the rounds of one call share: the request's seed rotation, and
+    the proposals whose relink already failed."""
 
     def test_failed_proposal_runs_no_relink(self, monkeypatch, rng):
-        """A proposal already in the request's failed set is skipped without
-        a relink, and the results and the random stream equal those of a run
-        with the skip disabled (a failed set that never reports a member),
-        which relinks every proposal.  Few vertices are clear, as above, so
-        proposals repeat."""
+        """Within one call, a proposal that already failed is skipped without
+        a relink: the call relinks its proposals in order, each the first
+        time it comes.  Protected cycle edges block all but an arc of 8
+        cycle vertices of a small sparse host, so few vertices are clear,
+        few edges are usable and the desk-scale rounds repeat their seeds."""
+        proposed, relinked = [], []
+        proposals, relink = rewire._proposals, rewire._relink
 
-        class Forgetful(set):
-            def __contains__(self, item):
-                return False
+        def recorded(req, rng):
+            for s in proposals(req, rng):
+                proposed.append(s)
+                yield s
 
-        requests = []
-        known = []
-        relink = rewire._relink
+        def counted(cycle, s, rows, budget):
+            relinked.append(frozenset(s))
+            return relink(cycle, s, rows, budget)
 
-        def counted(cycle, s, allowed_bits, budget):
-            known.append(set.__contains__(requests[-1].failed, frozenset(s)))
-            return relink(cycle, s, allowed_bits, budget)
-
+        monkeypatch.setattr(rewire, "_proposals", recorded)
         monkeypatch.setattr(rewire, "_relink", counted)
         repeats = 0
         for seed in range(24):
-            n = rng.randint(20, 40)
-            g, cover = gen_planted(n, rng.uniform(0.2, 0.5), seed)
+            n = rng.randint(10, 16)
+            g, cover = gen_planted(n, rng.uniform(0.1, 0.3), seed)
             start = rng.randrange(n)
-            arc = {cover.cycles[0][(start + i) % n] for i in range(8)}
-            bad = frozenset(range(n)) - arc
-            runs = []
-            for skip in (True, False):
-                req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), bad)
-                if not skip:
-                    object.__setattr__(req, "failed", Forgetful())
-                requests.append(req)
-                known.clear()
-                ours = random.Random(seed)
-                got = [_result_key(second_hamilton_cycle(req, ours, DESK)) for _ in range(8)]
-                runs.append((got, ours.getstate(), list(known)))
-            (got, state, skipping), (plain_got, plain_state, plain) = runs
-            assert got == plain_got and state == plain_state
-            assert not any(skipping)
-            repeats += sum(plain)
+            rest = [cover.cycles[0][(start + i) % n] for i in range(8, n)]
+            req = RewireRequest(g, cover, cycle_edges_at(cover, rest))
+            assert len(req.blocked) == n - 8
+            ours = random.Random(seed)
+            for _ in range(8):
+                proposed.clear()
+                relinked.clear()
+                second_hamilton_cycle(req, ours, DESK)
+                assert relinked == list(dict.fromkeys(proposed))
+                repeats += len(proposed) - len(relinked)
         assert repeats > 50, repeats
 
     def test_seed_rotation_matches_every_edge_seeded(self, rng):
@@ -703,8 +591,8 @@ class TestRequestReuse:
         for seed in range(30):
             n = rng.randint(8, 40)
             g, cover = gen_planted(n, rng.uniform(0.2, 0.7), seed)
-            blocked = frozenset(rng.sample(range(n), rng.randint(0, 3)))
-            req = RewireRequest(g, cover, frozenset(), rows_of(g.n, g.edge_set()), blocked)
+            protected = frozenset(rng.sample(sorted(cover.edge_set()), rng.randint(0, 2)))
+            req = RewireRequest(g, cover, protected)
             clear = set(req.clear)
             nbrs = cover.cycle_neighbors
 
@@ -732,39 +620,24 @@ class TestRequestFacts:
     def _random_request(rng, seed):
         n = rng.randint(5, 40)
         g, cover = gen_planted(n, rng.uniform(0.1, 0.7), seed)
-        pairs = list(combinations(range(n), 2))
-        # graph edges, non-edges of g and cycle edges, in either orientation
-        desirable = {e for e in pairs if rng.random() < rng.choice((0.1, 0.5, 0.9))}
         if seed % 6 == 0:
-            # nothing usable: only non-edges, plus the cycle edges below
-            desirable = {e for e in desirable if not g.has_edge(*e)}
-        desirable |= set(rng.sample(sorted(cover.edge_set()), rng.randint(0, n)))
-        desirable = frozenset((v, u) if rng.random() < 0.5 else (u, v) for u, v in desirable)
-        edges = sorted(cover.edge_set())
-        protected = frozenset(rng.sample(edges, rng.randint(0, 2)))
-        bad = frozenset(rng.sample(range(n), rng.randint(0, 3)))
-        return g, cover, desirable, RewireRequest(g, cover, protected, rows_of(n, desirable), bad)
+            # nothing usable: the host is the cycle alone
+            g = Graph(n, cover.edge_set())
+        protected = frozenset(rng.sample(sorted(cover.edge_set()), rng.randint(0, 2)))
+        return g, cover, RewireRequest(g, cover, protected)
 
     def test_facts_match_set_definitions(self, rng):
         seen = {"undominable": 0, "dominable": 0, "no usable": 0}
         for seed in range(60):
-            g, cover, desirable, req = self._random_request(rng, seed)
+            g, cover, req = self._random_request(rng, seed)
             n = g.n
             cyc = cover.edge_set()
-            desirable = {edge_key(u, v) for u, v in desirable if g.has_edge(u, v)}
-            allowed = [0] * n
-            for u, v in desirable | cyc:
-                allowed[u] |= 1 << v
-                allowed[v] |= 1 << u
-            assert req.allowed_bits == allowed
-            off = [0] * n
-            for u, v in desirable - cyc:
-                off[u] |= 1 << v
-                off[v] |= 1 << u
-            assert req.off_cycle_bits == off
-            usable = sorted(desirable - cyc)
+            usable = sorted(g.edge_set() - cyc)
+            assert req.off_cycle_bits == list(rows_of(n, usable))
+            assert req.cycle_bits == list(rows_of(n, cyc))
             assert list(req.usable_edges()) == usable
             assert req.usable_count == len(usable)
+            assert req.blocked == {v for e in req.protected for v in e}
             clear = set(req.clear)
 
             def seed_pair(edge):
@@ -783,9 +656,7 @@ class TestRequestFacts:
             )
             targets = [v for v in range(n) if v not in req.blocked]
             undominable = any(
-                not any(
-                    edge_key(t, c) in desirable and edge_key(t, c) not in cyc for c in clear
-                )
+                not any(g.has_edge(t, c) and edge_key(t, c) not in cyc for c in clear)
                 for t in targets
             )
             assert req.undominable == undominable
@@ -793,36 +664,28 @@ class TestRequestFacts:
             seen["no usable"] += not usable
         assert min(seen.values()) >= 3, seen
 
-    def test_idle_requests_draw_nothing_and_find_nothing(self, monkeypatch, rng):
-        """A call on an idle request returns None and leaves the random
-        stream as it was, and so does the next call; at most
-        ``EXHAUSTIVE_CUTOFF`` vertices a request runs the exhaustive search
-        at most once.  Every other request has all but a few vertices bad,
-        as enrich's requests have them, so that few are clear."""
-        searches = [0]
-        search = rewire._hamilton_cycles
-
-        def counted(*args):
-            searches[0] += 1
-            return search(*args)
-
-        monkeypatch.setattr(rewire, "_hamilton_cycles", counted)
-        seen = {"no usable": 0, "idle, usable": 0, "busy": 0}
+    def test_requests_without_proposals_draw_nothing(self, rng):
+        """A call whose sampler cannot draw (no clear vertex, or an
+        undominable target) and that has no seed pair returns None and
+        leaves the random stream as it was, call after call.  Every other
+        request protects the cycle edges of all but an arc of at most 6
+        vertices, so that few are clear."""
+        seen = {"no usable": 0, "quiet, usable": 0, "busy": 0}
         for seed in range(80):
-            g, cover, _, req = self._random_request(rng, seed)
+            g, cover, req = self._random_request(rng, seed)
             if seed % 2:
-                bad = frozenset(rng.sample(range(g.n), g.n - rng.randint(1, min(6, g.n))))
-                req = RewireRequest(g, cover, frozenset(), req.desirable, bad)
-            searches[0] = 0
+                start, arc = rng.randrange(g.n), rng.randint(1, min(6, g.n - 2))
+                rest = [cover.cycles[0][(start + i) % g.n] for i in range(arc, g.n)]
+                req = RewireRequest(g, cover, cycle_edges_at(cover, rest))
+            quiet = (not req.clear or req.undominable) and not req.seed_rotation
             ours = random.Random(seed)
             for call in range(3):
                 state = ours.getstate()
                 got = second_hamilton_cycle(req, ours, DESK)
-                if req.idle:
+                if quiet:
                     assert got is None and ours.getstate() == state, (seed, call)
-            assert searches[0] <= (g.n <= rewire.EXHAUSTIVE_CUTOFF)
-            if req.idle:
-                seen["idle, usable" if req.usable_count else "no usable"] += 1
+            if quiet:
+                seen["quiet, usable" if req.usable_count else "no usable"] += 1
             else:
                 seen["busy"] += 1
         assert min(seen.values()) >= 5, seen
