@@ -7,7 +7,6 @@ and splitting again until one reaches k.  Generators, verifiers, and
 exhaustive small-n oracles round out the toolbox.
 """
 
-from .embedding import partition_vertices, verify_partition
 from .graphs import (
     CoverError,
     CycleCover,
@@ -77,12 +76,10 @@ __all__ = [
     "oracle_component_counts",
     "oracle_exists_k_factor",
     "parse_params",
-    "partition_vertices",
     "sample_switch_set",
     "second_hamilton_cycle",
     "solve",
     "split_to_k",
     "unmerge",
     "validate_cover",
-    "verify_partition",
 ]

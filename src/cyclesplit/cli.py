@@ -224,7 +224,6 @@ def cmd_bench(args) -> int:
                     "seed": seed,
                     "success": int(st.success),
                     "switches": len(st.switch_log),
-                    "h_edges_initial": st.h_edges_initial,
                     "thomassen_calls": st.thomassen_calls,
                     "wall_time": f"{elapsed:.4f}",
                 }

@@ -402,9 +402,8 @@ def validate_cover(
     Raises :class:`CoverError` on: missing vertex, repeated vertex, a cover
     edge absent from ``g``, or a cycle shorter than 3.  A cover made by
     ``CycleCover._from_canonical`` (every splice result) was never checked,
-    so its cycle lengths are checked here too: each at least 3, all summing
-    to n.  A repeated vertex is caught only where the constructor checks the
-    partition.
+    so its partition is checked here too: each cycle at least 3 long, all
+    lengths summing to n, and n distinct vertices among them.
     """
     if not isinstance(cover, CycleCover):
         cover = CycleCover(cover, g.n)
@@ -422,6 +421,10 @@ def validate_cover(
                 raise CoverError(f"cover edge {edge_key(u, v)} absent from graph")
     if count != g.n:
         raise CoverError(f"cover cycles hold {count} vertices, graph has {g.n}")
+    locator = cover._locator  # once built, one key per distinct vertex
+    distinct = len(set().union(*cover.cycles)) if locator is None else len(locator)
+    if distinct != count:
+        raise CoverError(f"repeated vertex: cover cycles hold {count} vertices, {distinct} distinct")
     return cover.num_components
 
 

@@ -156,10 +156,6 @@ class RunStats:
     strict: bool = False
     used_enrichment: bool = False
     switch_log: list = field(default_factory=list)
-    # implanted C4's of the input cover, counted only when the merge ->
-    # walk -> unmerge fallback runs (used_enrichment); None after a direct
-    # split succeeds, since nothing on that path reads it
-    h_edges_initial: Optional[int] = None
     # rewire calls of the walk that did not raise
     thomassen_calls: int = 0
     merge_bridges: int = 0
@@ -215,16 +211,17 @@ def _merge_walk_unmerge(
     rewire of the current cycle with every augmented edge desirable.  The
     walk stops on a success, after ``params.enrich_rounds`` rounds, or after
     ``WALK_PATIENCE`` rounds in a row that land no cycle or do not beat the
-    best ``stopped_at``.  Returns the success, else the best failed split;
-    in strict mode a walk that split nothing splits the input cover.
+    best ``stopped_at``.  It takes no round when the merged cycle already
+    hosts ``params.h_edge_target`` implanted C4's; the walk record keeps
+    that count as ``h_edges``.  Returns the success, else the best failed
+    split; in strict mode a walk that split nothing splits the input cover.
     """
     stats.used_enrichment = True
     augmented, merged, rec = merge_cover(g, cover)
     stats.merge_bridges = len(rec.e_plus)
     protected = protected_for_merge(merged, rec)
-    # a no-op merge passes the cover on, with the count solve has just taken
-    h = count_h_edges(augmented, merged) if rec.e_plus else stats.h_edges_initial
-    record = {"stage": "walk", "reason": "target met", "rounds": 0, "landed": 0}
+    h = count_h_edges(augmented, merged)
+    record = {"stage": "walk", "reason": "target met", "rounds": 0, "landed": 0, "h_edges": h}
     best_at = best.diagnostics["stopped_at"] if best else None
     if h < params.h_edge_target:
         tiny = g.n <= EXHAUSTIVE_CUTOFF
@@ -322,7 +319,6 @@ def solve(
         if outcome.cover is None:
             stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
     if outcome is None or outcome.cover is None:
-        stats.h_edges_initial = count_h_edges(g, cover)
         outcome = _merge_walk_unmerge(g, cover, k, params, rng, stats, outcome)
         if outcome.cover is None:
             stats.diagnostics.append({"final_split": outcome.diagnostics})

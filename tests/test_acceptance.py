@@ -9,8 +9,7 @@ import time
 
 import pytest
 
-from cyclesplit.embedding import partition_vertices, verify_partition
-from cyclesplit.graphs import Graph, Params, dump_cover, validate_cover
+from cyclesplit.graphs import Params, dump_cover, validate_cover
 from cyclesplit.instances import (
     count_implanted_bruteforce,
     gen_planted,
@@ -281,32 +280,6 @@ def test_criterion_08_pattern_finders():
     elapsed = time.monotonic() - t0
     assert elapsed < 5
     _report(8, elapsed, 5, "1000 random inputs, all three finders match brute force")
-
-
-# -- criterion 9: partition invariant -----------------------------------------
-
-
-def test_criterion_09_partition_invariant():
-    from itertools import combinations
-
-    t0 = time.monotonic()
-    rng = random.Random(909)
-    g = Graph(200, [e for e in combinations(range(200), 2) if rng.random() < 0.5])
-    part = partition_vertices(g, 30, random.Random(1))
-    assert verify_partition(g, part, 30)
-    for block in part.parts:
-        for u, v in combinations(sorted(block), 2):
-            common = g.neighbor_bits(u) & g.neighbor_bits(v)
-            assert common.bit_count() >= 30
-    edges = list(combinations(range(20), 2))
-    edges += [(u + 20, v + 20) for u, v in combinations(range(20), 2)]
-    edges.append((0, 20))
-    g2 = Graph(40, edges)
-    part2 = partition_vertices(g2, 10, random.Random(2))
-    assert part2.s == 2 and verify_partition(g2, part2, 10)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 30
-    _report(9, elapsed, 30, f"G(200,.5) split into {part.s} parts, two-clique into 2; all pairs checked")
 
 
 # -- criterion 10: counterexample family behaviour ----------------------------

@@ -244,6 +244,7 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         header = lines[0].split(",")
         assert "success" in header and "wall_time" in header
+        assert "h_edges_initial" not in header
         assert len(lines) == 1 + 5 * 2
         # stdout summary matches the rows
         printed = capsys.readouterr().out

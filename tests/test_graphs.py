@@ -232,6 +232,22 @@ class TestValidateCover:
         with pytest.raises(CoverError, match=message):
             validate_cover(complete_graph(5), cover)
 
+    @pytest.mark.parametrize("located", [False, True], ids=["unlocated", "located"])
+    @pytest.mark.parametrize(
+        "cycles",
+        [((0, 1, 2), (0, 1, 2)), ((0, 1, 2, 0, 3, 4),)],
+        ids=["across-cycles", "within-a-cycle"],
+    )
+    def test_unchecked_cover_repeating_a_vertex(self, cycles, located):
+        # lengths summing to n hide a repeat when a vertex is left out, and
+        # every edge of these covers is in K6; a locator built beforehand
+        # holds fewer keys than the cycles hold vertices
+        cover = CycleCover._from_canonical(cycles, 6)
+        if located:
+            assert len(cover.locator) < 6
+        with pytest.raises(CoverError, match="repeated vertex: cover cycles hold 6 vertices, [35] distinct"):
+            validate_cover(complete_graph(6), cover)
+
     def test_cover_of_another_vertex_count(self):
         cover = CycleCover([[0, 1, 2], [3, 4, 5]])
         with pytest.raises(CoverError, match="cover spans 6 vertices, graph has 7"):

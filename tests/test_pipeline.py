@@ -375,20 +375,23 @@ class TestSolve:
         st = res.stats
         assert st.n == 9 and st.m == 36 and st.min_degree == 8
         assert st.ell_initial == 1 and st.k_target == 2
-        # a direct success never counts H-edges
-        assert not st.used_enrichment and st.h_edges_initial is None
+        assert not st.used_enrichment
         assert st.seed == 4
         payload = st.to_json(drop_timing=True)
         assert "wall_time" not in payload and '"success": true' in payload
+        # the input cover's H-edges are not counted, so no field holds them
+        assert "h_edges_initial" not in payload
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_h_edges_initial_counted_when_fallback_runs(self, strict):
-        # the direct split stalls on this cover, so both modes enrich
+        # the direct split stalls on this cover, so both modes walk, and the
+        # walk record keeps the merged cycle's count its target check read
         g, cover = gen_planted(10, 0.3, 33)
         params = Params(seed=33, enrich_rounds=4, thomassen_degree_floor=1)
         res = solve(g, cover, 3, params, random.Random(33), strict=strict)
         assert res.stats.used_enrichment
-        assert res.stats.h_edges_initial == count_h_edges(g, cover) > 0
+        augmented, merged, _ = merge_cover(g, cover)
+        assert _walk_record(res)["h_edges"] == count_h_edges(augmented, merged) > 0
 
     def test_direct_success_skips_count_h_edges(self, monkeypatch):
         calls = [0]
@@ -407,7 +410,7 @@ class TestSolve:
 
     def test_single_cycle_fallback_counts_the_cover_once(self, monkeypatch):
         # a Hamilton cover past the stall: the merge is a no-op, so the
-        # walk's target check reads the count solve has just taken
+        # walk's target check counts the input cover, once
         calls = [0]
 
         def counted(*args, count=count_h_edges):
@@ -436,9 +439,10 @@ class TestSolve:
     def test_h_edges_counted_on_the_input_and_the_merged_cycle(
         self, monkeypatch, target, walked
     ):
-        # target 1 is met at once, so the walk takes no round and the input
-        # cover is split; out of reach, the walk lands rewires and splits the
-        # restored covers, none of which is counted
+        # only the merged cycle is counted, never the input cover: target 1
+        # is met at once, so the walk takes no round and the input cover is
+        # split; out of reach, the walk lands rewires and splits the restored
+        # covers, none of which is counted
         counted_covers = []
 
         def counted(g, cover, count=pipeline.count_h_edges):
@@ -449,12 +453,12 @@ class TestSolve:
         g, cover = planted_cover(60, 0.15, 3, ell=4)
         params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=target)
         res = solve(g, cover, 6, params, random.Random(3), strict=True)
-        assert res.stats.merge_bridges == 6 and res.stats.h_edges_initial > 0
+        assert res.stats.merge_bridges == 6
         assert (res.stats.thomassen_calls > 0) == walked
-        assert [c.num_components for c in counted_covers] == [4, 1]
-        assert counted_covers[0] == cover
+        assert [c.num_components for c in counted_covers] == [1]
         walk = _walk_record(res)
         assert (walk["landed"] > 0) == walked
+        assert walk["h_edges"] > 0
 
     def test_strict_mode_runs_pipeline(self):
         g, cover = gen_planted(24, 0.5, 5)
@@ -597,6 +601,7 @@ class TestWalk:
             "reason": "no cycle",
             "rounds": 1,
             "landed": 0,
+            "h_edges": 0,
             "best_stopped_at": None,
         }
         assert len(calls) == 1 and calls[0][1] is cover
@@ -614,6 +619,7 @@ class TestWalk:
             "reason": "target met",
             "rounds": 0,
             "landed": 0,
+            "h_edges": h,
             "best_stopped_at": None,
         }
         assert unmerged == [] and res.stats.thomassen_calls == 0

@@ -28,10 +28,12 @@ def test_every_traced_target_exists(monkeypatch):
     solve = pipeline.solve
     tracer = _load_tracer(monkeypatch).Tracer()
     try:
-        # the enrichment ledger's helper graphs and loop are gone from the
-        # package; the tracer still lists them until the benchmark's targets
-        # are brought up to date (ROADMAP item 1), and nothing else is absent
+        # the partition and the enrichment ledger's helper graphs and loop
+        # are gone from the package; the tracer still lists them until the
+        # benchmark's targets are brought up to date (ROADMAP item 1), and
+        # nothing else is absent
         assert tracer.install() == [
+            "embedding.partition_vertices",
             "embedding.cover_graph",
             "embedding.close_graph",
             "embedding.enrich",
