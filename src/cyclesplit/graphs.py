@@ -1,14 +1,18 @@
 """Immutable simple graphs, cycle covers (2-factors), and tuning knobs.
 
 Vertices are dense integers ``0..n-1`` so cycle positions can be used for
-modular arithmetic.  A graph holds its two row forms, sorted tuples (public)
-and integer bitsets (hot loops), and derives everything else on each call.
+modular arithmetic.  A graph holds its two row forms, ascending neighbour
+rows as ``array('I')`` (public, 4 bytes an entry, every one made by
+``_row``) and integer bitsets (hot loops), and derives everything else on
+each call.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
 
@@ -33,7 +37,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``, held as its
-    two sorted row forms alone: it derives everything else on each call, and
+    two row forms alone: it derives everything else on each call, and
     equality and hashing read the bitset rows."""
 
     __slots__ = ("n", "_adj", "_bits", "_m", "_min_degree")
@@ -41,35 +45,41 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
-        m = 0
+        # bit v of row u's ``stride`` bytes is set once u-v is read: n^2/8
+        # bytes, which become the bitsets
+        stride = (n + 7) >> 3
+        matrix = bytearray(n * stride)
+        rows = [_row() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
-            if v in adj[u]:
+            at = u * stride + (v >> 3)
+            if matrix[at] >> (v & 7) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
-        self._set_rows(n, m, *_rows_and_bits(n, adj))
+            matrix[at] |= 1 << (v & 7)
+            matrix[v * stride + (u >> 3)] |= 1 << (u & 7)
+            rows[u].append(v)
+            rows[v].append(u)
+        bits = tuple(
+            int.from_bytes(matrix[u * stride : (u + 1) * stride], "little") for u in range(n)
+        )
+        self._set_rows(n, tuple(_row(sorted(r)) for r in rows), bits)
 
     @classmethod
-    def _from_rows(
-        cls, n: int, m: int, adj: tuple[tuple[int, ...], ...], bits: tuple[int, ...]
-    ) -> "Graph":
-        """Graph from already valid rows: ``adj[v]`` is v's sorted neighbour
-        tuple, ``bits[v]`` the same set as a bitset and ``m`` the edge count.
-        Nothing is checked, so a caller that builds rows owns their validity."""
+    def _from_rows(cls, n: int, adj: tuple[array, ...], bits: tuple[int, ...]) -> "Graph":
+        """Graph from already valid rows: ``adj[v]`` is v's ascending row made
+        by ``_row``, ``bits[v]`` the same set as a bitset.  Nothing is
+        checked, so a caller that builds rows owns their validity."""
         g = cls.__new__(cls)
-        g._set_rows(n, m, adj, bits)
+        g._set_rows(n, adj, bits)
         return g
 
-    def _set_rows(self, n, m, adj, bits) -> None:
+    def _set_rows(self, n, adj, bits) -> None:
         # the one place that sets the slots; O(n), nothing per edge
         self.n = n
-        self._m = m
+        self._m = sum(map(len, adj)) // 2
         self._adj = adj
         self._bits = bits
         self._min_degree = min(map(len, adj), default=0)
@@ -80,7 +90,8 @@ class Graph:
     def m(self) -> int:
         return self._m
 
-    def adjacency(self, v: int) -> tuple[int, ...]:
+    def adjacency(self, v: int) -> array:
+        """v's neighbours, ascending; the graph's own row, so read-only."""
         return self._adj[v]
 
     def neighbor_bits(self, v: int) -> int:
@@ -112,7 +123,6 @@ class Graph:
         or an out-of-range vertex raises the constructor's error.
         """
         n = self.n
-        m = self._m
         bits = list(self._bits)
         gained: dict[int, list[int]] = {}
         for u, v in extra:
@@ -125,11 +135,10 @@ class Graph:
                 bits[v] |= 1 << u
                 gained.setdefault(u, []).append(v)
                 gained.setdefault(v, []).append(u)
-                m += 1
         adj = list(self._adj)
         for v, new in gained.items():
-            adj[v] = tuple(sorted(adj[v] + tuple(new)))
-        return Graph._from_rows(n, m, tuple(adj), tuple(bits))
+            adj[v] = _row(sorted(chain(adj[v], new)))
+        return Graph._from_rows(n, tuple(adj), tuple(bits))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._bits == other._bits
@@ -139,6 +148,32 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self._m})"
+
+
+def _row(vertices: Iterable[int] = ()) -> array:
+    """A graph row: ``vertices``, which the caller gives in ascending order,
+    as C unsigned ints (4 bytes each).  Every row a graph holds is made here,
+    exactly sized when ``vertices`` is a list, a tuple or a row."""
+    return array("I", vertices)
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _row_bits(lower: Iterable[int], start: int, upper: bytes) -> int:
+    """The bitset of ``lower``, vertices below ``start``, and of each vertex
+    ``start + j`` with ``upper[j] == 1`` (every byte of ``upper`` 0 or 1).
+
+    It writes one binary digit per vertex and parses them at once, so a row
+    costs time linear in its ``start + len(upper)`` vertices and needs no
+    table; a sum of single-bit ints would copy the bitset per neighbour.
+    """
+    digits = bytearray(b"0") * start
+    for v in lower:
+        digits[v] = 49  # b"1"
+    digits += upper.translate(_ASCII_BITS)
+    digits.reverse()  # the highest vertex first
+    return int(digits, 2)
 
 
 # -- file formats ---------------------------------------------------------
@@ -166,46 +201,46 @@ def _read_header(lines: list[str]) -> tuple[int, int]:
 def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
     """Parse the edge-list format, reporting errors with line numbers.
 
-    A header n above ``max_n`` is refused before anything is allocated.
+    A header n above ``max_n`` is refused before anything is allocated.  The
+    edges go to the constructor as they are read, so no edge list is held;
+    its duplicate check is reported at the line just read.
     """
     lines = text.splitlines()
     n, m = _read_header(lines)
     if max_n is not None and n > max_n:
         raise GraphFormatError(f"n = {n} exceeds the {max_n} vertices allowed here", 1)
-    edges = []
-    seen = set()
     lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError("edge line must be 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("edge endpoints must be integers", lineno) from None
-        if u == v:
-            raise GraphFormatError(f"loop at vertex {u}", lineno)
-        if not (0 <= u < v < n):
-            raise GraphFormatError(
-                f"edge ({u}, {v}) violates 0 <= u < v < n = {n}", lineno
-            )
-        if (u, v) in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
-    if len(edges) != m:
-        raise GraphFormatError(
-            f"header announced {m} edges but file has {len(edges)}", lineno
-        )
-    # the line checks above are the constructor's and more: build the rows
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph._from_rows(n, m, *_rows_and_bits(n, adj))
+
+    def edges():
+        nonlocal lineno
+        for raw in lines[1:]:
+            lineno += 1
+            if not raw.strip():
+                continue
+            parts = raw.split()
+            if len(parts) != 2:
+                raise GraphFormatError("edge line must be 'u v'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("edge endpoints must be integers", lineno) from None
+            if u == v:
+                raise GraphFormatError(f"loop at vertex {u}", lineno)
+            if not (0 <= u < v < n):
+                raise GraphFormatError(
+                    f"edge ({u}, {v}) violates 0 <= u < v < n = {n}", lineno
+                )
+            yield u, v
+
+    try:
+        g = Graph(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:  # the lines above leave only a duplicate edge
+        raise GraphFormatError(str(exc), lineno) from None
+    if g.m != m:
+        raise GraphFormatError(f"header announced {m} edges but file has {g.m}", lineno)
+    return g
 
 
 def dump_graph(g: Graph) -> str:
@@ -426,13 +461,6 @@ def validate_cover(
     if distinct != count:
         raise CoverError(f"repeated vertex: cover cycles hold {count} vertices, {distinct} distinct")
     return cover.num_components
-
-
-def _rows_and_bits(n: int, adj: Sequence[Iterable[int]]):
-    """Sorted neighbour tuples and their bitsets, from unordered rows."""
-    rows = tuple(tuple(sorted(r)) for r in adj)
-    pow2 = [1 << v for v in range(n)]
-    return rows, tuple(sum(map(pow2.__getitem__, r)) for r in rows)
 
 
 def _iter_bits(mask: int):

@@ -6,13 +6,17 @@ the golden digests and the CI pins rest on: ``Random(seed).shuffle`` gives
 the Hamilton cycle, then one ``random()`` per non-cycle pair (u, v), u < v,
 in lexicographic order decides that edge.  The generator reads those draws
 in bulk, one ``getrandbits`` call of two words per draw for each row, and
-builds its graph from rows; at n = 4000, p = 20/n a graph takes about 0.4 s
-(Python 3.11, one core of a Xeon server), where the per-draw loop took
-1.1 s.  The implant-free model does too, with a Hamilton cycle that
-hosts no implanted C4, so only the fallback walk can start a split.  The two
-counterexample families are the ones with explicit recipes: disjoint
-triangles feeding a complete bipartite block (no 2-factor has fewer
-cycles), and two cliques joined by a matching of size two.
+finishes each row as it reaches it: the neighbours below u came from
+earlier rows, and those above u, with that half of the bitset, from the
+row's draws.  On a shared 2-CPU host (Python 3.11) a graph takes about
+0.45 s at n = 4000, p = 20/n, and 8.4 s in 122 MB peak RSS at n = 16000,
+p = n^-0.3 (7.0 million edges), where rows of int tuples and a
+power-of-two table took 27 s and 510 MB.  The implant-free model builds
+its graph from rows too, with a Hamilton cycle that hosts no implanted C4,
+so only the fallback walk can start a split.  The two counterexample
+families are the ones with explicit recipes: disjoint triangles feeding a
+complete bipartite block (no 2-factor has fewer cycles), and two cliques
+joined by a matching of size two.
 
 The oracle enumerates 2-regular spanning subgraphs exactly, so it is capped
 at 14 vertices.  It finds every cycle mask with word-parallel path
@@ -32,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .graphs import CycleCover, Graph, _iter_bits, _rows_and_bits, edge_key
+from .graphs import CycleCover, Graph, _iter_bits, _row, _row_bits, edge_key
 
 ORACLE_CAP = 14  # a call takes at most about 0.15 s here (K14)
 BRUTE_CAP = 12
@@ -83,21 +87,24 @@ def gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCover]:
     threshold = math.ceil(p * 2.0**53)
     top = threshold >> 45
     table = bytes(1 if t < top else 2 if t == top else 0 for t in range(256))
-    rows = [[] for _ in range(n)]
-    m = 0
+    rows = [_row() for _ in range(n)]  # rows[v]: v's neighbours found so far
+    bits = []
     for u in range(n):
-        forward = _row_hits(rng, u, n, sorted(above[u]), threshold, table)
+        mask = _row_hits(rng, u, n, sorted(above[u]), threshold, table)
+        forward = list(compress(range(u + 1, n), mask))
         for v in forward:
             rows[v].append(u)
-        rows[u] += forward
-        m += len(forward)
-    return Graph._from_rows(n, m, *_rows_and_bits(n, rows)), CycleCover([perm])
+        # row u's neighbours below u all came before it, ascending
+        bits.append(_row_bits(rows[u], u + 1, mask))
+        rows[u] = rows[u] + _row(forward)
+    return Graph._from_rows(n, tuple(rows), tuple(bits)), CycleCover([perm])
 
 
 def _row_hits(
     rng: random.Random, u: int, n: int, cycle: list[int], threshold: int, table: bytes
-) -> list[int]:
-    """Row u's neighbours above u: the cycle ones plus the pairs whose draw hits.
+) -> bytearray:
+    """Row u's neighbours above u as a mask: byte j is 1 exactly when u + 1 + j
+    is a cycle neighbour or a pair whose draw hits.
 
     c draws of ``random()`` read 2c Mersenne Twister words, a then b, and
     return ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so a draw is below p
@@ -119,7 +126,7 @@ def _row_hits(
         j = mask.find(2, j + 1)
     for v in cycle:  # ascending, so each lands at its offset in u+1..n-1
         mask.insert(v - u - 1, 1)
-    return list(compress(range(u + 1, n), mask))
+    return mask
 
 
 def gen_implant_free(n: int, seed: int) -> tuple[Graph, CycleCover]:
@@ -143,9 +150,8 @@ def gen_implant_free(n: int, seed: int) -> tuple[Graph, CycleCover]:
             chord[u] |= 1 << v
             chord[v] |= 1 << u
     bits = tuple(c | 1 << (u - 1) % n | 1 << (u + 1) % n for u, c in enumerate(chord))
-    adj = tuple(tuple(_iter_bits(b)) for b in bits)
-    m = sum(map(len, adj)) // 2
-    return Graph._from_rows(n, m, adj, bits), CycleCover([list(range(n))])
+    adj = tuple(_row(list(_iter_bits(b))) for b in bits)
+    return Graph._from_rows(n, adj, bits), CycleCover([list(range(n))])
 
 
 def gen_cliques_matching(q: int, seed: int, allow_even: bool = False) -> Graph:

@@ -51,16 +51,14 @@ class MergeRecord:
     ell: int
 
 
-def _pick_merge_edge(g: Graph, cycle: tuple[int, ...], exclude: Optional[int]) -> int:
-    """Position of the cycle edge whose endpoints have maximum degree sum,
-    the smallest edge key first among ties; ``exclude`` is a position."""
-    L = len(cycle)
-    scored = []
-    for pos in range(L):
-        if pos != exclude:
-            u, v = cycle[pos], cycle[(pos + 1) % L]
-            scored.append((-(g.degree(u) + g.degree(v)), edge_key(u, v), pos))
-    return min(scored)[2]
+def _merge_positions(g: Graph, cycle: tuple[int, ...]) -> list[int]:
+    """Positions of the two cycle edges whose endpoints have the largest
+    degree sums, best first, the smallest edge key first among ties."""
+    scored = [
+        (-(g.degree(u) + g.degree(v)), edge_key(u, v), pos)
+        for pos, (u, v) in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
+    ]
+    return [pos for _, _, pos in sorted(scored)[:2]]
 
 
 def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRecord]:
@@ -69,17 +67,20 @@ def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRe
     Cycle i is joined to cycle i + 1 by the aligned cross-cycle switch on
     its outgoing edge z -> w and the next cycle's incoming edge x -> y
     (bridges zx and wy), and all ell - 1 switches go through the splice
-    ``_toggle`` as one batch.  A single-cycle cover passes through untouched.
+    ``_toggle`` as one batch.  A cycle's incoming edge is its best by degree
+    sum and its outgoing edge the best other one, so each cycle is scored
+    once.  A single-cycle cover passes through untouched.
     """
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
         return g, cover, MergeRecord((), (), frozenset(), 1)
     switches, e_minus, e_plus = [], [], []
-    incoming = None  # position of the edge the chain removed from cycle i
+    best = [_merge_positions(g, cyc) for cyc in cover.cycles]
     for i in range(ell - 1):
-        outgoing = _pick_merge_edge(g, cover.cycles[i], incoming)
-        incoming = _pick_merge_edge(g, cover.cycles[i + 1], None)
+        # cycle 0 has no incoming edge, so it gives up its best one
+        outgoing = best[i][1 if i else 0]
+        incoming = best[i + 1][0]
         switches.append(_make_c4(cover, (i, outgoing), (i + 1, incoming), aligned=True))
         z, w = cover.cycle_edge(i, outgoing)
         x, y = cover.cycle_edge(i + 1, incoming)

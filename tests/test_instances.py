@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -118,7 +120,8 @@ def _reference_gen_planted(n: int, p: float, seed: int) -> tuple[Graph, CycleCov
 
 
 def _slots(g: Graph) -> tuple:
-    return (g.n, g._adj, g._bits, g.m, g.min_degree())
+    """The stored slots, each row read as a tuple of ints."""
+    return (g.n, tuple(map(tuple, g._adj)), g._bits, g.m, g.min_degree())
 
 
 def _reference_slots(n: int, edges) -> tuple:
@@ -193,6 +196,53 @@ class TestConstructorsAgree:
         for n in (4, 9, 64):
             g, _ = gen_implant_free(n, n)
             assert _slots(g) == _reference_slots(n, g.edges())
+
+
+class TestRowFormat:
+    """Every constructor stores ascending ``array('I')`` rows, 4 bytes an
+    entry, beside n^2/8 bytes of bitsets."""
+
+    @staticmethod
+    def _assert_rows(g: Graph):
+        for v in range(g.n):
+            row = g.adjacency(v)
+            assert type(row) is array and row.typecode == "I" and row.itemsize == 4
+            assert list(row) == sorted(set(row))
+
+    def test_every_constructor(self):
+        rng = random.Random(5)
+        edges = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.3]
+        rng.shuffle(edges)
+        g = Graph(30, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        made = [
+            Graph(0, []),
+            g,
+            load_graph(dump_graph(g)),
+            g.with_extra_edges([(0, 29), (3, 17)]),
+            gen_planted(40, 0.2, 3)[0],
+            gen_planted(3, 1.0, 0)[0],
+            gen_implant_free(30, 2)[0],
+            gen_cliques_matching(7, 1),
+            gen_triangles_biclique(3, 4, 2)[0],
+        ]
+        for h in made:
+            self._assert_rows(h)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_planted_graph_size(self, seed):
+        gen_planted(50, 0.3, 0)  # one-off allocations happen before tracing
+        n = 1000
+        tracemalloc.start()
+        try:
+            g = gen_planted(n, 0.3, seed)[0]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 4 bytes per row entry and n^2/8 bytes of bits, plus per vertex about
+        # 80 bytes of array header, 35 of int header and digit slack and 16
+        # of tuple slots; tuples of int objects held 40 bytes per entry
+        assert held <= 4 * 2 * g.m + n * n // 8 + 256 * n
+        self._assert_rows(g)
 
 
 class TestGenCliquesMatching:
