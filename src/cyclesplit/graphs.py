@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
+from typing import Iterable, Optional, Sequence, Union
 
 
 class GraphFormatError(ValueError):
@@ -493,10 +493,10 @@ class Params:
     # the fallback walk takes no round once the merged cycle hosts this many
     # implanted C4's (stands for n^(2-eta))
     h_edge_target: int = 50
-    # the least degree the rewire requires outside B': None keeps the paper's
-    # sqrt(n) log^2 n + 3|B'| + 2; an integer d requires degree >= d (the
-    # desk floor 1 holds on every host of a Hamilton cycle)
-    thomassen_degree_floor: Optional[int] = None
+    # the least degree the rewire requires outside B'; the paper's
+    # sqrt(n) log^2 n + 3|B'| + 2 exceeds n^0.8 for every n up to 10^8, so
+    # no reachable host passes it, and 1 holds on every Hamiltonian host
+    thomassen_degree_floor: int = 1
     # rounds of the fallback walk, one Hamilton cycle each (one rewire call
     # above pipeline.EXHAUSTIVE_CUTOFF vertices)
     enrich_rounds: int = 64
@@ -508,7 +508,7 @@ class Params:
                 raise ValueError(f"params.{name} must be positive")
 
 
-_PARAM_TYPES = get_type_hints(Params)
+_PARAM_KEYS = frozenset(f.name for f in fields(Params))
 
 
 def parse_params(text: str) -> Params:
@@ -532,19 +532,10 @@ def _param_values(text: str) -> dict:
             key, val = parts
         key = key.strip()
         val = val.strip()
-        if key not in _PARAM_TYPES:
+        if key not in _PARAM_KEYS:
             raise GraphFormatError(f"unknown params key '{key}'", lineno)
-        values[key] = _parse_param_value(key, val, lineno)
+        try:
+            values[key] = int(val)
+        except ValueError:
+            raise GraphFormatError(f"bad value for '{key}': {val!r}", lineno) from None
     return values
-
-
-def _parse_param_value(key: str, val: str, lineno: int):
-    kind = _PARAM_TYPES[key]
-    if val.lower() in ("none", "null"):
-        if type(None) not in get_args(kind):
-            raise GraphFormatError(f"'{key}' cannot be {val}", lineno)
-        return None
-    try:
-        return int(val)
-    except ValueError:
-        raise GraphFormatError(f"bad value for '{key}': {val!r}", lineno) from None

@@ -441,22 +441,20 @@ def second_hamilton_cycle(
     On success the result also absorbs at least one graph edge off the
     cycle and only touches edges incident to its switch set.  Raises
     ``RewireError`` on a request no call can take (``RewireRequest.fault``)
-    and when a vertex outside B' has degree below the floor:
-    ``params.thomassen_degree_floor``, or sqrt(n) ln^2 n + 3|B'| + 2 when
-    that is None.  None when every proposed switch set fails.
+    and when a vertex outside B' has degree below
+    ``params.thomassen_degree_floor`` (the paper's sqrt(n) ln^2 n + 3|B'| + 2
+    exceeds every reachable host's degrees, so the default is 1).  None when
+    every proposed switch set fails.
     """
     params = params or Params()
     if req.fault is not None:
         raise RewireError(req.fault)
     g = req.graph
-    n = g.n
     blocked = req.blocked
     floor = params.thomassen_degree_floor
-    if floor is None:
-        floor = math.sqrt(n) * math.log(n) ** 2 + 3 * len(blocked) + 2
-    short = next((v for v in range(n) if v not in blocked and g.degree(v) < floor), None)
+    short = next((v for v in range(g.n) if v not in blocked and g.degree(v) < floor), None)
     if short is not None:
-        raise RewireError(f"vertex {short} has desirable degree {g.degree(short)} < {floor:.1f}")
+        raise RewireError(f"vertex {short} has desirable degree {g.degree(short)} < {floor}")
 
     misses = set()  # switch sets this call relinked without finding a cycle
     for s in _proposals(req, rng):

@@ -5,7 +5,8 @@ import pytest
 
 from cyclesplit import cli
 from cyclesplit.cli import main
-from cyclesplit.graphs import load_cover, load_graph, validate_cover
+from cyclesplit.graphs import dump_cover, dump_graph, load_cover, load_graph, validate_cover
+from cyclesplit.instances import gen_implant_free
 
 
 def run(*argv):
@@ -169,14 +170,26 @@ class TestSolve:
         assert capsys.readouterr().err == "error: set the seed with --seed\n"
         assert not stats.exists()
 
-    @pytest.mark.parametrize("key", ["h_edge_target", "seed"])
-    def test_none_for_required_params_key(self, planted_instance, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key", ["h_edge_target", "seed", "thomassen_degree_floor"])
+    def test_bad_params_value(self, planted_instance, tmp_path, capsys, key):
         pfile = tmp_path / "params.txt"
         pfile.write_text(f"enrich_rounds = 2\n{key} = none\n")
         assert run("solve", "--graph", f"{planted_instance}.graph",
                    "--cover", f"{planted_instance}.cover", "--k", "2",
                    "--params", str(pfile)) == 1
-        assert f"line 2: '{key}' cannot be none" in capsys.readouterr().err
+        assert f"line 2: bad value for '{key}': 'none'" in capsys.readouterr().err
+
+    def test_implant_free_host_walks_by_default(self, tmp_path):
+        # the host's Hamilton cycle hosts no implanted C4, so only the walk's
+        # rewire reaches k; the default degree floor lets it run
+        g, cover = gen_implant_free(60, 1)
+        (tmp_path / "f.graph").write_text(dump_graph(g))
+        (tmp_path / "f.cover").write_text(dump_cover(cover))
+        out = tmp_path / "out.cover"
+        assert run("solve", "--graph", str(tmp_path / "f.graph"),
+                   "--cover", str(tmp_path / "f.cover"), "--k", "4",
+                   "--out", str(out)) == 0
+        assert validate_cover(g, load_cover(out.read_text(), g.n)) == 4
 
 
 class TestVerify:

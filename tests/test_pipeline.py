@@ -307,11 +307,13 @@ class TestSolve:
         assert any("opportunistic_split" in d for d in res.stats.diagnostics)
 
     def test_enrich_error_leaves_input_cover(self, split_calls):
-        # above the exhaustive cutoff the default rewire degree check raises
-        # on the walk's first call, so the split runs on the input cover
+        # above the exhaustive cutoff a degree floor no vertex meets makes
+        # the rewire raise on the walk's first call, so the split runs on
+        # the input cover
         g = complete_graph(30)
         cover = CycleCover([list(range(15)), list(range(15, 30))])
-        res = solve(g, cover, 3, Params(h_edge_target=10**6), strict=True)
+        params = Params(h_edge_target=10**6, thomassen_degree_floor=g.n)
+        res = solve(g, cover, 3, params, strict=True)
         walk = _walk_record(res)
         assert walk["reason"] == "error" and walk["detail"].startswith("vertex ")
         assert walk["rounds"] == 1 and walk["landed"] == 0
@@ -516,9 +518,8 @@ class TestSolve:
     @pytest.mark.parametrize("n", [24, 30, 40, 60])
     def test_implant_free_host_needs_the_rewire(self, n):
         """The given Hamilton cycle hosts no implanted C4, so the direct
-        split cannot move; with the desk floor, enrichment rewires the
-        cycle and the split then reaches k.  The outcome under the default
-        Params is left to the benchmark."""
+        split cannot move; with the desk floor (the default), enrichment
+        rewires the cycle and the split then reaches k."""
         for k in (2, 4):
             for seed in range(6):
                 g, cover = gen_implant_free(n, seed)
@@ -529,10 +530,10 @@ class TestSolve:
                 assert res.stats.used_enrichment and res.stats.thomassen_calls >= 1
 
     def test_rewire_precondition_failure(self):
-        # default Params: the rewire degree precondition raises on the first
-        # call, which ends the walk with one record
+        # a degree floor no vertex meets: the rewire degree precondition
+        # raises on the first call, which ends the walk with one record
         g, cover = gen_planted(30, 0.15, 1)
-        res = solve(g, cover, 3, Params(), strict=True)
+        res = solve(g, cover, 3, Params(thomassen_degree_floor=g.n), strict=True)
         assert res.stats.thomassen_calls == 0
         walk = _walk_record(res)
         assert walk["reason"] == "error" and walk["rounds"] == 1

@@ -173,12 +173,14 @@ class TestSecondHamiltonCycle:
         ids=["two-cycles", "wrong-order", "cycle-off-graph", "protected-chord", "all-blocked"],
     )
     def test_malformed_request_rejected(self, graph, cover, protected, message):
-        """Both entry points, under either degree floor, raise the request's
-        one verdict, before they read anything else of it."""
+        """Both entry points, under a floor every vertex meets and one none
+        meets, raise the request's one verdict, before they read anything
+        else of it."""
         req = RewireRequest(graph, cover, protected)
+        unmet = Params(thomassen_degree_floor=graph.n)
         for call in (
             lambda: second_hamilton_cycle(req, random.Random(1), DESK),
-            lambda: second_hamilton_cycle(req, random.Random(1), Params()),
+            lambda: second_hamilton_cycle(req, random.Random(1), unmet),
             lambda: sample_switch_set(req, random.Random(1)),
         ):
             with pytest.raises(RewireError) as raised:
@@ -186,9 +188,12 @@ class TestSecondHamiltonCycle:
             assert str(raised.value) == message
 
     def test_degree_precondition_without_override(self):
+        # the default floor 1 holds on every host of a Hamilton cycle; a
+        # floor of n holds on none
         req = RewireRequest(complete_graph(6), ham_cover(6), frozenset())
-        with pytest.raises(RewireError, match="degree"):
-            second_hamilton_cycle(req, random.Random(1), Params())
+        assert second_hamilton_cycle(req, random.Random(1), Params())
+        with pytest.raises(RewireError, match="vertex 0 has desirable degree 5 < 6"):
+            second_hamilton_cycle(req, random.Random(1), Params(thomassen_degree_floor=6))
 
     def test_integer_floor_is_the_floor(self):
         """An integer ``thomassen_degree_floor`` d requires degree >= d
