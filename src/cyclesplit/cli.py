@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import random
 import sys
 import time
 from pathlib import Path
@@ -140,7 +139,7 @@ def cmd_solve(args) -> int:
         raise ValueError("set the seed with --seed")
     params = Params(**values, seed=args.seed)
     t0 = time.perf_counter()
-    result = solve(g, cover, args.k, params, random.Random(args.seed), strict=args.strict)
+    result = solve(g, cover, args.k, params, strict=args.strict)
     elapsed = time.perf_counter() - t0
     if args.stats:
         Path(args.stats).write_text(result.stats.to_json(drop_timing=True))
@@ -209,7 +208,7 @@ def cmd_bench(args) -> int:
             g, cover = _bench_instance(model, spec, seed)
             params = Params(seed=seed)
             t0 = time.perf_counter()
-            result = solve(g, cover, k, params, random.Random(seed))
+            result = solve(g, cover, k, params)
             elapsed = time.perf_counter() - t0
             st = result.stats
             rows.append(

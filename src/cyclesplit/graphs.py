@@ -250,29 +250,35 @@ def dump_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _oriented(seq: Sequence[int]) -> tuple[int, ...]:
+    """``seq``, a list or a tuple that starts at its least vertex, as a tuple
+    oriented toward the smaller of that vertex's two cycle neighbours.  The
+    one owner of the orientation rule: every canonical cycle passes here."""
+    if seq[-1] < seq[1]:
+        return (seq[0], *seq[:0:-1])
+    return tuple(seq)
+
+
 def _canonical_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
-    """``cyc`` rotated to start at its smallest vertex and oriented toward the
-    smaller of that vertex's two cycle neighbours (a list or a tuple)."""
+    """``cyc`` (a list or a tuple) rotated to its least vertex, then ``_oriented``."""
     i = cyc.index(min(cyc))
-    rot = cyc[i:] + cyc[:i]
-    if rot[-1] < rot[1]:
-        rot = rot[:1] + rot[:0:-1]
-    return tuple(rot)
+    return _oriented(cyc[i:] + cyc[:i])
 
 
 class CycleCover:
     """A 2-factor stored as canonically ordered vertex cycles.
 
-    Canonical form: each cycle is rotated to start at its smallest vertex and
-    oriented toward the smaller of that vertex's two cycle neighbours; cycles
-    are sorted by their starting vertex.  A Hamilton cycle is the 1-cycle case.
-    ``locator`` maps each vertex to its (cycle index, position).  The public
-    constructor builds it while it checks the partition; a cover made by
-    ``_from_canonical`` builds it on first use.  ``prev_next`` holds each
-    vertex's two cycle neighbours, built on first use.
+    Canonical form (``_canonical_cycle``): each cycle is rotated to start at
+    its smallest vertex and oriented toward the smaller of that vertex's two
+    cycle neighbours; cycles are sorted by their starting vertex.  A Hamilton
+    cycle is the 1-cycle case.  ``locator`` maps each vertex to its (cycle
+    index, position).  The public constructor builds it while it checks the
+    partition; a cover made by ``_from_canonical`` builds it on first use.
+    ``prev_next`` holds each vertex's two cycle neighbours, built on first
+    use.  Like a ``Graph``, a cover pins no per-edge structure.
     """
 
-    __slots__ = ("cycles", "n", "_locator", "_prev_next", "_edge_set")
+    __slots__ = ("cycles", "n", "_locator", "_prev_next")
 
     def __init__(self, cycles: Sequence[Sequence[int]], n: Optional[int] = None):
         canon = []
@@ -305,7 +311,6 @@ class CycleCover:
         self._locator = locator
         self.n = n
         self._prev_next = None
-        self._edge_set = None
 
     @classmethod
     def _from_canonical(cls, cycles: tuple[tuple[int, ...], ...], n: int) -> "CycleCover":
@@ -318,7 +323,6 @@ class CycleCover:
         self.n = n
         self._locator = None
         self._prev_next = None
-        self._edge_set = None
         return self
 
     @classmethod
@@ -326,6 +330,8 @@ class CycleCover:
         """Reconstruct cycles from a 2-regular spanning edge set."""
         adj = [[] for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise CoverError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             adj[u].append(v)
             adj[v].append(u)
         for v in range(n):
@@ -391,9 +397,8 @@ class CycleCover:
                 yield edge_key(cyc[pos], cyc[(pos + 1) % L])
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.iter_edges())
-        return self._edge_set
+        """All cover edges as ``(u, v)`` pairs with ``u < v``, a new set on each call."""
+        return frozenset(self.iter_edges())
 
     def cycle_neighbors(self, v: int) -> tuple[int, int]:
         prev, nxt = self.prev_next
@@ -481,12 +486,13 @@ def bits_of(vertices: Iterable[int]) -> int:
 class Params:
     """The knobs a workload sets.
 
-    The asymptotic hierarchy constants have no valid instantiation at sizes a
-    machine can touch, so every threshold is an absolute stand-in, in the
-    hierarchy zeta = eta'/6, eta = 10 eta'.  Those no caller sets are module
-    constants beside their only reader: the split's work budget in
-    ``switching.py``; the walk's patience and tiny-n cutoff in
-    ``pipeline.py``; the sampling probability and the rewire budgets in
+    The paper's asymptotic thresholds have no valid instantiation at sizes a
+    machine can touch, so each is an absolute stand-in: ``h_edge_target``
+    for the n^(2-eta) implanted C4's past which the walk is not needed, and
+    ``thomassen_degree_floor`` for the rewire's degree bound.  Those no
+    caller sets are module constants beside their only reader: the split's
+    work budget in ``switching.py``; the walk's patience and tiny-n cutoff
+    in ``pipeline.py``; the sampling probability and the rewire budgets in
     ``rewire.py``.
     """
 

@@ -16,6 +16,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
@@ -47,7 +48,6 @@ class MergeRecord:
 
     e_minus: tuple[tuple[int, int], ...]
     e_plus: tuple[tuple[int, int], ...]
-    touched: frozenset[int]
     ell: int
 
 
@@ -74,7 +74,7 @@ def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRe
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
-        return g, cover, MergeRecord((), (), frozenset(), 1)
+        return g, cover, MergeRecord((), (), 1)
     switches, e_minus, e_plus = [], [], []
     best = [_merge_positions(g, cyc) for cyc in cover.cycles]
     for i in range(ell - 1):
@@ -89,15 +89,14 @@ def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRe
     merged = _toggle(cover, switches)
     if merged is None or merged.num_components != 1:
         raise AssertionError("merge did not produce a Hamilton cycle")
-    touched = frozenset(v for e in e_minus for v in e)
-    rec = MergeRecord(tuple(e_minus), tuple(e_plus), touched, ell)
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus), ell)
     return g.with_extra_edges(e_plus), merged, rec
 
 
 def protected_for_merge(cycle: CycleCover, rec: MergeRecord) -> frozenset:
-    """All cycle edges incident to the merge-touched vertices (size <= 8(l-1))."""
+    """All cycle edges at an endpoint of a removed merge edge (size <= 8(l-1))."""
     out = set()
-    for v in rec.touched:
+    for v in chain.from_iterable(rec.e_minus):
         a, b = cycle.cycle_neighbors(v)
         out.add(edge_key(v, a))
         out.add(edge_key(v, b))

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .graphs import CycleCover, Graph, Params, _iter_bits, bits_of, edge_key
+from .graphs import CycleCover, Graph, Params, _iter_bits, _oriented, bits_of, edge_key
 
 
 # switch-set draws per sampler call, and desk-scale rounds per rewire call
@@ -55,9 +55,9 @@ class RewireRequest:
     points raise, the blocked set B' (``blocked``), the per-vertex rows
     ``cycle_bits`` and ``off_cycle_bits``, the clear candidates
     (``clear``), the sampler's ``targets`` and its ``undominable`` verdict,
-    ``usable_count`` and the desk-scale phase's seed pairs
-    (``seed_rotation``).  ``usable_edges`` generates the usable edges from
-    the rows in sorted order, so a caller reads only as many as it needs.
+    and the desk-scale phase's seed pairs (``seed_rotation``).
+    ``usable_edges`` generates the usable edges from the rows in sorted
+    order, so a caller reads only as many as it needs.
     """
 
     graph: Graph
@@ -74,9 +74,7 @@ class RewireRequest:
             or any(c & ~row for c, row in zip(self.cycle_bits, self.graph._bits))
         ):
             return "rewiring requires a Hamilton cycle of the host graph"
-        # an empty set needs no check, which would pin an edge set on the
-        # caller's cover
-        if self.protected and not self.protected <= self.cycle.edge_set():
+        if not self.protected <= self.cycle.edge_set():
             return "protected edges must lie on the cycle"
         if len(self.blocked) >= n:
             return "blocked set covers every vertex"
@@ -119,11 +117,6 @@ class RewireRequest:
         cand_bits = bits_of(self.clear)
         return any(not (off_bits[t] & cand_bits) for t in self.targets)
 
-    @cached_property
-    def usable_count(self) -> int:
-        """The number of graph edges off the cycle."""
-        return sum(map(int.bit_count, self.off_cycle_bits)) // 2
-
     def usable_edges(self) -> Iterator[tuple[int, int]]:
         """The graph edges off the cycle, generated in sorted order."""
         for u, row in enumerate(self.off_cycle_bits):
@@ -134,14 +127,13 @@ class RewireRequest:
     def seed_rotation(self) -> tuple[tuple[int, int], ...]:
         """The seed pairs of desk-scale rounds 0 .. SAMPLE_RETRIES - 1, in order.
 
-        Round r tries usable edge r mod ``usable_count``.  The seed pair
-        (a, x) of the edge (u, w) is u itself and a cycle neighbour of w,
-        both clear, distinct and not cycle neighbours of each other, so the
-        relink can route the edge; a round whose edge has no seed pair draws
-        nothing and is left out.  Only the first min(``usable_count``,
-        SAMPLE_RETRIES) edges are read, so only they are generated.
+        Only the first SAMPLE_RETRIES usable edges are generated, and round
+        r tries edge r mod the number generated.  The seed pair (a, x) of
+        the edge (u, w) is u itself and a cycle neighbour of w, both clear,
+        distinct and not cycle neighbours of each other, so the relink can
+        route the edge; a round whose edge has no seed pair draws nothing
+        and is left out.
         """
-        count = self.usable_count
         clear = set(self.clear)
         nbrs = self.cycle.cycle_neighbors
 
@@ -156,8 +148,8 @@ class RewireRequest:
         pairs = [seed(e) for e in islice(self.usable_edges(), SAMPLE_RETRIES)]
         return tuple(
             pair
-            for r in range(SAMPLE_RETRIES if count else 0)
-            if (pair := pairs[r % count]) is not None
+            for r in range(SAMPLE_RETRIES if pairs else 0)
+            if (pair := pairs[r % len(pairs)]) is not None
         )
 
 
@@ -376,10 +368,13 @@ def _hamilton_cycles(
 
     A depth-first search from vertex 0 that extends the path by a forced
     edge where the end vertex has one left, else by each neighbour
-    off the path in increasing order.  It meets each cycle in both
-    orientations and yields it the first time, as its ``CycleCover`` value.
-    The search stops for good after ``budget`` nodes, however many items the
-    caller has read.
+    off the path in increasing order, so the cycles come out sorted by the
+    path that meets them.  When vertex 0 has exactly one forced edge, the
+    search leaves by it and meets each cycle once; otherwise it meets each
+    cycle in both orientations, the canonical one (toward 0's smaller
+    neighbour) first, and yields it only then.  Each comes as its
+    ``CycleCover`` value.  The search stops for good after ``budget`` nodes,
+    however many items the caller has read.
     """
     forced_at = [[] for _ in range(n)]
     for u, v in forced:
@@ -387,7 +382,7 @@ def _hamilton_cycles(
         forced_at[v].append(u)
     if any(len(f) > 2 for f in forced_at):
         return
-    seen = set()  # canonical tuples of the cycles yielded
+    one_way = len(forced_at[0]) == 1  # the search meets each cycle once
     path = [0]
     on_path = 1  # bitmask
     frames = []  # per path vertex, the candidates for the next one
@@ -407,14 +402,11 @@ def _hamilton_cycles(
             # the start's forced edges must be among its two cycle edges
             if (
                 (rows[v] & 1)
+                and (one_way or path[1] < v)
                 and all(w == 0 for w in musts)
                 and all(w == path[1] or w == v for w in forced_at[0])
             ):
-                # the path starts at vertex 0, so it is canonical read one way
-                cyc = tuple(path) if path[1] < v else (0, *path[:0:-1])
-                if cyc not in seen:
-                    seen.add(cyc)
-                    yield CycleCover._from_canonical((cyc,), n)
+                yield CycleCover._from_canonical((_oriented(path),), n)
         elif not musts:
             candidates = _iter_bits(rows[v] & ~on_path)
         elif depth == 1 or len(musts) == 1:
@@ -495,8 +487,9 @@ def _proposals(req: RewireRequest, rng: random.Random) -> Iterator[frozenset[int
 
 
 def _package(req, new_cycle, switch_set):
-    absorbed = new_cycle.edge_set().difference(req.cycle.iter_edges())
-    if not req.protected <= new_cycle.edge_set():
+    edges = new_cycle.edge_set()
+    absorbed = edges.difference(req.cycle.iter_edges())
+    if not req.protected <= edges:
         raise AssertionError("protected edge lost during rewiring")
     if not absorbed:
         raise AssertionError("rewiring produced the original cycle")

@@ -27,6 +27,7 @@ from .graphs import (
     CycleCover,
     Graph,
     _iter_bits,
+    _oriented,
     edge_key,
     validate_cover,
 )
@@ -223,8 +224,7 @@ def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[Cycl
     at the first arc not yet walked, so one that starts at a position-0 arc
     meets only cycles with larger minima: it starts on the new minimum and
     needs no scan.  Only a walk that starts elsewhere scans for its minimum
-    and rotates to it.  Either way the minimum's two neighbours in the walk
-    give the orientation.
+    and rotates to it.  Either way ``graphs._oriented`` orients it.
 
     The batch is degenerate when a cover edge or chord repeats, a chord is a
     cover edge, a vertex gains a number of chords other than the number of
@@ -316,9 +316,7 @@ def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[Cycl
         if first > 0:
             at = seq.index(min(seq))
             seq = seq[at:] + seq[:at]
-        if seq[-1] < seq[1]:  # toward the smaller neighbour of the minimum
-            seq[1:] = seq[:0:-1]
-        new.append(tuple(seq))
+        new.append(_oriented(seq))
     kept = [cyc for ci, cyc in enumerate(cycles) if ci not in cuts]
     return CycleCover._from_canonical(tuple(sorted(kept + new)), cover.n)
 

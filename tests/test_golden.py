@@ -8,7 +8,8 @@ purpose says why and rewrites ``golden_digests.json`` with
 ``PYTHONPATH=src python tests/test_golden.py``.
 
 The corpus reaches split cases 1-4, honest failures, strict walks with
-rewire calls and walks over the enumerated Hamilton cycles of small graphs;
+rewire calls and walks over the enumerated Hamilton cycles of small graphs,
+merged covers with protected edges among them;
 ``test_corpus_reaches_every_path`` keeps it that way.
 """
 
@@ -21,7 +22,7 @@ import pytest
 
 from cyclesplit import rewire
 from cyclesplit.graphs import Params, dump_cover
-from cyclesplit.instances import gen_planted
+from cyclesplit.instances import gen_planted, gen_triangles_biclique
 from cyclesplit.pipeline import solve
 
 from conftest import planted_cover
@@ -49,6 +50,22 @@ def corpus():
         params = Params(seed=idx, enrich_rounds=4, thomassen_degree_floor=1)
         for k in range(1, n // 3 + 1):
             yield f"small-{idx}-k{k}", g, cover, k, params, False
+    # covers of 2-4 cycles at n 9-14: the walk enumerates the Hamilton cycles
+    # of the merged host that keep the protected edges around its bridges,
+    # with 0, 1 or 2 of them at vertex 0
+    merged = (
+        (9, 2, 3, False), (10, 2, 3, True), (12, 3, 4, False), (12, 2, 4, True),
+        (13, 2, 4, False), (13, 3, 4, False), (13, 3, 4, True), (14, 4, 4, True),
+    )
+    for n, ell, k, strict in merged:
+        g, cover = planted_cover(n, 0.5, n + 10 * ell, ell)
+        params = Params(seed=n + 10 * ell, enrich_rounds=4, thomassen_degree_floor=1, h_edge_target=2000)
+        yield f"small-merged-n{n}-l{ell}-k{k}{'-strict' * strict}", g, cover, k, params, strict
+    # the counterexample's 3-cycle cover (n = 14): only a strict solve walks
+    for s in range(2):
+        g, cover = gen_triangles_biclique(3, 4, s)
+        params = Params(seed=s, enrich_rounds=4, thomassen_degree_floor=1, h_edge_target=2000)
+        yield f"small-biclique-s{s}-k4-strict", g, cover, 4, params, True
 
 
 def _digest(res) -> dict:
@@ -110,8 +127,11 @@ def test_corpus_reaches_every_path(golden_run):
     # enumerate, calling no rewire
     assert all(relinked[name] > 0 for name in strict)
     small = [r for name, r in results.items() if name.startswith("small-")]
-    walks = [d for r in small for d in r.stats.diagnostics if d.get("stage") == "walk"]
-    assert any(w["landed"] for w in walks)
+    walks = [(r, d) for r in small for d in r.stats.diagnostics if d.get("stage") == "walk"]
+    assert any(w["landed"] for _, w in walks)
+    # some enumerated walk keeps protected edges around merge bridges and
+    # still lands a cycle
+    assert any(r.stats.merge_bridges > 0 and w["landed"] for r, w in walks)
     assert all(r.stats.thomassen_calls == 0 for r in small)
 
 

@@ -352,6 +352,18 @@ class TestCycleCover:
         with pytest.raises(CoverError, match="degree"):
             CycleCover.from_edge_set(4, [(0, 1), (1, 2), (2, 3)])
 
+    @pytest.mark.parametrize("far", [5, -3])
+    def test_endpoint_outside_range_rejected(self, far):
+        # a negative index would alias a row counted from the end
+        with pytest.raises(CoverError, match=rf"edge \(2, {far}\) has an endpoint outside \[0, 3\)"):
+            CycleCover.from_edge_set(3, [(0, 1), (1, 2), (2, far)])
+
+    def test_edge_set_is_built_on_each_call(self):
+        cover = CycleCover([[0, 1, 2], [3, 4, 5, 6]])
+        first = cover.edge_set()
+        assert first == {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}
+        assert cover.edge_set() is not first
+
 
 def _walked_neighbors(cover):
     """Each vertex's (predecessor, successor) on its cycle tuple."""

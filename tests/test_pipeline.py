@@ -41,6 +41,15 @@ def _walk_record(res) -> dict:
     (walk,) = [d for d in res.stats.diagnostics if d.get("stage") == "walk"]
     return walk
 
+
+def _edge_sets_held(cover: CycleCover) -> list[str]:
+    """The slots of ``cover`` that hold a set (a cover pins no edge set)."""
+    return [
+        name for name in CycleCover.__slots__
+        if isinstance(getattr(cover, name, None), (set, frozenset))
+    ]
+
+
 # -- edge-set references: merge and unmerge as they were before they became
 # switch batches, kept verbatim to pin the splice to the same outputs
 
@@ -69,11 +78,10 @@ def _reference_merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCov
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
-        rec = MergeRecord((), (), frozenset(), 1)
+        rec = MergeRecord((), (), 1)
         return g, cover, rec
     e_minus = []
     e_plus = []
-    touched = set()
     # per cycle: the edge removed when merging into the chain ("outgoing")
     # and the edge removed when the chain absorbs it ("incoming")
     incoming = [None] * ell
@@ -92,7 +100,6 @@ def _reference_merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCov
         bridge_b = edge_key(w, y)
         e_minus.extend([edge_key(*zw), edge_key(*xy)])
         e_plus.extend([bridge_a, bridge_b])
-        touched.update((z, w, x, y))
         edges.discard(edge_key(*zw))
         edges.discard(edge_key(*xy))
         edges.add(bridge_a)
@@ -101,7 +108,7 @@ def _reference_merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCov
     merged = CycleCover.from_edge_set(g.n, edges)
     if merged.num_components != 1:
         raise AssertionError("merge did not produce a Hamilton cycle")
-    rec = MergeRecord(tuple(e_minus), tuple(e_plus), frozenset(touched), ell)
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus), ell)
     return augmented, merged, rec
 
 
@@ -196,7 +203,7 @@ class TestMergeCover:
         for i in (1, 2):
             assert set(rec.e_minus[2 * i - 1]) & set(rec.e_minus[2 * i])
         assert validate_cover(aug, merged) == 1
-        assert len(rec.touched) == 4 * 3 - 2
+        assert len({v for e in rec.e_minus for v in e}) == 4 * 3 - 2
 
 
 class TestUnmerge:
@@ -430,12 +437,12 @@ class TestSolve:
 
     def test_single_cycle_fallback_pins_no_edge_set_on_the_cover(self):
         # the no-op merge hands the walk the caller's own cover and no
-        # protected edge: the target check must not build its edge set
+        # protected edge: no slot of the cover holds an edge set after it
         g, cover = gen_planted(100, 0.2, 7)
         res = solve(g, cover, 33)
         assert res.cover is None and res.stats.used_enrichment
         assert res.stats.merge_bridges == 0
-        assert cover._edge_set is None
+        assert _edge_sets_held(cover) == []
 
     @pytest.mark.parametrize("target, walked", [(1, False), (2000, True)])
     def test_h_edges_counted_on_the_input_and_the_merged_cycle(
@@ -691,7 +698,7 @@ class TestWalk:
         assert g.n > pipeline.EXHAUSTIVE_CUTOFF
         res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
         assert res.stats.thomassen_calls >= 1 and _walk_record(res)["landed"] >= 1
-        assert cover._edge_set is None
+        assert _edge_sets_held(cover) == []
 
     def test_desk_floor_walk_warns_nothing(self):
         # above the cutoff the rewire reads the desk floor as its degree

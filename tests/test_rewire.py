@@ -436,6 +436,33 @@ class TestHamiltonCycles:
             seen_forced += bool(forced and want)
         assert seen_forced >= 5
 
+    def test_cycles_come_sorted_by_the_path_that_meets_them(self):
+        """The cycles come in the order of the sequence the search meets
+        first: 0, then its smaller neighbour, or 0, then its forced
+        neighbour when vertex 0 has exactly one forced edge.  Hosts with 0,
+        1 and 2 forced edges at vertex 0, and at most one forced elsewhere."""
+        seen = [0, 0, 0]  # hosts with two or more cycles, by forced edges at 0
+        for seed in range(90):
+            rng = random.Random(seed)
+            n = rng.randint(5, 9)
+            pairs = [e for e in combinations(range(n), 2) if rng.random() < rng.uniform(0.4, 0.9)]
+            at_zero = [e for e in pairs if e[0] == 0]
+            elsewhere = [e for e in pairs if e[0] != 0]
+            forced = frozenset(
+                rng.sample(at_zero, min(len(at_zero), seed % 3))
+                + rng.sample(elsewhere, min(len(elsewhere), rng.randint(0, 1)))
+            )
+            got = [c.cycles[0] for c in rewire._hamilton_cycles(n, rows_of(n, pairs), forced, 10**6)]
+            lone = [v for e in forced if 0 in e for v in e if v]
+
+            def met(cyc):
+                return (0, *cyc[:0:-1]) if len(lone) == 1 and cyc[1] != lone[0] else cyc
+
+            keys = [met(c) for c in got]
+            assert all(a < b for a, b in zip(keys, keys[1:])), seed
+            seen[len(lone)] += len(got) > 1
+        assert min(seen) >= 5, seen
+
     def test_first_other_cycle_matches_the_recursive_search(self, rng):
         """The enumerator's first item other than the request's cycle is the
         cycle the recursive search returns, at every budget, on the requests
@@ -641,7 +668,6 @@ class TestRequestFacts:
             assert req.off_cycle_bits == list(rows_of(n, usable))
             assert req.cycle_bits == list(rows_of(n, cyc))
             assert list(req.usable_edges()) == usable
-            assert req.usable_count == len(usable)
             assert req.blocked == {v for e in req.protected for v in e}
             clear = set(req.clear)
 
@@ -690,7 +716,7 @@ class TestRequestFacts:
                 if quiet:
                     assert got is None and ours.getstate() == state, (seed, call)
             if quiet:
-                seen["quiet, usable" if req.usable_count else "no usable"] += 1
+                seen["quiet, usable" if any(req.usable_edges()) else "no usable"] += 1
             else:
                 seen["busy"] += 1
         assert min(seen.values()) >= 5, seen
