@@ -27,7 +27,9 @@ from .rewire import (
     _hamilton_cycles,
     second_hamilton_cycle,
 )
-from .switching import SplitOutcome, _make_c4, _split_validated, _toggle, count_h_edges
+from .switching import (
+    SplitOutcome, _check_target, _make_c4, _split_validated, _toggle, count_h_edges
+)
 
 # rounds in a row that land no cycle or do not beat the best split, after
 # which the walk stops
@@ -40,15 +42,15 @@ EXHAUSTIVE_CUTOFF = 14
 class MergeRecord:
     """Bookkeeping for undoing a merge.
 
-    Per merge, ``e_minus`` holds the removed edges ``zw, xy`` and ``e_plus``
-    the bridges ``zx, wy``.  Unmerge removes every bridge in ``e_plus`` from
-    the cycle; a bridge that happened to exist in the host graph already
-    stays in the graph.
+    Per merge switch, ``e_minus`` holds its two removed cover edges and
+    ``e_plus`` its two chords, the bridges, each pair sorted; the input cover
+    had ``len(e_plus) // 2 + 1`` cycles.  Unmerge removes every bridge in
+    ``e_plus`` from the cycle; a bridge that happened to exist in the host
+    graph already stays in the graph.
     """
 
     e_minus: tuple[tuple[int, int], ...]
     e_plus: tuple[tuple[int, int], ...]
-    ell: int
 
 
 def _merge_positions(g: Graph, cycle: tuple[int, ...]) -> list[int]:
@@ -74,22 +76,21 @@ def merge_cover(g: Graph, cover: CycleCover) -> tuple[Graph, CycleCover, MergeRe
     validate_cover(g, cover)
     ell = cover.num_components
     if ell == 1:
-        return g, cover, MergeRecord((), (), 1)
+        return g, cover, MergeRecord((), ())
     switches, e_minus, e_plus = [], [], []
     best = [_merge_positions(g, cyc) for cyc in cover.cycles]
     for i in range(ell - 1):
         # cycle 0 has no incoming edge, so it gives up its best one
         outgoing = best[i][1 if i else 0]
         incoming = best[i + 1][0]
-        switches.append(_make_c4(cover, (i, outgoing), (i + 1, incoming), aligned=True))
-        z, w = cover.cycle_edge(i, outgoing)
-        x, y = cover.cycle_edge(i + 1, incoming)
-        e_minus.extend([edge_key(z, w), edge_key(x, y)])
-        e_plus.extend([edge_key(z, x), edge_key(w, y)])
+        c4 = _make_c4(cover, (i, outgoing), (i + 1, incoming), aligned=True)
+        switches.append(c4)
+        e_minus.extend(c4.cover_edges(cover))
+        e_plus.extend(c4.chords)
     merged = _toggle(cover, switches)
     if merged is None or merged.num_components != 1:
         raise AssertionError("merge did not produce a Hamilton cycle")
-    rec = MergeRecord(tuple(e_minus), tuple(e_plus), ell)
+    rec = MergeRecord(tuple(e_minus), tuple(e_plus))
     return g.with_extra_edges(e_plus), merged, rec
 
 
@@ -137,7 +138,7 @@ def unmerge(cycle: CycleCover, rec: MergeRecord) -> CycleCover:
     out = _toggle(cycle, switches)
     if out is None:
         raise CoverError("the merge's removed edges do not fit back into the cycle")
-    if out.num_components > rec.ell:
+    if out.num_components > len(rec.e_plus) // 2 + 1:
         raise AssertionError("unmerge created more cycles than it started with")
     return out
 
@@ -186,8 +187,8 @@ def _log_plans(stats: RunStats, plans) -> None:
                 "case": plan.case,
                 "kinds": [c.kind.value for c in plan.switches],
                 "positions": [[c.edge_a, c.edge_b] for c in plan.switches],
-                "delta": plan.predicted_delta,
-                "sym_diff": plan.predicted_sym_diff,
+                "delta": 1,
+                "sym_diff": 4 * len(plan.switches),
             }
         )
 
@@ -304,13 +305,7 @@ def solve(
     )
     ell = validate_cover(g, cover)
     stats.ell_initial = ell
-    if k < ell:
-        raise ValueError(
-            f"target k={k} below the {ell} cycles of the input cover; "
-            "reducing the cycle count is out of scope"
-        )
-    if 3 * k > g.n:
-        raise ValueError(f"k={k} infeasible for n={g.n}: need k <= n/3")
+    _check_target(g.n, ell, k)
 
     outcome = None
     if not strict:

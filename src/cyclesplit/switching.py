@@ -12,7 +12,10 @@ depending on the chord configuration:
 A single parallel switch raises the component count, and so do two crossing
 switches whose chords interleave on one cycle, or three aligned / three
 anti-aligned cross-cycle switches in chain position.  ``increase_by_one``
-searches those four configurations in order of increasing edge perturbation.
+searches those four configurations in order of increasing edge perturbation
+and commits to the first well-formed one: a configuration whose new cycles
+are all at least 3 long always adds exactly one cycle, so a step never tries
+a second.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ class ImplantedC4:
 
 @dataclass(frozen=True)
 class SwitchPlan:
-    """An ordered batch of implanted C4's to toggle at once."""
+    """An ordered batch of implanted C4's to toggle at once.
+
+    Toggling it adds exactly one cycle and changes ``4 * len(switches)``
+    edges: each switch swaps two cover edges for two chords off the cover.
+    """
 
     switches: tuple[ImplantedC4, ...]
-    predicted_delta: int
-    predicted_sym_diff: int
     case: int
 
 
@@ -570,14 +575,14 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
                 ]
 
 
-def _try_plan(cover, switches, case):
-    # _toggle swaps 2s cover edges for 2s new chords, so 4s edges change, and
-    # every chord is an edge of g (a kernel row or _find_parallel's bit test):
-    # the result is a 2-factor of g; split_to_k validates the final cover
+def _plan(cover, switches, case):
+    # every chord is an edge of g (a kernel row or _find_parallel's bit test),
+    # so the result is a 2-factor of g; split_to_k validates the final cover.
+    # A well-formed configuration always splits one cycle: anything else is a bug
     new = _toggle(cover, switches)
     if new is None or new.num_components != cover.num_components + 1:
-        return None
-    return new, SwitchPlan(tuple(switches), 1, 4 * len(switches), case)
+        raise AssertionError(f"a case-{case} configuration did not split one cycle")
+    return new, SwitchPlan(tuple(switches), case)
 
 
 # work per split step: each implanted C4 filed from a cycle the step has not
@@ -593,33 +598,31 @@ def increase_by_one(g: Graph, cover: CycleCover) -> Optional[tuple[CycleCover, S
 
 
 def increase_by_one_with_diag(g: Graph, cover: CycleCover, memo: Optional[_SplitMemo] = None):
-    """``increase_by_one`` plus the per-case counters of the search.
+    """``(step, budget_exhausted)``: ``increase_by_one``'s result, and
+    whether a step that found nothing ran out of budget.
 
     The cover must already be a 2-factor of ``g``; it is not re-checked here.
-    ``memo`` is the split run's ``_SplitMemo``.  Case 1 skips the cycles it
-    knows to be parallel-free, the step files only the cycles it has not
-    seen, and cases 2-4 are one ``_candidates`` stream over the memo's
-    sorted orders.  By the memo's invariant, the search and its result are
-    those of a step without a memo, which starts from an empty one.
+    ``memo`` is the split run's ``_SplitMemo``.  Case 1's parallel C4 is the
+    plan outright; otherwise the plan is the first well-formed candidate of
+    one ``_candidates`` stream over the memo's sorted orders.  Case 1 skips
+    the cycles it knows to be parallel-free, and the step files only the
+    cycles it has not seen.  By the memo's invariant, the search and its
+    result are those of a step without a memo, which starts from an empty one.
 
     ``SWITCH_CANDIDATE_BUDGET`` bounds the step's work: each implanted
     C4 it reads from a cycle the memo has not seen costs one unit, and so
     does each candidate the stream yields, one too short to try included.  A
-    step that runs out stops with ``budget_exhausted``, before filing if its
-    new C4's alone overrun it.  A step without a memo reads every cycle, so
-    under a tight budget it can run out where a step with one goes on.
+    step that runs out stops, before filing if its new C4's alone overrun
+    it.  A step without a memo reads every cycle, so under a tight budget it
+    can run out where a step with one goes on.
     """
     memo = _SplitMemo(cover.n) if memo is None else memo
-    diag = {"case1": 0, "case2": 0, "case3": 0, "case4": 0, "budget_exhausted": False}
     budget = SWITCH_CANDIDATE_BUDGET
 
     # case 1: single parallel switch, 4 changed edges
     c4 = _find_parallel(g, cover, memo.parallel_free)
     if c4 is not None:
-        diag["case1"] = 1
-        attempt = _try_plan(cover, [c4], case=1)
-        if attempt is not None:
-            return attempt, diag
+        return _plan(cover, [c4], case=1), False
 
     # cases 2-4: one candidate stream over the memo's pairs; a filing that
     # overruns the budget leaves it negative and the stream untried
@@ -629,14 +632,9 @@ def increase_by_one_with_diag(g: Graph, cover: CycleCover, memo: Optional[_Split
         budget -= 1
         if budget < 0:
             break
-        if switches is None:
-            continue
-        diag[f"case{case}"] += 1
-        attempt = _try_plan(cover, switches, case)
-        if attempt is not None:
-            return attempt, diag
-    diag["budget_exhausted"] = budget < 0
-    return None, diag
+        if switches is not None:
+            return _plan(cover, switches, case), False
+    return None, budget < 0
 
 
 @dataclass
@@ -662,13 +660,21 @@ def split_to_k(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     units for every implanted C4 of the cover, so under a tight budget it
     can run out where a step of the run goes on.
     """
-    ell = cover.num_components
-    if k < ell:
-        raise ValueError(f"target k={k} below current {ell} cycles; merging is out of scope")
-    if 3 * k > g.n:
-        raise ValueError(f"k={k} infeasible: a 2-factor of {g.n} vertices has at most {g.n // 3} cycles")
+    _check_target(g.n, cover.num_components, k)
     validate_cover(g, cover)
     return _split_validated(g, cover, k)
+
+
+def _check_target(n: int, ell: int, k: int) -> None:
+    """Reject a target a split cannot reach: below the cover's ell cycles, or
+    above n/3 (a 2-factor needs at least three vertices per cycle)."""
+    if k < ell:
+        raise ValueError(
+            f"target k={k} below the {ell} cycles of the input cover; "
+            "merging cycles is out of scope"
+        )
+    if 3 * k > n:
+        raise ValueError(f"k={k} infeasible: a 2-factor of {n} vertices has at most {n // 3} cycles")
 
 
 def _split_validated(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
@@ -677,7 +683,9 @@ def _split_validated(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     Each step removes cover edges and adds chords that are off the cover
     (``_toggle`` rejects a chord that is a cover edge), so it changes exactly
     those edges, and the final cover differs from the input by the xor of the
-    steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.
+    steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.  A
+    step that finds no plan ends the run with the record
+    ``{"stopped_at", "budget_exhausted"}``; a success records ``stopped_at`` k.
     """
     memo = _SplitMemo(cover.n)
     ell = cover.num_components
@@ -685,14 +693,10 @@ def _split_validated(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     plans = []
     current = cover
     while current.num_components < k:
-        step, diag = increase_by_one_with_diag(g, current, memo)
+        step, exhausted = increase_by_one_with_diag(g, current, memo)
         if step is None:
-            return SplitOutcome(
-                None,
-                tuple(plans),
-                len(changed),
-                {"stopped_at": current.num_components, **diag},
-            )
+            record = {"stopped_at": current.num_components, "budget_exhausted": exhausted}
+            return SplitOutcome(None, tuple(plans), len(changed), record)
         new, plan = step
         for c4 in plan.switches:
             changed.symmetric_difference_update((*c4.cover_edges(current), *c4.chords))

@@ -26,8 +26,8 @@ from cyclesplit.switching import (
     SwitchKind,
     _implanted_pairs,
     _make_c4,
+    _plan,
     _toggle,
-    _try_plan,
     apply_switch,
     count_h_edges,
     enumerate_implanted,
@@ -461,7 +461,7 @@ class TestIncreaseByOne:
     def test_case2_example(self):
         g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 3), (1, 4), (2, 5), (3, 6)])
         new, plan = increase_by_one(g, ham_cover(8))
-        assert plan.case == 2 and plan.predicted_sym_diff == 8
+        assert plan.case == 2 and 4 * len(plan.switches) == 8
         assert {frozenset(c) for c in new.cycles} == {
             frozenset({0, 3, 6, 7}),
             frozenset({1, 2, 5, 4}),
@@ -477,7 +477,7 @@ class TestIncreaseByOne:
         g = Graph(12, edges)
         cover = CycleCover([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]])
         new, plan = increase_by_one(g, cover)
-        assert plan.case == 3 and plan.predicted_sym_diff == 12
+        assert plan.case == 3 and 4 * len(plan.switches) == 12
         assert {frozenset(c) for c in new.cycles} == {
             frozenset({0, 6, 11, 5}),
             frozenset({1, 7, 8, 2}),
@@ -490,7 +490,7 @@ class TestIncreaseByOne:
 
     def test_case1_preferred(self):
         new, plan = increase_by_one(complete_graph(8), ham_cover(8))
-        assert plan.case == 1 and plan.predicted_sym_diff == 4
+        assert plan.case == 1 and 4 * len(plan.switches) == 4
         assert new.num_components == 2
 
     def test_postconditions_random(self, rng):
@@ -507,15 +507,32 @@ class TestIncreaseByOne:
             assert all(e in cover.edge_set() for e in cover.edge_set() - new.edge_set())
             added = new.edge_set() - cover.edge_set()
             assert all(g.has_edge(*e) and e not in cover.edge_set() for e in added)
-            assert plan.predicted_sym_diff == len(sym)
+            assert 4 * len(plan.switches) == len(sym)
             assert validate_cover(g, new) == new.num_components
             done += 1
 
     def test_plan_that_keeps_the_count_rejected(self):
-        # a single crossing switch rewires one cycle: no plan, though it toggles
+        # a single crossing switch rewires one cycle: it toggles, but a plan
+        # must split, so planning it is a bug
         g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
         (c4,) = enumerate_implanted(g, ham_cover(6))
-        assert _try_plan(ham_cover(6), [c4], case=1) is None
+        with pytest.raises(AssertionError, match="did not split"):
+            _plan(ham_cover(6), [c4], case=1)
+
+    def test_non_splitting_candidate_raises(self, monkeypatch):
+        # a step commits to the stream's first candidate with switches: one
+        # that keeps the count is not skipped for the next but raises
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
+        (c4,) = enumerate_implanted(g, ham_cover(6))
+        candidates = switching._candidates
+
+        def with_rewire_first(cover, memo, index):
+            yield 2, [c4]
+            yield from candidates(cover, memo, index)
+
+        monkeypatch.setattr(switching, "_candidates", with_rewire_first)
+        with pytest.raises(AssertionError, match="did not split"):
+            increase_by_one(g, ham_cover(6))
 
     def test_cover_edge_absent_from_graph_rejected(self):
         # the Hamilton cover uses the edge 0-7, which the graph lacks
@@ -659,8 +676,8 @@ class TestCandidateBudget:
         assert all(s == {"filed": 0, "tried": []} for s in steps[:at])
         out, cut = record(filed - 1)
         assert out.cover is None and len(out.plans) == at
-        assert out.diagnostics["budget_exhausted"] is True
-        assert [out.diagnostics[f"case{c}"] for c in (2, 3, 4)] == [0, 0, 0]
+        # the Hamilton cover gained one cycle per plan before the stop
+        assert out.diagnostics == {"stopped_at": 1 + at, "budget_exhausted": True}
         assert cut[at] == {"filed": filed, "tried": []}
         # one unit more pays for the filing, and the step goes on to a candidate
         _, cut = record(filed)
@@ -854,19 +871,18 @@ class TestSplitMemo:
         """A switch batch hands back every cycle it leaves untouched as the same
         tuple object, which the memo's first-vertex keys rely on."""
         cases = Counter()
-        try_plan = switching._try_plan
+        plan = switching._plan
 
         def checked(cover, switches, case):
-            new = _toggle(cover, switches)
-            if new is not None:
-                touched = {ci for c4 in switches for ci in (c4.edge_a[0], c4.edge_b[0])}
-                ids = set(map(id, new.cycles))
-                for ci, cyc in enumerate(cover.cycles):
-                    assert ci in touched or id(cyc) in ids
-                cases[case] += 1
-            return try_plan(cover, switches, case)
+            new, got = plan(cover, switches, case)
+            touched = {ci for c4 in switches for ci in (c4.edge_a[0], c4.edge_b[0])}
+            ids = set(map(id, new.cycles))
+            for ci, cyc in enumerate(cover.cycles):
+                assert ci in touched or id(cyc) in ids
+            cases[case] += 1
+            return new, got
 
-        monkeypatch.setattr(switching, "_try_plan", checked)
+        monkeypatch.setattr(switching, "_plan", checked)
         for n, degree, seed in _MEMO_RUNS:
             g, cover = _planted(n, degree, seed)
             split_to_k(g, cover, n // 3)
@@ -919,19 +935,25 @@ class TestSplitMemo:
         assert len(scans) > 20 and max(scans.values()) == 1
 
 
-def _stream_covers():
-    """``(g, cover)`` of every split step of ``_MEMO_RUNS`` that reads the
-    candidate stream."""
+def _step_covers():
+    """``(g, cover)`` of every split step of ``_MEMO_RUNS``."""
     for n, degree, seed in _MEMO_RUNS:
         g, cover = _planted(n, degree, seed)
         current = cover
         while True:
-            if switching._find_parallel(g, current, {}) is None:
-                yield g, current
+            yield g, current
             step, _ = switching.increase_by_one_with_diag(g, current)
             if step is None:
                 break
             current = step[0]
+
+
+def _stream_covers():
+    """``(g, cover)`` of every split step of ``_MEMO_RUNS`` that reads the
+    candidate stream."""
+    for g, cover in _step_covers():
+        if switching._find_parallel(g, cover, {}) is None:
+            yield g, cover
 
 
 class TestCandidateStream:
@@ -963,30 +985,48 @@ class TestCandidateStream:
         assert seen["ties"] > 10 and seen["orders"] > 10, seen
         assert all(seen[key] for key in (2, 3, 4, "short")), seen
 
+    def test_every_well_formed_configuration_splits(self):
+        """A step commits to its first plan because no other can differ: each
+        parallel C4 and each candidate of the whole stream with switches,
+        not just the first, toggles to exactly one more cycle."""
+        seen = Counter()
+        for g, cover in _step_covers():
+            want = cover.num_components + 1
+            for c4 in enumerate_implanted(g, cover):
+                if c4.kind is SwitchKind.SAME_CYCLE_PARALLEL:
+                    assert _toggle(cover, [c4]).num_components == want
+                    seen[1] += 1
+            if switching._find_parallel(g, cover, {}) is not None:
+                continue
+            memo = switching._SplitMemo(cover.n)
+            _, index = memo.buckets(g, cover, switching.SWITCH_CANDIDATE_BUDGET)
+            for case, switches in switching._candidates(cover, memo, index):
+                if switches is not None:
+                    assert _toggle(cover, switches).num_components == want, case
+                    seen[case] += 1
+        assert all(seen[case] > 10 for case in (1, 2, 3, 4)), seen
+
     def test_each_candidate_costs_one_unit(self, monkeypatch):
         seen = Counter()
         for g, cover in _stream_covers():
             pairs = list(_implanted_pairs(g, cover))
-            want, units, counts = None, 0, Counter()
+            want, units = None, 0
             for case, switches in _reference_candidates(cover, _reference_file(pairs)):
                 units += 1
                 if switches is None:
                     seen["short"] += 1
                     continue
-                counts[case] += 1
-                want = _try_plan(cover, switches, case)
-                if want is not None:
-                    break
+                want = _plan(cover, switches, case)
+                break
             # a step with no memo files every C4, then pays for its candidates
             for budget, exhausted in ((len(pairs) + units, False), (len(pairs) + units - 1, True)):
                 # only this step: the stream's own splits keep the default
                 with monkeypatch.context() as m:
                     m.setattr(switching, "SWITCH_CANDIDATE_BUDGET", budget)
-                    step, diag = switching.increase_by_one_with_diag(g, cover)
-                assert diag["budget_exhausted"] is exhausted
+                    step, ran_out = switching.increase_by_one_with_diag(g, cover)
+                assert ran_out is exhausted
                 if not exhausted:
                     assert step == want
-                    assert [diag[f"case{c}"] for c in (2, 3, 4)] == [counts[c] for c in (2, 3, 4)]
             seen["stall" if want is None else "plan"] += 1
         # stalls and plans, with short candidates among those paid for
         assert seen["stall"] >= 4 and seen["plan"] >= 15 and seen["short"] > 100, seen
