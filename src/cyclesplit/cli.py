@@ -68,7 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--k", type=int, required=True)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--params", help="params file (flat key = value)")
-    sol.add_argument("--strict", action="store_true", help="skip the opportunistic direct split")
+    sol.add_argument(
+        "--strict",
+        action="store_true",
+        help="walk first; split the input cover only if the walk lands no cycle",
+    )
     sol.add_argument("--out", help="output cover file")
     sol.add_argument("--stats", help="stats JSON file")
 
@@ -223,7 +227,7 @@ def cmd_bench(args) -> int:
                     "seed": seed,
                     "success": int(st.success),
                     "switches": len(st.switch_log),
-                    "thomassen_calls": st.thomassen_calls,
+                    "rewire_calls": st.rewire_calls,
                     "wall_time": f"{elapsed:.4f}",
                 }
             )

@@ -1,12 +1,13 @@
-"""End-to-end pipeline: merge the cover into one cycle, walk, undo, split.
+"""End-to-end pipeline: one loop of split rounds over a walk of Hamilton cycles.
 
-Merging removes one edge from each of two cycles and bridges their loose
-ends in parallel, which is exactly the inverse of a parallel C4-switch; the
-bridges may fall outside the host graph, so the walk runs on the augmented
-graph and the bridges stay protected until they are removed again.  The walk
-takes Hamilton cycles of the augmented graph one at a time and splits each,
-once unmerged, until a split reaches k.  Merge and unmerge are each one batch
-of switches through the splice ``switching._toggle``, the only way the
+Round 0 splits the input cover.  When that stalls, the cover is merged into
+one cycle: merging removes one edge from each of two cycles and bridges
+their loose ends in parallel, which is exactly the inverse of a parallel
+C4-switch.  The bridges may fall outside the host graph, so the walk runs on
+the augmented graph and the edges around the bridges stay protected.  Each
+later round takes the walk's next Hamilton cycle, unmerges it and splits
+the restored cover, until a split reaches k.  Merge and unmerge are each one
+batch of switches through the splice ``switching._toggle``, the only way the
 pipeline changes a cover.
 """
 
@@ -17,7 +18,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
 from .rewire import (
@@ -27,9 +28,7 @@ from .rewire import (
     _hamilton_cycles,
     second_hamilton_cycle,
 )
-from .switching import (
-    SplitOutcome, _check_target, _make_c4, _split_validated, _toggle, count_h_edges
-)
+from .switching import _check_target, _make_c4, _split_validated, _toggle, count_h_edges
 
 # rounds in a row that land no cycle or do not beat the best split, after
 # which the walk stops
@@ -155,11 +154,9 @@ class RunStats:
     k_target: int = 0
     success: bool = False
     strict: bool = False
-    used_enrichment: bool = False
     switch_log: list = field(default_factory=list)
     # rewire calls of the walk that did not raise
-    thomassen_calls: int = 0
-    merge_bridges: int = 0
+    rewire_calls: int = 0
     diagnostics: list = field(default_factory=list)
     wall_time: float = 0.0
     seed: int = 0
@@ -193,83 +190,33 @@ def _log_plans(stats: RunStats, plans) -> None:
         )
 
 
-def _merge_walk_unmerge(
-    g: Graph,
-    cover: CycleCover,
-    k: int,
+def _walk_cycles(
+    augmented: Graph,
+    merged: CycleCover,
+    protected: frozenset,
     params: Params,
     rng: random.Random,
     stats: RunStats,
-    best: Optional[SplitOutcome],
-) -> SplitOutcome:
-    """Walk Hamilton cycles of the augmented graph until one splits to k.
+) -> Iterator[Optional[CycleCover]]:
+    """The walk's Hamilton cycles of ``augmented`` after ``merged``, one a round.
 
-    ``best`` is the direct split's failed outcome, None in strict mode.  Each
-    round takes a new Hamilton cycle that keeps the protected edges, undoes
-    the merge on it and splits the restored cover.  Up to
-    ``EXHAUSTIVE_CUTOFF`` vertices the cycles come from one enumerator, in
-    its order, so none repeats and nothing is drawn; above it, each is a
-    rewire of the current cycle with every augmented edge desirable.  The
-    walk stops on a success, after ``params.enrich_rounds`` rounds, or after
-    ``WALK_PATIENCE`` rounds in a row that land no cycle or do not beat the
-    best ``stopped_at``.  It takes no round when the merged cycle already
-    hosts ``params.h_edge_target`` implanted C4's; the walk record keeps
-    that count as ``h_edges``.  Returns the success, else the best failed
-    split; in strict mode a walk that split nothing splits the input cover.
+    Each keeps the ``protected`` edges.  Up to ``EXHAUSTIVE_CUTOFF`` vertices
+    they come from one enumerator, in its order, so none repeats and nothing
+    is drawn, until it runs dry.  Above it each is a rewire of the last
+    cycle landed, with every augmented edge desirable, and a rewire that
+    finds none gives None.
     """
-    stats.used_enrichment = True
-    augmented, merged, rec = merge_cover(g, cover)
-    stats.merge_bridges = len(rec.e_plus)
-    protected = protected_for_merge(merged, rec)
-    h = count_h_edges(augmented, merged)
-    record = {"stage": "walk", "reason": "target met", "rounds": 0, "landed": 0, "h_edges": h}
-    best_at = best.diagnostics["stopped_at"] if best else None
-    if h < params.h_edge_target:
-        tiny = g.n <= EXHAUSTIVE_CUTOFF
-        if tiny:
-            cycles = _hamilton_cycles(g.n, augmented._bits, protected, REWIRE_NODE_BUDGET)
-            cycles = (c for c in cycles if c != merged)
-        cycle = merged
-        stale = 0  # rounds in a row without a better split
-        try:
-            while record["rounds"] < params.enrich_rounds and stale < WALK_PATIENCE:
-                record["rounds"] += 1
-                stale += 1
-                if tiny:
-                    found = next(cycles, None)
-                else:
-                    req = RewireRequest(augmented, cycle, protected)
-                    res = second_hamilton_cycle(req, rng, params)
-                    stats.thomassen_calls += 1
-                    found = res and res.cycle
-                if found is None:
-                    record["reason"] = "no cycle"
-                    continue
-                record["landed"] += 1
-                cycle = found
-                restored = unmerge(cycle, rec)
-                validate_cover(g, restored)
-                out = _split_validated(g, restored, k)
-                record["reason"] = "no gain"
-                # a success stops at k, past every failure
-                if best_at is None or out.diagnostics["stopped_at"] > best_at:
-                    best, best_at, stale = out, out.diagnostics["stopped_at"], 0
-                    stats.ell_presplit = restored.num_components
-                if out.cover is not None:
-                    record["reason"] = "success"
-                    break
-            else:
-                if stale < WALK_PATIENCE:
-                    record["reason"] = "rounds"
-        except (RewireError, CoverError) as exc:
-            record["reason"] = "error"
-            record["detail"] = str(exc)
-    record["best_stopped_at"] = best_at
-    stats.diagnostics.append(record)
-    if best is None:
-        stats.ell_presplit = cover.num_components
-        best = _split_validated(g, cover, k)
-    return best
+    if augmented.n <= EXHAUSTIVE_CUTOFF:
+        cycles = _hamilton_cycles(augmented.n, augmented._bits, protected, REWIRE_NODE_BUDGET)
+        yield from (c for c in cycles if c != merged)
+        return
+    cycle = merged
+    while True:
+        res = second_hamilton_cycle(RewireRequest(augmented, cycle, protected), rng, params)
+        stats.rewire_calls += 1
+        if res is not None:
+            cycle = res.cycle
+        yield res and res.cycle
 
 
 def solve(
@@ -282,43 +229,83 @@ def solve(
 ) -> SolveResult:
     """Transform a <=k-cycle 2-factor into one with exactly k cycles.
 
-    Strategy: try splitting directly; if that stalls, merge everything into
-    one Hamilton cycle of the augmented graph and walk to other Hamilton
-    cycles that keep the edges around the bridges, undoing the merge on each
-    and splitting again (``_merge_walk_unmerge``).  The strict flag skips
-    the opportunistic first step.  Every cover the split gets was validated
-    just before (the input here, each restored cover in the walk), so the
-    split does not check it again.
-    Honest failure returns ``cover=None`` with diagnostics; the input is
-    never modified.
+    One loop over rounds, each of which splits one cover and keeps the split
+    that got furthest.  Round 0 splits the input cover.  When it stalls, or
+    in strict mode, the cover is merged into one Hamilton cycle of the
+    augmented graph, and each later round takes the walk's next Hamilton
+    cycle (``_walk_cycles``), unmerges it and splits the restored cover.
+    Every cover a round splits was validated just before (the input on
+    entry, each restored cover after its unmerge), so the split does not
+    check it again.
+
+    The walk takes no round when the merged cycle already hosts
+    ``params.h_edge_target`` implanted C4's.  It stops on a success, after
+    ``params.enrich_rounds`` rounds, after ``WALK_PATIENCE`` rounds in a row
+    that land no cycle or do not beat the best ``stopped_at``, or on a
+    rewire or unmerge error.  Strict mode defers round 0 and runs it only
+    when no walk round landed a cycle.  A solve that walks writes one
+    diagnostics record, ``{"stage": "walk", "reason", "rounds", "landed",
+    "h_edges", "best_stopped_at", "budget_exhausted"}`` (and ``detail`` on
+    an error), whose last two are those of the split it returns.
+    Honest failure returns ``cover=None``; the input is never modified.
     """
     params = params or Params()
     rng = rng or random.Random(params.seed)
     t0 = time.perf_counter()
+    ell = validate_cover(g, cover)
     stats = RunStats(
         n=g.n,
         m=g.m,
         min_degree=g.min_degree(),
+        ell_initial=ell,
+        ell_presplit=ell,
         k_target=k,
         strict=strict,
         seed=params.seed,
     )
-    ell = validate_cover(g, cover)
-    stats.ell_initial = ell
     _check_target(g.n, ell, k)
 
-    outcome = None
-    if not strict:
-        stats.ell_presplit = ell
-        outcome = _split_validated(g, cover, k)
-        if outcome.cover is None:
-            stats.diagnostics.append({"opportunistic_split": outcome.diagnostics})
-    if outcome is None or outcome.cover is None:
-        outcome = _merge_walk_unmerge(g, cover, k, params, rng, stats, outcome)
-        if outcome.cover is None:
-            stats.diagnostics.append({"final_split": outcome.diagnostics})
-    if outcome.cover is not None:
-        _log_plans(stats, outcome.plans)
+    best = None if strict else _split_validated(g, cover, k)
+    if best is None or best.cover is None:
+        augmented, merged, rec = merge_cover(g, cover)
+        h = count_h_edges(augmented, merged)
+        walk = {"stage": "walk", "reason": "target met", "rounds": 0, "landed": 0, "h_edges": h}
+        protected = protected_for_merge(merged, rec)
+        cycles = _walk_cycles(augmented, merged, protected, params, rng, stats)
+        stale = 0  # rounds in a row without a better split
+        try:
+            while h < params.h_edge_target and stale < WALK_PATIENCE:
+                if walk["rounds"] == params.enrich_rounds:
+                    walk["reason"] = "rounds"
+                    break
+                walk["rounds"] += 1
+                stale += 1
+                cycle = next(cycles, None)
+                if cycle is None:
+                    walk["reason"] = "no cycle"
+                    continue
+                walk["landed"] += 1
+                restored = unmerge(cycle, rec)
+                validate_cover(g, restored)
+                out = _split_validated(g, restored, k)
+                # a success stops at k, past every failure
+                if best is None or out.diagnostics["stopped_at"] > best.diagnostics["stopped_at"]:
+                    best, stale = out, 0
+                    stats.ell_presplit = restored.num_components
+                if out.cover is not None:
+                    walk["reason"] = "success"
+                    break
+                walk["reason"] = "no gain"
+        except (RewireError, CoverError) as exc:
+            walk["reason"] = "error"
+            walk["detail"] = str(exc)
+        if best is None:  # strict mode's deferred round 0
+            best = _split_validated(g, cover, k)
+        walk["best_stopped_at"] = best.diagnostics["stopped_at"]
+        walk["budget_exhausted"] = best.diagnostics.get("budget_exhausted", False)
+        stats.diagnostics.append(walk)
+    if best.cover is not None:
+        _log_plans(stats, best.plans)
         stats.success = True
     stats.wall_time = time.perf_counter() - t0
-    return SolveResult(outcome.cover, stats)
+    return SolveResult(best.cover, stats)

@@ -123,14 +123,14 @@ def test_criterion_03_edge_budget(complete_sweep, planted_runs):
     t0 = time.monotonic()
     checked = 0
     for g, cover, k, res in complete_sweep:
-        if res.stats.used_enrichment:
+        if res.stats.diagnostics:
             continue
         sym = len(res.cover.edge_set() ^ cover.edge_set())
         ell = cover.num_components
         assert sym <= 12 * (k - ell), (g.n, k, sym)
         checked += 1
     for g, cover, k, res, _ in planted_runs:
-        if res.cover is None or res.stats.used_enrichment:
+        if res.cover is None or res.stats.diagnostics:
             continue
         sym = len(res.cover.edge_set() ^ cover.edge_set())
         assert sym <= 12 * (k - cover.num_components)

@@ -4,8 +4,19 @@ from dataclasses import replace
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclesplit.graphs import CoverError, CycleCover, Graph, Params, edge_key, validate_cover
+from cyclesplit.graphs import (
+    CoverError,
+    CycleCover,
+    Graph,
+    Params,
+    dump_cover,
+    dump_graph,
+    edge_key,
+    validate_cover,
+)
 from cyclesplit.instances import (
     gen_implant_free,
     gen_planted,
@@ -295,14 +306,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_split_runs_once_on_unchanged_cover(self, split_calls, strict):
+        # the walk lands no cycle, so the failure is recorded once, by the
+        # walk record, with the one split's outcome
         res = solve(cycle_graph(9), ham_cover(9), 2, strict=strict)
         assert res.cover is None and len(split_calls) == 1
-        diags = {key: value for d in res.stats.diagnostics for key, value in d.items()}
-        assert diags["final_split"]["stopped_at"] == 1
-        if strict:
-            assert "opportunistic_split" not in diags
-        else:
-            assert diags["opportunistic_split"] == diags["final_split"]
+        walk = _walk_record(res)
+        assert res.stats.diagnostics == [walk]
+        assert walk["best_stopped_at"] == 1 and walk["budget_exhausted"] is False
 
     def test_split_reruns_on_enriched_cover(self, split_calls):
         # the direct split stops short, enrichment changes the cover, and the
@@ -312,7 +322,9 @@ class TestSolve:
         res = solve(g, cover, 3, params, random.Random(33))
         assert len(split_calls) == 2 and split_calls[1][1] != cover
         assert validate_cover(g, res.cover) == 3
-        assert any("opportunistic_split" in d for d in res.stats.diagnostics)
+        walk = _walk_record(res)
+        assert res.stats.diagnostics == [walk] and walk["reason"] == "success"
+        assert walk["best_stopped_at"] == 3 and walk["budget_exhausted"] is False
 
     def test_enrich_error_leaves_input_cover(self, split_calls):
         # above the exhaustive cutoff a degree floor no vertex meets makes
@@ -325,7 +337,7 @@ class TestSolve:
         walk = _walk_record(res)
         assert walk["reason"] == "error" and walk["detail"].startswith("vertex ")
         assert walk["rounds"] == 1 and walk["landed"] == 0
-        assert walk["best_stopped_at"] is None and res.stats.thomassen_calls == 0
+        assert walk["best_stopped_at"] == 3 and res.stats.rewire_calls == 0
         assert len(split_calls) == 1 and split_calls[0][1] is cover
         assert res.stats.ell_presplit == 2
         assert validate_cover(g, res.cover) == 3
@@ -385,7 +397,8 @@ class TestSolve:
         st = res.stats
         assert st.n == 9 and st.m == 36 and st.min_degree == 8
         assert st.ell_initial == 1 and st.k_target == 2
-        assert not st.used_enrichment
+        # a round-0 success writes no walk record and calls no rewire
+        assert st.diagnostics == [] and st.rewire_calls == 0
         assert st.seed == 4
         payload = st.to_json(drop_timing=True)
         assert "wall_time" not in payload and '"success": true' in payload
@@ -399,7 +412,7 @@ class TestSolve:
         g, cover = gen_planted(10, 0.3, 33)
         params = Params(seed=33, enrich_rounds=4, thomassen_degree_floor=1)
         res = solve(g, cover, 3, params, random.Random(33), strict=strict)
-        assert res.stats.used_enrichment
+        assert res.stats.diagnostics == [_walk_record(res)]
         augmented, merged, _ = merge_cover(g, cover)
         assert _walk_record(res)["h_edges"] == count_h_edges(augmented, merged) > 0
 
@@ -416,7 +429,7 @@ class TestSolve:
         assert calls[0] == 0
         params = Params(seed=5, thomassen_degree_floor=1, h_edge_target=20)
         res = solve(g, cover, 5, params, random.Random(5), strict=True)
-        assert res.stats.used_enrichment and calls[0] >= 1
+        assert _walk_record(res) and calls[0] >= 1
 
     def test_single_cycle_fallback_counts_the_cover_once(self, monkeypatch):
         # a Hamilton cover past the stall: the merge is a no-op, so the
@@ -430,8 +443,8 @@ class TestSolve:
         monkeypatch.setattr(pipeline, "count_h_edges", counted)
         g, cover = gen_planted(100, 0.2, 7)
         res = solve(g, cover, 33)
-        assert res.cover is None and res.stats.used_enrichment
-        assert res.stats.merge_bridges == 0
+        assert res.cover is None and res.stats.diagnostics == [_walk_record(res)]
+        assert res.stats.ell_initial == 1
         assert calls[0] == 1
         walk = _walk_record(res)
         assert walk["reason"] == "target met" and walk["rounds"] == 0
@@ -441,8 +454,8 @@ class TestSolve:
         # protected edge: no slot of the cover holds an edge set after it
         g, cover = gen_planted(100, 0.2, 7)
         res = solve(g, cover, 33)
-        assert res.cover is None and res.stats.used_enrichment
-        assert res.stats.merge_bridges == 0
+        assert res.cover is None and res.stats.diagnostics == [_walk_record(res)]
+        assert res.stats.ell_initial == 1
         assert _edge_sets_held(cover) == []
 
     @pytest.mark.parametrize("target, walked", [(1, False), (2000, True)])
@@ -463,8 +476,8 @@ class TestSolve:
         g, cover = planted_cover(60, 0.15, 3, ell=4)
         params = Params(seed=3, thomassen_degree_floor=1, h_edge_target=target)
         res = solve(g, cover, 6, params, random.Random(3), strict=True)
-        assert res.stats.merge_bridges == 6
-        assert (res.stats.thomassen_calls > 0) == walked
+        assert res.stats.ell_initial == 4
+        assert (res.stats.rewire_calls > 0) == walked
         assert [c.num_components for c in counted_covers] == [1]
         walk = _walk_record(res)
         assert (walk["landed"] > 0) == walked
@@ -474,7 +487,7 @@ class TestSolve:
         g, cover = gen_planted(24, 0.5, 5)
         params = Params(thomassen_degree_floor=1, h_edge_target=20, seed=5)
         res = solve(g, cover, 3, params, random.Random(5), strict=True)
-        assert res.stats.used_enrichment
+        assert res.stats.diagnostics == [_walk_record(res)]
         assert res.cover is not None
         assert validate_cover(g, res.cover) == 3
 
@@ -496,8 +509,8 @@ class TestSolve:
         res = solve(g, cover, 4, params, random.Random(0), strict=True)
         assert res.cover is not None
         assert validate_cover(g, res.cover) == 4
-        assert res.stats.thomassen_calls >= 1
-        assert res.stats.merge_bridges == 2
+        assert res.stats.rewire_calls >= 1
+        assert res.stats.ell_initial == 2
         # the rewire changed the merged cycle; unmerge still matches the
         # edge-set reference on it
         ((cycle, seen_rec),) = seen
@@ -518,9 +531,9 @@ class TestSolve:
         params = Params(seed=seed, thomassen_degree_floor=1, h_edge_target=2000)
         res = solve(g, cover, 4, params, random.Random(seed), strict=True)
         assert res.cover is not None and validate_cover(g, res.cover) == 4
-        assert res.stats.merge_bridges == 2
+        assert res.stats.ell_initial == 2
         walk = _walk_record(res)
-        assert walk["landed"] >= 1 and res.stats.thomassen_calls >= 1
+        assert walk["landed"] >= 1 and res.stats.rewire_calls >= 1
         assert cover.cycles == before
 
     @pytest.mark.parametrize("n", [24, 30, 40, 60])
@@ -535,14 +548,14 @@ class TestSolve:
                 res = solve(g, cover, k, params, random.Random(seed))
                 assert res.cover is not None, (n, k, seed, res.stats.diagnostics)
                 assert validate_cover(g, res.cover) == k
-                assert res.stats.used_enrichment and res.stats.thomassen_calls >= 1
+                assert res.stats.diagnostics == [_walk_record(res)] and res.stats.rewire_calls >= 1
 
     def test_rewire_precondition_failure(self):
         # a degree floor no vertex meets: the rewire degree precondition
         # raises on the first call, which ends the walk with one record
         g, cover = gen_planted(30, 0.15, 1)
         res = solve(g, cover, 3, Params(thomassen_degree_floor=g.n), strict=True)
-        assert res.stats.thomassen_calls == 0
+        assert res.stats.rewire_calls == 0
         walk = _walk_record(res)
         assert walk["reason"] == "error" and walk["rounds"] == 1
         assert "desirable degree" in walk["detail"]
@@ -589,7 +602,7 @@ class TestWalk:
                         assert len(set(unmerged)) == len(unmerged)
                         walk = _walk_record(res)
                         assert walk["landed"] == len(unmerged) <= walk["rounds"] <= 64
-                        assert res.stats.thomassen_calls == 0
+                        assert res.stats.rewire_calls == 0
                         rounds += walk["rounds"]
         assert rounds >= 200
 
@@ -611,7 +624,8 @@ class TestWalk:
             "rounds": 1,
             "landed": 0,
             "h_edges": 0,
-            "best_stopped_at": None,
+            "best_stopped_at": 1,
+            "budget_exhausted": False,
         }
         assert len(calls) == 1 and calls[0][1] is cover
         assert res.stats.ell_presplit == 1
@@ -629,9 +643,10 @@ class TestWalk:
             "rounds": 0,
             "landed": 0,
             "h_edges": h,
-            "best_stopped_at": None,
+            "best_stopped_at": 6,
+            "budget_exhausted": False,
         }
-        assert unmerged == [] and res.stats.thomassen_calls == 0
+        assert unmerged == [] and res.stats.rewire_calls == 0
         assert res.stats.ell_presplit == 4 and validate_cover(g, res.cover) == 6
 
     def test_protected_edges_survive(self, monkeypatch, unmerged):
@@ -698,7 +713,7 @@ class TestWalk:
         g, cover = gen_implant_free(30, 1)
         assert g.n > pipeline.EXHAUSTIVE_CUTOFF
         res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
-        assert res.stats.thomassen_calls >= 1 and _walk_record(res)["landed"] >= 1
+        assert res.stats.rewire_calls >= 1 and _walk_record(res)["landed"] >= 1
         assert _edge_sets_held(cover) == []
 
     def test_desk_floor_walk_warns_nothing(self):
@@ -708,5 +723,43 @@ class TestWalk:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(g, cover, 2, Params(seed=1, thomassen_degree_floor=1))
-        assert res.stats.thomassen_calls >= 1
+        assert res.stats.rewire_calls >= 1
         assert validate_cover(g, res.cover) == 2
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(6, 12), st.floats(0.1, 0.8), st.integers(0, (1 << 30) - 1), st.booleans())
+def test_solve_on_planted_graphs(n, p, seed, strict):
+    """Every k <= n/3 on a planted graph, strict and not: a success validates
+    to k and the oracle allows k; the inputs dump as before; a rerun gives
+    the same cover and timing-free stats; a failure carries one diagnostics
+    record, the walk's, with the outcome of the split the solve returns (the
+    first split that got furthest)."""
+    g, cover = gen_planted(n, p, seed)
+    graph_text, cover_text = dump_graph(g), dump_cover(cover)
+    feasible = oracle_component_counts(g)
+    params = Params(seed=seed, enrich_rounds=4, thomassen_degree_floor=1)
+    splits = []
+
+    def recorded(*args, split=pipeline._split_validated):
+        splits.append(split(*args))
+        return splits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_split_validated", recorded)
+        for k in range(1, n // 3 + 1):
+            runs = []
+            for _ in range(2):
+                splits.clear()
+                res = solve(g, cover, k, params, random.Random(seed), strict)
+                runs.append((res.cover and dump_cover(res.cover), res.stats.to_json(drop_timing=True)))
+            assert runs[0] == runs[1]
+            assert dump_graph(g) == graph_text and dump_cover(cover) == cover_text
+            if res.cover is not None:
+                assert validate_cover(g, res.cover) == k and k in feasible
+                continue
+            (walk,) = res.stats.diagnostics
+            returned = max(splits, key=lambda out: out.diagnostics["stopped_at"])
+            assert walk["stage"] == "walk" and returned.cover is None
+            assert walk["best_stopped_at"] == returned.diagnostics["stopped_at"]
+            assert walk["budget_exhausted"] == returned.diagnostics["budget_exhausted"]
