@@ -441,9 +441,9 @@ def validate_cover(
 
     Raises :class:`CoverError` on: missing vertex, repeated vertex, a cover
     edge absent from ``g``, or a cycle shorter than 3.  A cover made by
-    ``CycleCover._from_canonical`` (every splice result) was never checked,
-    so its partition is checked here too: each cycle at least 3 long, all
-    lengths summing to n, and n distinct vertices among them.
+    ``CycleCover._from_canonical`` (every splice and every cut result) was
+    never checked, so its partition is checked here too: each cycle at least
+    3 long, all lengths summing to n, and n distinct vertices among them.
     """
     if not isinstance(cover, CycleCover):
         cover = CycleCover(cover, g.n)

@@ -7,8 +7,9 @@ C4-switch.  The bridges may fall outside the host graph, so the walk runs on
 the augmented graph and the edges around the bridges stay protected.  Each
 later round takes the walk's next Hamilton cycle, unmerges it and splits
 the restored cover, until a split reaches k.  Merge and unmerge are each one
-batch of switches through the splice ``switching._toggle``, the only way the
-pipeline changes a cover.
+batch of switches through the splice ``switching._toggle``; a split step
+splices too, except in case 1, where ``switching._cut`` cuts one cycle in
+two.  The pipeline changes a cover in no other way.
 """
 
 from __future__ import annotations

@@ -16,11 +16,17 @@ searches those four configurations in order of increasing edge perturbation
 and commits to the first well-formed one: a configuration whose new cycles
 are all at least 3 long always adds exactly one cycle, so a step never tries
 a second.
+
+A cover changes in one of two ways.  The commonest step, case 1, cuts its
+cycle into two arcs with two slices (``_cut``); every other batch of
+switches, cases 2-4, merge, unmerge and ``apply_switch``, goes through the
+general splice ``_toggle``.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
@@ -29,6 +35,7 @@ from .graphs import (
     CoverError,
     CycleCover,
     Graph,
+    _canonical_cycle,
     _iter_bits,
     _oriented,
     edge_key,
@@ -218,6 +225,11 @@ def count_h_edges(g: Graph, cover: CycleCover) -> int:
 def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[CycleCover]:
     """Apply a batch of switches by splicing the cycles they touch; None if degenerate.
 
+    The splice of every batch but case 1's single parallel switch, which
+    ``_cut`` applies: ``_plan`` calls it for cases 2-4, ``apply_switch`` for
+    one switch, and ``pipeline.merge_cover`` and ``pipeline.unmerge`` for
+    their batches.
+
     Each touched cycle is cut at its removed edges into arcs, each kept as a
     range of positions of the old cycle, and the chords join the arcs into
     the new cycles.  Each new cycle comes out canonical, copied from slices
@@ -326,6 +338,34 @@ def _toggle(cover: CycleCover, switches: Sequence[ImplantedC4]) -> Optional[Cycl
     return CycleCover._from_canonical(tuple(sorted(kept + new)), cover.n)
 
 
+def _cut(cover: CycleCover, c4: ImplantedC4) -> Optional[CycleCover]:
+    """Apply one same-cycle parallel switch by cutting its cycle in two; else None.
+
+    The switch at positions a < b of ``cyc`` (either edge first) removes the
+    cover edges after a and after b, and its chords close the two arcs left:
+    ``cyc[:a+1] + cyc[b+1:]``, which keeps the old minimum at its start and
+    so only needs ``graphs._oriented``, and ``cyc[a+1:b+1]``, which is
+    rotated to its least vertex first.  Every other cycle keeps its tuple.
+
+    Any other switch gives None: one of another kind, off one cycle, or with
+    an arc shorter than 3 (b - a outside [3, L - 3]).  For a switch that
+    ``_make_c4`` built, that guard holds exactly when every degeneracy check
+    of ``_toggle`` passes, and the two give the same cover.
+    """
+    (ci, a), (cj, b) = c4.edge_a, c4.edge_b
+    if c4.kind is not SwitchKind.SAME_CYCLE_PARALLEL or ci != cj:
+        return None
+    if a > b:
+        a, b = b, a
+    cyc = cover.cycles[ci]
+    if not 3 <= b - a <= len(cyc) - 3:
+        return None
+    cycles = list(cover.cycles)
+    cycles[ci] = _oriented(cyc[: a + 1] + cyc[b + 1 :])
+    insort(cycles, _canonical_cycle(cyc[a + 1 : b + 1]))
+    return CycleCover._from_canonical(tuple(cycles), cover.n)
+
+
 def apply_switch(cover: CycleCover, c4: ImplantedC4) -> CycleCover:
     """Toggle one implanted C4; the component delta follows its kind."""
     for ci, pos in (c4.edge_a, c4.edge_b):
@@ -392,9 +432,9 @@ class _SplitMemo:
     The cycles of one cover share no vertex, so a cycle is known by its first
     vertex, and first vertices sort as the tuples do.  A cycle counts as
     known when the tuple filed under its first vertex is the cover's own
-    tuple object (``is``).  ``_toggle`` hands back every untouched cycle as
-    the same object, so a split run never meets an equal but distinct copy;
-    if a caller passed one, it would only be filed again.
+    tuple object (``is``).  ``_cut`` and ``_toggle`` hand back every
+    untouched cycle as the same object, so a split run never meets an equal
+    but distinct copy; if a caller passed one, it would only be filed again.
 
     ``parallel_free`` maps a first vertex to the cycle scanned there without
     a parallel C4, and ``cycles`` to the cycle filed there.  The vertex
@@ -578,8 +618,9 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
 def _plan(cover, switches, case):
     # every chord is an edge of g (a kernel row or _find_parallel's bit test),
     # so the result is a 2-factor of g; split_to_k validates the final cover.
-    # A well-formed configuration always splits one cycle: anything else is a bug
-    new = _toggle(cover, switches)
+    # Case 1 cuts its cycle, cases 2-4 splice.  A well-formed configuration
+    # always splits one cycle: anything else is a bug
+    new = _cut(cover, switches[0]) if case == 1 else _toggle(cover, switches)
     if new is None or new.num_components != cover.num_components + 1:
         raise AssertionError(f"a case-{case} configuration did not split one cycle")
     return new, SwitchPlan(tuple(switches), case)
@@ -681,8 +722,10 @@ def _split_validated(g: Graph, cover: CycleCover, k: int) -> SplitOutcome:
     """``split_to_k`` for a cover the caller has just validated, ell <= k <= n/3.
 
     Each step removes cover edges and adds chords that are off the cover
-    (``_toggle`` rejects a chord that is a cover edge), so it changes exactly
-    those edges, and the final cover differs from the input by the xor of the
+    (in case 1 the span guard of ``_cut`` keeps both arcs at least 3 long,
+    so neither chord joins cover neighbours; in cases 2-4 ``_toggle``
+    rejects a chord that is a cover edge), so it changes exactly those
+    edges, and the final cover differs from the input by the xor of the
     steps' changed-edge sets: ``sym_diff`` needs no whole-cover edge set.  A
     step that finds no plan ends the run with the record
     ``{"stopped_at", "budget_exhausted"}``; a success records ``stopped_at`` k.

@@ -69,6 +69,31 @@ class TestGenImplantFree:
         with pytest.raises(ValueError):
             gen_implant_free(3, 0)
 
+    @pytest.mark.parametrize("n", [4, 7, 30, 60, 301])
+    def test_pair_array_matches_tuple_list(self, n):
+        """The pairs held as ``u * n + v`` in an array shuffle into the order
+        of the tuple list they replaced, so every graph is the same."""
+
+        def reference(n, seed):
+            rng = random.Random(seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 2, n) if v - u != n - 1]
+            rng.shuffle(pairs)
+            chord = [0] * n
+            for u, v in pairs:
+                up, um = chord[(u + 1) % n], chord[u - 1]
+                vp, vm = (v + 1) % n, v - 1
+                if not ((up >> vp) & 1 or (up >> vm) & 1 or (um >> vp) & 1 or (um >> vm) & 1):
+                    chord[u] |= 1 << v
+                    chord[v] |= 1 << u
+            cycle = [(u, (u + 1) % n) for u in range(n)]
+            chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (chord[u] >> v) & 1]
+            return Graph(n, cycle + chords)
+
+        for seed in range(3):
+            g, cover = gen_implant_free(n, seed)
+            assert g == reference(n, seed)
+            assert cover.cycles == (tuple(range(n)),)
+
 
 class TestGenPlanted:
     def test_p_zero_is_cycle(self):

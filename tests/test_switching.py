@@ -24,6 +24,7 @@ from cyclesplit.patterns import (
 from cyclesplit.switching import (
     ImplantedC4,
     SwitchKind,
+    _cut,
     _implanted_pairs,
     _make_c4,
     _plan,
@@ -1030,3 +1031,45 @@ class TestCandidateStream:
             seen["stall" if want is None else "plan"] += 1
         # stalls and plans, with short candidates among those paid for
         assert seen["stall"] >= 4 and seen["plan"] >= 15 and seen["short"] > 100, seen
+
+
+class TestCut:
+    """Case 1 cuts its cycle in two where the splice would walk its arcs: the
+    same cover, with every other cycle the same tuple object."""
+
+    def test_cut_equals_splice_on_step_covers(self):
+        # every parallel C4 of every split step's cover, not only the first
+        # one case 1 takes; every other C4 is refused
+        seen = Counter()
+        for g, cover in _step_covers():
+            for c4 in enumerate_implanted(g, cover):
+                seen[c4.kind] += 1
+                got = _cut(cover, c4)
+                if c4.kind is not SwitchKind.SAME_CYCLE_PARALLEL:
+                    assert got is None
+                    continue
+                assert got == _toggle(cover, [c4])
+                ids = set(map(id, got.cycles))
+                for ci, cyc in enumerate(cover.cycles):
+                    assert ci == c4.edge_a[0] or id(cyc) in ids
+        assert all(seen[kind] > 100 for kind in SwitchKind), seen
+
+    def test_guard_is_the_splice_checks(self):
+        # every ordered pair of positions on each cycle, spans the splice
+        # rejects and edge_a after edge_b included: the cut refuses exactly
+        # the switches the splice does, and agrees with it on the rest
+        rng = random.Random(0xC07)
+        outcomes = Counter()
+        for sizes in ((3, 6), (7,), (4, 9, 5), (3, 8, 3)):
+            perm = list(range(sum(sizes)))
+            rng.shuffle(perm)
+            ends = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+            cover = CycleCover([perm[lo:hi] for lo, hi in zip(ends, ends[1:])])
+            for ci, cyc in enumerate(cover.cycles):
+                for a in range(len(cyc)):
+                    for b in range(len(cyc)):
+                        c4 = _make_c4(cover, (ci, a), (ci, b), aligned=False)
+                        want = _toggle(cover, [c4])
+                        assert _cut(cover, c4) == want
+                        outcomes["none" if want is None else "cover"] += 1
+        assert min(outcomes.values()) > 50, outcomes
