@@ -245,9 +245,12 @@ def load_graph(text: str, max_n: Optional[int] = None) -> Graph:
 
 def dump_graph(g: Graph) -> str:
     """Canonical serialization; ``load_graph(dump_graph(g))`` round-trips."""
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    out = [f"{g.n} {g.m}\n"]
+    # one row's lines at a time: neither every edge tuple nor every line is held
+    for u in range(g.n):
+        row = g.adjacency(u)
+        out.append("".join([f"{u} {v}\n" for v in row[bisect(row, u):]]))
+    return "".join(out)
 
 
 def _oriented(seq: Sequence[int]) -> tuple[int, ...]:

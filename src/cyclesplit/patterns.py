@@ -65,7 +65,9 @@ def iter_increasing_triples(pairs: Sequence[IndexPair]) -> Iterator[Triple]:
     """Index triples strictly increasing in both coordinates, lex order.
 
     Scans index-ascending triples only, so the input must be sorted by
-    first coordinate (the switch engine's candidate lists are).
+    first coordinate (the switch engine's candidate lists are).  Between
+    yields the scan is cubic in ``len(pairs)``; the split's lists are short
+    enough that this costs less than a :func:`find_increasing_triple` check.
     """
     return _increasing_triples(pairs)
 

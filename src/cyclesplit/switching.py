@@ -15,7 +15,7 @@ anti-aligned cross-cycle switches in chain position.  ``increase_by_one``
 searches those four configurations in order of increasing edge perturbation
 and commits to the first well-formed one: a configuration whose new cycles
 are all at least 3 long always adds exactly one cycle, so a step never tries
-a second.
+a second; cases 3 and 4 read the triple iterators of ``patterns`` alone.
 
 A cover changes in one of two ways.  The commonest step, case 1, cuts its
 cycle into two arcs with two slices (``_cut``); every other batch of
@@ -41,13 +41,7 @@ from .graphs import (
     edge_key,
     validate_cover,
 )
-from .patterns import (
-    find_decreasing_triple,
-    find_increasing_triple,
-    iter_decreasing_triples,
-    iter_increasing_triples,
-    iter_interleaved_pairs,
-)
+from .patterns import iter_decreasing_triples, iter_increasing_triples, iter_interleaved_pairs
 
 
 class SwitchKind(enum.Enum):
@@ -455,7 +449,8 @@ class _SplitMemo:
 
     A list below its threshold can never yield a candidate, so it is neither
     sorted nor kept: case 2 needs two crossing pairs, cases 3 and 4 three
-    pairs.  A cycle's parallel C4's are not filed: case 1 finds them.
+    pairs.  No list holds a parallel C4 (a same-cycle anti-aligned pair): a
+    step files only once case 1 has found every cycle parallel-free.
 
     Invariant: an entry holds for every cover that contains its cycles,
     whatever the other cycles are.  The chords of a C4 implanted in one or
@@ -544,7 +539,6 @@ class _SplitMemo:
             if len(pairs) >= 2:
                 pairs.sort()
                 self.crossing.append((-len(pairs), cu, pairs))
-            anti.pop(cu, None)  # the parallel ones: case 1 finds them
             for order, partners in ((self.aligned, aligned), (self.anti, anti)):
                 for cy, pairs in partners.items():
                     if len(pairs) < 3:
@@ -568,7 +562,8 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
     buckets are the memo's orders (``index`` maps each first vertex to its
     cycle's position): case 2 takes the crossing pairs per cycle, cases 3 and
     4 the aligned and the anti-aligned pairs per cycle pair, each by
-    decreasing size, then first vertex, which is index order.
+    decreasing size, then first vertex, which is index order.  Cases 3 and 4
+    read the triple iterators alone, with no existence check first.
     """
     cycles = cover.cycles
     # case 2: two interleaved crossing switches on one cycle, 8 changed edges
@@ -589,13 +584,11 @@ def _candidates(cover: CycleCover, memo: _SplitMemo, index: dict):
 
     # case 3 / case 4: three cross-cycle switches, 12 changed edges; the
     # positions b on the higher cycle run up in case 3 and down in case 4
-    for case, order, sign, finder, itertriples in (
-        (3, memo.aligned, 1, find_increasing_triple, iter_increasing_triples),
-        (4, memo.anti, -1, find_decreasing_triple, iter_decreasing_triples),
+    for case, order, sign, itertriples in (
+        (3, memo.aligned, 1, iter_increasing_triples),
+        (4, memo.anti, -1, iter_decreasing_triples),
     ):
         for _, lower, higher, pairs in order:
-            if finder(pairs) is None:
-                continue
             ci, cj = index[lower], index[higher]
             lx, ly = len(cycles[ci]), len(cycles[cj])
             for ta, tb, tc in itertriples(pairs):

@@ -90,6 +90,23 @@ def test_round_trip_bit_exact():
     assert dump_graph(load_graph(text)) == text
 
 
+def _reference_dump(g):
+    """``dump_graph`` as one join of every ``g.edges()`` line."""
+    out = [f"{g.n} {g.m}"]
+    out.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(out) + "\n"
+
+
+def test_dump_graph_matches_edge_list_join():
+    from cyclesplit.instances import gen_implant_free, gen_planted
+
+    graphs = [Graph(0, []), Graph(4, []), cycle_graph(7)]
+    graphs += [gen_planted(n, 0.3, seed)[0] for n, seed in ((12, 1), (60, 2))]
+    graphs += [gen_implant_free(n, seed)[0] for n, seed in ((9, 0), (40, 3))]
+    for g in graphs:
+        assert dump_graph(g) == _reference_dump(g)
+
+
 @settings(max_examples=60)
 @given(st.integers(3, 12), st.random_module())
 def test_round_trip_random(n, rnd):

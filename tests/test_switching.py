@@ -13,7 +13,7 @@ from cyclesplit.graphs import (
     edge_key,
     validate_cover,
 )
-from cyclesplit.instances import count_implanted_bruteforce, gen_planted
+from cyclesplit.instances import count_implanted_bruteforce, gen_implant_free, gen_planted
 from cyclesplit.patterns import (
     find_decreasing_triple,
     find_increasing_triple,
@@ -867,6 +867,31 @@ class TestSplitMemo:
             g, cover = _planted(n, degree, seed)
             split_to_k(g, cover, n // 3)
         assert seen["reused"] > seen["filings"] // 2 and seen["kept"] > 100, seen
+
+    def test_filing_meets_parallel_free_cycles(self, monkeypatch):
+        """A step files only once case 1 has found every cycle parallel-free,
+        so no list pairs a cycle with itself: its anti-aligned pairs would be
+        parallel C4's."""
+        seen = Counter()
+        buckets, parallel_in = switching._SplitMemo.buckets, switching._parallel_in
+
+        def checked(memo, g, cover, budget):
+            assert all(parallel_in(g, cyc) is None for cyc in cover.cycles)
+            fresh, index = buckets(memo, g, cover, budget)
+            for order in (memo.aligned, memo.anti):
+                assert all(lower != higher for _, lower, higher, _ in order)
+                seen["kept"] += len(order)
+            seen["filings"] += 1
+            return fresh, index
+
+        monkeypatch.setattr(switching._SplitMemo, "buckets", checked)
+        for _ in _step_covers():  # each step starts from an empty memo
+            pass
+        runs = [_planted(n, degree, seed) for n, degree, seed in ((90, 20, 1), (150, 12, 3))]
+        runs += [gen_implant_free(n, seed) for n, seed in ((30, 0), (60, 1))]
+        for g, cover in runs:
+            split_to_k(g, cover, g.n // 3)
+        assert seen["filings"] > 20 and seen["kept"] > 500, seen
 
     def test_toggle_keeps_untouched_tuples(self, monkeypatch):
         """A switch batch hands back every cycle it leaves untouched as the same
