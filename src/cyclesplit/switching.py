@@ -114,14 +114,76 @@ def _make_c4(cover: CycleCover, ea, eb, aligned: bool) -> ImplantedC4:
 # found from two bitset rows per vertex, once from each of its two cover
 # edges, not by a scan over all pairs of cover edges.
 #
-# The neighbour rows are the graph's bitsets.  The predecessor row p(x) adds
-# one single-bit integer per neighbour of x, summed when the row is read, so
-# a caller pays only for the rows it reads: a whole cover costs 2m big-integer
-# additions, and a split step's filing reads only the rows of its gained cycles.
+# The neighbour rows are the graph's bitsets.  The predecessor rows p(x) have
+# two builders, which give the same integers:
+#
+# * per-vertex sums (``_pred_sums``): p(x) adds one single-bit integer per
+#   neighbour of x, summed when the row is read, so a whole cover costs 2m
+#   big-integer additions and a few rows cost only their own;
+# * one bit-matrix transpose (``_transpose``): bit y of p(x) is set exactly
+#   when nxt[y] is a neighbour of x, and the graph is undirected, so the rows
+#   p(x) are the transpose of the columns neighbor_bits(nxt[y]).  All n rows
+#   come from a few whole-matrix integer operations, whatever m is.
+#
+# ``_kernel_rows`` takes the number of rows its caller reads and picks the
+# transpose when n >= 16 and 400 m reads >= n^2 (n + 1600), a rule measured
+# on planted graphs: the sums' cost grows with m and the rows read, the
+# transpose's with n^2 alone.  Whole-cover reads are ``count_h_edges``, the
+# first filing of a split run (``_SplitMemo.buckets``) and an uncapped
+# ``enumerate_implanted``; a later filing reads only its gained cycles and
+# mostly keeps the sums.
+
+# the three delta swaps that transpose each 8x8 bit block of a little-endian
+# 64-bit word (bit 8i + j is row i, column j): shift and the word's mask
+_BLOCK_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _kernel_rows(g: Graph, prev, nxt):
-    """Row builder of the implanted-C4 kernel.
+def _transpose(cols: Sequence[int]) -> list[int]:
+    """Rows of a square bit matrix given by its columns (Hacker's Delight, 7-3).
+
+    Bit x of ``cols[y]`` is entry (x, y); row x of the result has bit y set
+    exactly when that entry is.  The columns are packed as ``8 * nb`` byte
+    rows of ``nb`` bytes each.  Read top to bottom, byte column C of that
+    matrix is the 8x8 bit blocks of rows 8C..8C+7 and columns 8R..8R+7 for
+    R = 0, 1, ..., one 8-byte word each, so one strided slice per byte column
+    lays out every block.  Three delta swaps on one integer transpose every
+    word at once; byte j of word (C, R) is then byte R of row 8C + j, and
+    each row is one strided slice of the result.
+
+    Each swap's mask is built in turn and every intermediate is dropped as
+    soon as it is spent, so the call holds at most about four matrices of
+    n^2 / 8 bytes at once, its result included.
+    """
+    n = len(cols)
+    nb = (n + 7) // 8
+    size = 8 * nb * nb
+    packed = b"".join([c.to_bytes(nb, "little") for c in cols]).ljust(size, b"\0")
+    blocks = int.from_bytes(b"".join([packed[c::nb] for c in range(nb)]), "little")
+    del packed
+    for shift, word in _BLOCK_SWAPS:
+        mask = int.from_bytes(word.to_bytes(8, "little") * (nb * nb), "little")
+        t = ((blocks >> shift) ^ blocks) & mask
+        del mask
+        blocks ^= t ^ (t << shift)
+        del t
+    out = blocks.to_bytes(size, "little")
+    del blocks
+    span = 8 * nb
+    return [
+        int.from_bytes(out[(x >> 3) * span + (x & 7) : ((x >> 3) + 1) * span : 8], "little")
+        for x in range(n)
+    ]
+
+
+def _pred_sums(g: Graph, prev):
+    """``x -> p(x)`` before masking, summed from x's adjacency on each call."""
+    pbit = [1 << p for p in prev]
+    adjacency = g.adjacency
+    return lambda x: sum(map(pbit.__getitem__, adjacency(x)))
+
+
+def _kernel_rows(g: Graph, prev, nxt, reads: int):
+    """Row builder of the implanted-C4 kernel, for a caller that reads ``reads`` rows.
 
     ``rows(x)`` returns two vertex bitsets: ``a``, the neighbours of x other
     than its two cover neighbours, and ``p``, the cover predecessors of those.
@@ -129,16 +191,22 @@ def _kernel_rows(g: Graph, prev, nxt):
     of ``a(u) & p(v)`` and the anti-aligned ones at those of ``p(u) & a(v)``.
     Chords are off-cover by construction, and the four endpoints are distinct
     because v is a cover neighbour of u.
+
+    The unmasked ``p`` rows come from ``_transpose``, all built up front,
+    when n >= 16 and 400 m reads >= n^2 (n + 1600), and otherwise from
+    ``_pred_sums``, one per call; both give the same rows.
     """
-    neighbor_bits, adjacency = g.neighbor_bits, g.adjacency
-    pbit = [1 << p for p in prev]
+    n, neighbor_bits = g.n, g.neighbor_bits
+    if n >= 16 and 400 * g.m * reads >= n * n * (n + 1600):
+        pred_row = _transpose([neighbor_bits(y) for y in nxt]).__getitem__
+    else:
+        pred_row = _pred_sums(g, prev)
 
     def rows(x: int) -> tuple[int, int]:
         p, q = prev[x], nxt[x]
         a = neighbor_bits(x) & ~((1 << p) | (1 << q))
         # p(x) holds prev[w] for each neighbour w; drop w = p and w = q
-        pred = sum(map(pbit.__getitem__, adjacency(x))) & ~((1 << prev[p]) | (1 << x))
-        return a, pred
+        return a, pred_row(x) & ~((1 << prev[p]) | (1 << x))
 
     return rows
 
@@ -162,24 +230,28 @@ def _later_partners(cycles: Iterable[Sequence[int]], rows, n: int):
             au, pu = av, pv
 
 
-def _implanted_pairs(g: Graph, cover: CycleCover):
+def _implanted_pairs(g: Graph, cover: CycleCover, cap: Optional[int] = None):
     """``(edge_a, edge_b, aligned)`` of each implanted C4, lexicographically.
 
     ``edge_a`` precedes ``edge_b`` in global (cycle, position) order, and an
     aligned C4 precedes the anti-aligned one on the same pair.  The items are
-    found lazily, edge by edge, so a caller that stops early stops the walk.
-    The cover must already be a 2-factor of ``g``; it is not re-checked here.
+    found lazily, edge by edge, and at most ``cap`` of them come, so a caller
+    that stops early stops the walk; only an uncapped walk counts as a read
+    of every kernel row.  The cover must already be a 2-factor of ``g``; it
+    is not re-checked here.
     """
     prev, nxt = cover.prev_next
     locator = cover.locator
-    rows = _kernel_rows(g, prev, nxt)
-    for u, aligned, anti in _later_partners(cover.cycles, rows, cover.n):
-        partners = [(locator[y], 0) for y in _iter_bits(aligned)]
-        partners += [(locator[y], 1) for y in _iter_bits(anti)]
-        partners.sort()
-        ea = locator[u]
-        for eb, side in partners:
-            yield ea, eb, not side
+    rows = _kernel_rows(g, prev, nxt, g.n if cap is None else 0)
+    pairs = (
+        (locator[u], eb, not side)
+        for u, aligned, anti in _later_partners(cover.cycles, rows, cover.n)
+        for eb, side in sorted(
+            [(locator[y], 0) for y in _iter_bits(aligned)]
+            + [(locator[y], 1) for y in _iter_bits(anti)]
+        )
+    )
+    return islice(pairs, cap)
 
 
 def enumerate_implanted(
@@ -190,16 +262,19 @@ def enumerate_implanted(
     Both chord orientations of a cover-edge pair are reported separately.
     """
     validate_cover(g, cover)
-    return [
-        _make_c4(cover, ea, eb, aligned)
-        for ea, eb, aligned in islice(_implanted_pairs(g, cover), cap)
-    ]
+    return [_make_c4(cover, ea, eb, aligned) for ea, eb, aligned in _implanted_pairs(g, cover, cap)]
 
 
 def count_h_edges(g: Graph, cover: CycleCover) -> int:
-    """Number of C4's implanted in the cover (one per chord orientation)."""
+    """Number of C4's implanted in the cover (one per chord orientation).
+
+    The cover must be a 2-factor of ``g``; only its size is checked here, as
+    the kernel's rows would silently misread a cover of the wrong size.
+    """
+    if cover.n != g.n:
+        raise CoverError(f"cover spans {cover.n} vertices, graph has {g.n}")
     prev, nxt = cover.prev_next
-    rows = _kernel_rows(g, prev, nxt)
+    rows = _kernel_rows(g, prev, nxt, g.n)
     seen = 0
     # _later_partners' walk, inlined: solve's merge -> walk -> unmerge
     # fallback calls this, and it runs on every failed split, most of them at
@@ -509,7 +584,8 @@ class _SplitMemo:
             v, L = cyc[0], len(cyc)
             for i, x in enumerate(cyc):
                 first[x], pos[x], prev[x], nxt[x] = v, i, cyc[i - 1], cyc[(i + 1) % L]
-        found = list(_later_partners(new, _kernel_rows(g, prev, nxt), cover.n))
+        rows = _kernel_rows(g, prev, nxt, sum(map(len, new)))
+        found = list(_later_partners(new, rows, cover.n))
         fresh = sum(aligned.bit_count() + anti.bit_count() for _, aligned, anti in found)
         if fresh > budget:
             return fresh, None

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -113,14 +114,100 @@ def _covers_with_cycle_counts(rng, sizes):
         yield random_factor_instance(rng, n, rng.choice((0.0, 1.0, rng.random())), lengths)
 
 
+@pytest.fixture
+def transposes(monkeypatch):
+    """The column count of each ``_transpose`` call the test makes."""
+    calls = []
+    transpose = switching._transpose
+
+    def counted(cols):
+        calls.append(len(cols))
+        return transpose(cols)
+
+    monkeypatch.setattr(switching, "_transpose", counted)
+    return calls
+
+
+def _builder_cases(n):
+    """A planted, an implant-free and a multi-cycle cover on n vertices."""
+    yield gen_planted(n, 0.3, n)
+    yield gen_implant_free(n, n)
+    yield from _covers_with_cycle_counts(random.Random(n), [n])
+
+
 class TestRowBuilders:
-    """The kernel's rows, summed per vertex, count what brute force counts."""
+    """The transpose and the per-vertex sums build the same predecessor rows,
+    and the kernel's rows count what brute force counts through either."""
+
+    def test_transpose_matches_definition(self):
+        rng = random.Random(0x7A5)
+        for n in list(range(0, 41)) + [63, 64, 65, 127, 129]:
+            cols = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+            want = [sum(((cols[y] >> x) & 1) << y for y in range(n)) for x in range(n)]
+            assert switching._transpose(cols) == want
+
+    @pytest.mark.parametrize("n", [16, 17, 23, 60, 100, 257, 1000])
+    def test_builders_agree(self, n):
+        for g, cover in _builder_cases(n):
+            prev, nxt = cover.prev_next
+            sums = switching._pred_sums(g, prev)
+            transposed = switching._transpose([g.neighbor_bits(y) for y in nxt])
+            assert transposed == [sums(x) for x in range(n)]
 
     def test_count_matches_brute_force(self):
         rng = random.Random(0xB7)
         sizes = [n for n in range(3, 13) for _ in range(6)]
         for g, cover in _covers_with_cycle_counts(rng, sizes):
             assert count_h_edges(g, cover) == count_implanted_bruteforce(g, cover)
+
+    def test_transposed_count_matches_reference(self, transposes):
+        # n from 16 up, dense enough that a whole-cover read transposes
+        rng = random.Random(0x10)
+        for n in range(16, 41, 2):
+            for lengths in ([n], [3, n - 3], None):
+                g, cover = random_factor_instance(rng, n, rng.uniform(0.4, 0.9), lengths)
+                want = _reference_implanted(g, cover)
+                calls = len(transposes)
+                assert count_h_edges(g, cover) == len(want)
+                got = enumerate_implanted(g, cover)
+                assert [(c.edge_a, c.edge_b, c.aligned) for c in got] == want
+                assert transposes[calls:] == [n, n]
+
+    def test_rule(self, transposes):
+        k15 = complete_graph(15)
+        switching._kernel_rows(k15, *ham_cover(15).prev_next, 10**6)
+        assert transposes == []  # n = 15 never transposes
+        g, cover = gen_planted(100, 0.2, 5)
+        prev, nxt = cover.prev_next
+        switching._kernel_rows(g, prev, nxt, 16)
+        assert transposes == []  # a few rows are cheaper summed
+        switching._kernel_rows(g, prev, nxt, 100)
+        assert transposes == [100]
+
+    def test_whole_cover_reads_transpose(self, transposes):
+        g, cover = gen_planted(100, 0.2, 5)
+        count_h_edges(g, cover)
+        enumerate_implanted(g, cover)
+        switching._SplitMemo(g.n).buckets(g, cover, switching.SWITCH_CANDIDATE_BUDGET)
+        assert transposes == [100, 100, 100]
+        enumerate_implanted(g, cover, cap=5)
+        assert transposes == [100, 100, 100]  # a capped walk may read a few rows
+
+    def test_transpose_memory(self):
+        # a whole-cover read holds little beyond a few copies of the matrix
+        n = 1000
+        rng = random.Random(0x3E8)
+        cols = [rng.getrandbits(n) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rows = switching._transpose(cols)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n
+        assert peak <= 5 * n * n / 8, peak / (n * n / 8)
 
 
 class TestEnumerate:
@@ -176,6 +263,13 @@ class TestCountHEdges:
         for _ in range(15):
             g, cover = random_factor_instance(rng, rng.randint(6, 16), 0.4)
             assert count_h_edges(g, cover) == len(enumerate_implanted(g, cover))
+
+    @pytest.mark.parametrize("cover_n, graph_n", [(20, 24), (24, 20)])
+    def test_cover_of_another_size_rejected(self, cover_n, graph_n):
+        g = gen_planted(graph_n, 0.9, 1)[0]
+        cover = gen_planted(cover_n, 0.9, 1)[1]
+        with pytest.raises(CoverError, match=f"cover spans {cover_n} vertices, graph has {graph_n}"):
+            count_h_edges(g, cover)
 
 
 class TestApplySwitch:
@@ -937,8 +1031,8 @@ class TestSplitMemo:
                 scans[cyc] += 1
             return hit
 
-        def counted_rows(g, prev, nxt):
-            rows = kernel_rows(g, prev, nxt)
+        def counted_rows(g, prev, nxt, reads):
+            rows = kernel_rows(g, prev, nxt, reads)
 
             def built(x):
                 cyc, y = [x], nxt[x]
